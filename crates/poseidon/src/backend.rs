@@ -121,8 +121,11 @@ impl PoseidonHeap {
         }
     }
 
-    /// Frees a buddy block through the full persistent path (undo-logged
-    /// state flip, merge cascade, table-shrink probe).
+    /// Frees a buddy block through the full persistent path: an
+    /// undo-logged state flip that pushes the block on its class's free
+    /// list, then the table-shrink probe. Coalescing is deferred — the
+    /// free runs no merges; the maintenance engine and the alloc path's
+    /// defragmentation pay that debt later (DESIGN.md §15).
     pub(crate) fn free_slow(&self, ptr: NvmPtr) -> Result<()> {
         let sub = ptr.subheap();
         if !self.slots[sub as usize].created.load(Ordering::Acquire) {

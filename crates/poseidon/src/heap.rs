@@ -11,6 +11,7 @@ use pmem::{numa, PmemDevice};
 
 use crate::error::{OpKind, PoseidonError, Result};
 use crate::frontend::{CacheConfig, HeapCache};
+use crate::hashtable::RecordIndex;
 use crate::hugeregion::{self, HugeAudit, HUGE_SUBHEAP};
 use crate::layout::{HeapLayout, Region, MAX_SUBHEAPS};
 use crate::nvmptr::NvmPtr;
@@ -73,7 +74,10 @@ impl HeapConfig {
 }
 
 pub(crate) struct SubSlot {
-    pub(crate) lock: TrackedMutex<()>,
+    /// The sub-heap lock. It owns the sub-heap's DRAM record index
+    /// ([`crate::hashtable`]): holding the lock is the proof of
+    /// exclusive access, so the index needs no lock of its own.
+    pub(crate) lock: TrackedMutex<RefCell<RecordIndex>>,
     pub(crate) created: AtomicBool,
     /// Set by load-time recovery when the sub-heap's metadata was hit by
     /// an uncorrectable media error: every operation on it is refused
@@ -128,7 +132,8 @@ pub(crate) struct OpCounters {
 }
 
 /// A Poseidon persistent heap: per-CPU sub-heaps, fully segregated
-/// MPK-protected metadata, undo/micro logging, and O(1) block tracking.
+/// MPK-protected metadata, undo/micro logging, and hash-table block
+/// tracking.
 ///
 /// The heap is `Send + Sync`; share it across threads with [`Arc`].
 /// Threads should register their logical CPU with
@@ -324,7 +329,7 @@ impl PoseidonHeap {
         // epoch count, with no reallocation racing the lock-free readers.
         let slots = (0..MAX_SUBHEAPS)
             .map(|_| SubSlot {
-                lock: TrackedMutex::new(()),
+                lock: TrackedMutex::default(),
                 created: AtomicBool::new(false),
                 quarantined: AtomicBool::new(false),
                 tx_slots: std::sync::atomic::AtomicU32::new(0),

@@ -14,10 +14,13 @@
 //!   brackets each allocator operation, and only for the executing
 //!   thread. Heap overflows, wild stores, and cross-thread bugs get a
 //!   protection fault instead of silently corrupting allocation state.
-//! * **O(1) block tracking** (§4.4) — a multi-level hash table records
-//!   every allocated *and* free block, validating each `free` (rejecting
-//!   double/invalid frees) and backing the buddy free lists, in constant
-//!   time regardless of heap size.
+//! * **Block tracking** (§4.4) — a multi-level hash table records every
+//!   allocated *and* free block, validating each `free` (rejecting
+//!   double/invalid frees) and backing the buddy free lists. Probing it
+//!   costs up to one window per active level; once a second level is
+//!   active, a DRAM record index per sub-heap turns each lookup or insert
+//!   into one hash lookup plus one slot read, without changing where any
+//!   record is placed.
 //!
 //! Crash consistency comes from **undo logging** for every operation and
 //! **micro logging** for transactional allocation (§4.5), both replayed

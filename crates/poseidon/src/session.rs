@@ -15,7 +15,9 @@
 //!   (reads through the session observe the operation's own
 //!   not-yet-issued stores — see `undo`'s module docs),
 //! * and, when built by the heap's entry points, the sub-heap lock guard
-//!   and the PKRU write guard.
+//!   and the PKRU write guard. The lock guards the sub-heap's DRAM
+//!   [`RecordIndex`], so only a session holding the lock reaches it; a
+//!   scope that rolls back drops it (see `hashtable`).
 //!
 //! All metadata word traffic in `buddy`/`hashtable`/`microlog`/`defrag`/
 //! `subheap` flows through the view, whose accessors cost a local bounds
@@ -42,6 +44,7 @@ use pmem::contention::TrackedGuard;
 use pmem::{AccessKind, MetaView};
 
 use crate::error::Result;
+use crate::hashtable::RecordIndex;
 use crate::persist::{HashEntry, SubCtx, SubheapHeader};
 use crate::undo::{self, LogCore, StagedWrites};
 
@@ -61,7 +64,7 @@ pub(crate) struct OpSession<'a> {
     // Field order is drop order: the view flushes its stats deltas while
     // the sub-heap lock is still held, then the lock is released, then
     // write access to metadata is revoked.
-    _lock: Option<TrackedGuard<'a, ()>>,
+    lock: Option<TrackedGuard<'a, RefCell<RecordIndex>>>,
     _pkru: Option<PkruGuard<'a>>,
 }
 
@@ -69,11 +72,11 @@ impl<'a> OpSession<'a> {
     fn map(
         ctx: SubCtx<'a>,
         kind: AccessKind,
-        lock: Option<TrackedGuard<'a, ()>>,
+        lock: Option<TrackedGuard<'a, RefCell<RecordIndex>>>,
         pkru: Option<PkruGuard<'a>>,
     ) -> Result<OpSession<'a>> {
         let view = ctx.dev.map_meta(ctx.meta_base(), ctx.layout.meta_size, kind)?;
-        Ok(OpSession { ctx, view, staged: RefCell::new(Vec::new()), _lock: lock, _pkru: pkru })
+        Ok(OpSession { ctx, view, staged: RefCell::new(Vec::new()), lock, _pkru: pkru })
     }
 
     /// A write session owning the sub-heap lock guard and (when metadata
@@ -81,7 +84,7 @@ impl<'a> OpSession<'a> {
     /// constructor.
     pub fn guarded(
         ctx: SubCtx<'a>,
-        lock: TrackedGuard<'a, ()>,
+        lock: TrackedGuard<'a, RefCell<RecordIndex>>,
         pkru: Option<PkruGuard<'a>>,
     ) -> Result<OpSession<'a>> {
         Self::map(ctx, AccessKind::Write, Some(lock), pkru)
@@ -96,8 +99,14 @@ impl<'a> OpSession<'a> {
     /// A read-only session holding the sub-heap lock but no PKRU grant —
     /// metadata pages are readable under their resting `ReadOnly` rights,
     /// so lookups and audits never pay a `wrpkru` pair.
-    pub fn read_only(ctx: SubCtx<'a>, lock: TrackedGuard<'a, ()>) -> Result<OpSession<'a>> {
+    pub fn read_only(ctx: SubCtx<'a>, lock: TrackedGuard<'a, RefCell<RecordIndex>>) -> Result<OpSession<'a>> {
         Self::map(ctx, AccessKind::Read, Some(lock), None)
+    }
+
+    /// The sub-heap's record index, reachable through the lock guard —
+    /// `None` for unguarded sessions, which probe the table instead.
+    pub fn index(&self) -> Option<&RefCell<RecordIndex>> {
+        self.lock.as_deref()
     }
 
     /// The metadata view (accessors take absolute device offsets).
@@ -160,6 +169,9 @@ pub(crate) struct UndoScope<'s, 'a> {
     view: &'s MetaView<'a>,
     staged: &'s RefCell<StagedWrites>,
     core: LogCore,
+    /// The session's record index, which the scope's inserts and deletes
+    /// update ahead of the commit: a rollback drops it.
+    index: Option<&'s RefCell<RecordIndex>>,
 }
 
 impl<'s, 'a> UndoScope<'s, 'a> {
@@ -175,7 +187,9 @@ impl<'s, 'a> UndoScope<'s, 'a> {
     /// live entries from a crashed operation are present and cannot be
     /// re-driven (recovery must run first), or a device error.
     pub fn begin(op: &'s OpSession<'a>) -> Result<UndoScope<'s, 'a>> {
-        Self::begin_raw(&op.view, &op.staged, op.ctx.undo_area(), op._lock.is_some())
+        let mut scope = Self::begin_raw(&op.view, &op.staged, op.ctx.undo_area(), op.lock.is_some())?;
+        scope.index = op.index();
+        Ok(scope)
     }
 
     /// Opens a scope on an arbitrary undo `area` through `view`, with
@@ -197,7 +211,7 @@ impl<'s, 'a> UndoScope<'s, 'a> {
         debug_assert!(staged.borrow().is_empty(), "one undo scope per session at a time");
         let core =
             if holds_lock { LogCore::begin_recovering(view, area)? } else { LogCore::begin(view, area)? };
-        Ok(UndoScope { view, staged, core })
+        Ok(UndoScope { view, staged, core, index: None })
     }
 
     /// Logs the current (overlay-visible) content of
@@ -252,17 +266,31 @@ impl<'s, 'a> UndoScope<'s, 'a> {
     /// Device errors only.
     #[cfg_attr(not(test), allow(dead_code))]
     pub fn abort(mut self) -> Result<()> {
+        self.drop_index();
         let mut staged = self.staged.borrow_mut();
         self.core.abort(self.view, &mut staged)
+    }
+
+    /// Drops the record index: it may hold this scope's updates. Never
+    /// panics (it runs in `Drop`): the index is only ever borrowed inside
+    /// one `hashtable` call, so a borrow held here means a panic is
+    /// already unwinding out of one.
+    fn drop_index(&self) {
+        if let Some(mut index) = self.index.and_then(|cell| cell.try_borrow_mut().ok()) {
+            index.invalidate();
+        }
     }
 }
 
 impl Drop for UndoScope<'_, '_> {
     fn drop(&mut self) {
-        // A dropped-without-commit scope (e.g. an early `?` return) must
-        // not leave half-applied metadata behind: roll back best-effort.
-        // If the device has crashed, rollback fails harmlessly here and
-        // recovery replays the log instead.
+        // A dropped-without-commit scope (e.g. an early `?` return or a
+        // failed commit) must not leave half-applied metadata behind:
+        // roll back best-effort. If the device has crashed, rollback fails
+        // harmlessly here and recovery replays the log instead.
+        if !self.core.finished() {
+            self.drop_index();
+        }
         let mut staged = self.staged.borrow_mut();
         self.core.drop_rollback(self.view, &mut staged);
     }

@@ -457,8 +457,10 @@ pub enum CacheResidency {
 
 /// Walks the whole sub-heap and checks every structural invariant:
 /// power-of-two aligned non-overlapping blocks covering the seeded area,
-/// free lists exactly matching FREE records, and level counts matching
-/// live entries. Used by tests and property checks.
+/// free lists exactly matching FREE records, level counts matching live
+/// entries, and — for sessions holding the sub-heap lock — the DRAM
+/// record index matching the table slot by slot. Used by tests and
+/// property checks.
 ///
 /// Cache-flagged records are classified through `residency` (the heap
 /// passes its DRAM residency map): `Resident` counts as free capacity,
@@ -516,6 +518,7 @@ pub(crate) fn audit_with(
             return Err(PoseidonError::Corrupted("level identity checksum mismatch"));
         }
     }
+    hashtable::audit_index(op, &slot_of, active.min(crate::layout::MAX_LEVELS))?;
     // Non-overlap and bounds.
     let mut audit_out = SubheapAudit { active_levels: active as u64, tombstones, ..Default::default() };
     let mut cursor = 0u64;

@@ -237,6 +237,12 @@ impl LogCore {
         })
     }
 
+    /// Whether the operation has committed or aborted: a log dropped
+    /// unfinished rolls back.
+    pub fn finished(&self) -> bool {
+        self.finished
+    }
+
     /// Whether one more entry logging `len` target bytes still fits in
     /// the log area — batch operations consult this to stop cleanly
     /// before [`log_and_write`](Self::log_and_write) would overflow.

@@ -116,4 +116,10 @@ cargo run --release --bin crashfuzz -- --iters 40 --maint --poison --seed 271828
 echo "== crashfuzz --iters 40 --maint --grow (fixed seed)"
 cargo run --release --bin crashfuzz -- --iters 40 --maint --grow --seed 161803
 
+# The benchmark's smoke test builds perfbench (its own package, path
+# dependencies on these crates) and runs every workload at tiny scale,
+# so a program change that breaks the benchmark fails the gate.
+echo "== perfbench smoke test"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml -q
+
 echo "CI gate passed."
