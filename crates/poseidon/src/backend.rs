@@ -16,6 +16,7 @@ use crate::heap::PoseidonHeap;
 use crate::hugeregion::{self, HUGE_SUBHEAP};
 use crate::layout::class_for_size;
 use crate::nvmptr::NvmPtr;
+use crate::session::HugeOp;
 use crate::subheap;
 
 impl PoseidonHeap {
@@ -84,7 +85,7 @@ impl PoseidonHeap {
                 }
                 let pkru = self.write_guard();
                 let lock = self.huge_lock.lock();
-                let op = hugeregion::HugeOp::spanning(self.huge_ctx(), sub, lock, pkru)?;
+                let op = HugeOp::spanning(self.huge_ctx(), sub, lock, pkru)?;
                 hugeregion::alloc(&op, size, Some(hugeregion::MicroHook { heap_id, sub, slot }))
             }
         };

@@ -12,14 +12,15 @@ use crate::error::{PoseidonError, Result};
 use crate::hashtable;
 use crate::layout::{class_for_size, NUM_CLASSES};
 use crate::persist::{state, HashEntry};
-use crate::session::{OpSession, UndoScope};
+use crate::session::OpSession;
+use crate::undo::UndoScope;
 
 /// Appends the FREE record at `rec_off` to the tail of its size class's
 /// list, writing the record (with fresh links) and the list pointers
 /// through the scope.
 pub(crate) fn push_tail(
     op: &OpSession<'_>,
-    scope: &mut UndoScope<'_, '_>,
+    scope: &mut UndoScope<'_>,
     rec_off: u64,
     rec: &mut HashEntry,
 ) -> Result<()> {
@@ -46,7 +47,7 @@ pub(crate) fn push_tail(
 /// after, as allocated, merged, or re-linked).
 pub(crate) fn unlink(
     op: &OpSession<'_>,
-    scope: &mut UndoScope<'_, '_>,
+    scope: &mut UndoScope<'_>,
     rec_off: u64,
     rec: &HashEntry,
 ) -> Result<()> {

@@ -5,7 +5,8 @@
 //!
 //! 1. **No free block of the requested class** — free blocks in smaller
 //!    classes are merged with their buddies, cascading upward, until the
-//!    request can be served ([`merge_all_below`]).
+//!    request can be served ([`merge_all_below`]). The maintenance engine
+//!    runs the same loop over every class, under a budget.
 //! 2. **A hash-table probe window is full** — the free blocks within the
 //!    window are merged; every merge tombstones one record, freeing a
 //!    slot ([`compact_windows`]).
@@ -42,9 +43,8 @@ pub(crate) fn merge_cascade(op: &OpSession<'_>, mut rec_off: u64) -> Result<u64>
 /// One bounded unit of coalescing (one two-fence undo scope): merges the
 /// FREE block recorded at `rec_off` with its buddy if eligible. Returns
 /// the surviving record offset and the merged block's new size, or
-/// `None` when no merge is possible. [`merge_cascade`] is this in a
-/// loop; the maintenance engine calls it directly so every unit lands
-/// inside its budget.
+/// `None` when no merge is possible. [`merge_cascade`] and
+/// [`merge_all_below`] are this in a loop.
 pub(crate) fn merge_once(op: &OpSession<'_>, rec_off: u64) -> Result<Option<(u64, u64)>> {
     let rec = op.entry(rec_off)?;
     if rec.state != state::FREE || rec.flags & FLAG_CACHED != 0 {
@@ -81,20 +81,37 @@ pub(crate) fn merge_once(op: &OpSession<'_>, rec_off: u64) -> Result<Option<(u64
 }
 
 /// Trigger 1 (§5.4): merges buddies in every class **below** `class`,
-/// hoping to assemble a block large enough. Returns the number of merges.
-pub(crate) fn merge_all_below(op: &OpSession<'_>, class: usize) -> Result<u64> {
-    let mut merged = 0;
+/// smallest class first, cascading each block upward, hoping to assemble
+/// a block large enough. Stops once `budget` merges have committed — the
+/// alloc path passes `u64::MAX`, the maintenance engine what its step
+/// has left. Returns the merges committed and the bytes the merged
+/// blocks now cover.
+pub(crate) fn merge_all_below(op: &OpSession<'_>, class: usize, budget: u64) -> Result<(u64, u64)> {
+    let (mut merges, mut bytes) = (0, 0);
     for k in 0..class {
+        if merges >= budget {
+            break;
+        }
         // Snapshot, then re-validate each record: earlier merges may have
         // consumed or grown entries from this list.
         for rec_off in buddy::collect(op, k)? {
+            if merges >= budget {
+                break;
+            }
             let rec = op.entry(rec_off)?;
-            if rec.state == state::FREE && class_for_size(rec.size)?.0 == k {
-                merged += merge_cascade(op, rec_off)?;
+            if rec.state != state::FREE || rec.flags & FLAG_CACHED != 0 || class_for_size(rec.size)?.0 != k {
+                continue;
+            }
+            let mut cur = rec_off;
+            while merges < budget {
+                let Some((surv, size)) = merge_once(op, cur)? else { break };
+                merges += 1;
+                bytes += size;
+                cur = surv;
             }
         }
     }
-    Ok(merged)
+    Ok((merges, bytes))
 }
 
 /// Trigger 2 (§5.4): merges the free blocks found in `key`'s probe
@@ -196,10 +213,31 @@ mod tests {
         }
         let (c512, _) = class_for_size(512).unwrap();
         assert!(buddy::head(&op, c512).unwrap() == 0);
-        assert!(merge_all_below(&op, c512).unwrap() > 0);
+        let (merges, bytes) = merge_all_below(&op, c512, u64::MAX).unwrap();
+        // 4 + 2 + 1 merges, leaving blocks of 128, 128, 128, 128, 256,
+        // 256 and 512 bytes.
+        assert_eq!((merges, bytes), (7, 4 * 128 + 2 * 256 + 512));
         let (_, big) = hashtable::lookup(&op, 0).unwrap().unwrap();
         assert_eq!(big.size, 512);
         assert_ne!(buddy::head(&op, c512).unwrap(), 0);
+    }
+
+    #[test]
+    fn merge_all_below_stops_at_its_budget() {
+        let (dev, layout) = setup();
+        let op = OpSession::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
+        for i in 0..8 {
+            add(&op, i * 64, 64, state::FREE);
+        }
+        let (c512, _) = class_for_size(512).unwrap();
+        assert_eq!(merge_all_below(&op, c512, 0).unwrap(), (0, 0));
+        // Two merges pair [0, 128) and [128, 256) into 128-byte blocks
+        // (the first cannot cascade yet), then the budget ends.
+        assert_eq!(merge_all_below(&op, c512, 2).unwrap(), (2, 128 + 128));
+        // The rest finishes the job: the three merges the budget left.
+        assert_eq!(merge_all_below(&op, c512, u64::MAX).unwrap().0, 5);
+        let (_, big) = hashtable::lookup(&op, 0).unwrap().unwrap();
+        assert_eq!(big.size, 512);
     }
 
     #[test]

@@ -40,32 +40,14 @@ use crate::layout::{class_for_size, class_size, HeapLayout, MAX_SUBHEAPS, MIN_BL
 use crate::nvmptr::NvmPtr;
 use crate::subheap::{self, CacheResidency};
 
-/// Configuration of the transient caching layer (see [`crate::HeapConfig`]).
-///
-/// The cache is volatile and bounded: per CPU at most `magazine_size`
-/// blocks per size class, plus one transfer pool of `max_cached_per_class`
-/// slots per sub-heap and class. Classes whose worst-case cache footprint
-/// would eat a meaningful fraction of the sub-heap degrade to cache
-/// bypass automatically, so a tiny pool never OOMs behind the cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheConfig {
-    /// Whether the caching layer is built at all. Disabled, every
-    /// operation takes the undo-logged slow path (the PR-4 behaviour).
-    pub enabled: bool,
-    /// Blocks held per CPU magazine and size class; also the batch a
-    /// cache miss withdraws under one two-fence commit.
-    pub magazine_size: usize,
-    /// Capacity of each per-sub-heap, per-class transfer pool (the
-    /// overflow and cross-CPU free destination). A full pool drains back
-    /// to the persistent free lists in one batch.
-    pub max_cached_per_class: usize,
-}
+/// Blocks held per CPU magazine and size class; also the batch a cache
+/// miss withdraws under one two-fence commit.
+pub(crate) const MAGAZINE_SIZE: usize = 32;
 
-impl Default for CacheConfig {
-    fn default() -> CacheConfig {
-        CacheConfig { enabled: true, magazine_size: 32, max_cached_per_class: 128 }
-    }
-}
+/// Capacity of each per-sub-heap, per-class transfer pool (the overflow
+/// and cross-CPU free destination). A full pool drains back to the
+/// persistent free lists in one batch.
+pub(crate) const MAX_CACHED_PER_CLASS: usize = 128;
 
 /// Number of buddy classes the cache fronts: classes 0..=7, i.e. blocks
 /// up to `32 << 7` = 4 KiB — the sizes where per-operation overhead
@@ -200,12 +182,10 @@ struct SubCache {
 }
 
 impl SubCache {
-    fn new(config: &CacheConfig, user_size: u64) -> SubCache {
+    fn new(user_size: u64) -> SubCache {
         SubCache {
             map: ResidencyMap::new(user_size),
-            pools: (0..CACHEABLE_CLASSES)
-                .map(|_| SlotPool::new(config.max_cached_per_class.max(1)))
-                .collect(),
+            pools: (0..CACHEABLE_CLASSES).map(|_| SlotPool::new(MAX_CACHED_PER_CLASS)).collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             refills: AtomicU64::new(0),
@@ -228,9 +208,12 @@ pub(crate) enum CachedFree {
 }
 
 /// The whole caching layer of one heap (DRAM-only; rebuilt empty on every
-/// load).
+/// load). It is bounded: per CPU at most [`MAGAZINE_SIZE`] blocks per
+/// size class, plus one transfer pool of [`MAX_CACHED_PER_CLASS`] slots
+/// per sub-heap and class. Classes whose worst-case cache footprint would
+/// eat an eighth of the sub-heap bypass the cache, so a tiny pool never
+/// OOMs behind it.
 pub(crate) struct HeapCache {
-    pub(crate) config: CacheConfig,
     magazines: PerCpuSlots<Magazine>,
     /// Lazily materialised per-sub-heap state, pre-sized for the largest
     /// sub-heap set an epoch chain can reach so `grow` never reallocates
@@ -244,15 +227,14 @@ pub(crate) struct HeapCache {
 }
 
 impl HeapCache {
-    pub(crate) fn new(config: CacheConfig, layout: &HeapLayout, num_cpus: usize) -> HeapCache {
+    pub(crate) fn new(layout: &HeapLayout, num_cpus: usize) -> HeapCache {
         let mut cacheable = [false; CACHEABLE_CLASSES];
         for (class, ok) in cacheable.iter_mut().enumerate() {
-            let footprint = ((config.max_cached_per_class + 2 * config.magazine_size) as u64)
-                .saturating_mul(class_size(class));
-            *ok = config.magazine_size > 0 && footprint <= layout.user_size / 8;
+            let footprint =
+                ((MAX_CACHED_PER_CLASS + 2 * MAGAZINE_SIZE) as u64).saturating_mul(class_size(class));
+            *ok = footprint <= layout.user_size / 8;
         }
         HeapCache {
-            config,
             magazines: PerCpuSlots::new(num_cpus.max(1), |_| Magazine::default()),
             subs: (0..MAX_SUBHEAPS).map(|_| OnceLock::new()).collect(),
             cacheable,
@@ -262,7 +244,7 @@ impl HeapCache {
 
     /// The sub-heap's cache state, materialising it on first touch.
     fn sub_cache(&self, sub: u16) -> &SubCache {
-        self.subs[sub as usize].get_or_init(|| SubCache::new(&self.config, self.user_size))
+        self.subs[sub as usize].get_or_init(|| SubCache::new(self.user_size))
     }
 
     /// The sub-heap's cache state only if something already touched it.
@@ -355,7 +337,7 @@ impl HeapCache {
     /// pool; a full pool is handed back as a drain batch.
     fn park(&self, cpu: usize, sub: u16, home: bool, class: usize, offset: u64) -> CachedFree {
         if home {
-            let cap = self.config.magazine_size;
+            let cap = MAGAZINE_SIZE;
             let parked = self.with_homed_magazine(cpu, sub, |m| {
                 let v = &mut m.rounds[class];
                 if v.len() < cap {
@@ -397,7 +379,7 @@ impl HeapCache {
         let sc = self.sub_cache(sub);
         let mut rest: Vec<u64> = rest.to_vec();
         if home {
-            let cap = self.config.magazine_size;
+            let cap = MAGAZINE_SIZE;
             self.with_homed_magazine(cpu, sub, |m| {
                 let v = &mut m.rounds[class];
                 while v.len() < cap {
@@ -598,10 +580,10 @@ impl PoseidonHeap {
         }
         // Miss: refill through the undo-logged slow path — the whole
         // batch under one commit, ~3 fences amortised over
-        // `magazine_size` future hits.
+        // `MAGAZINE_SIZE` future hits.
         self.ensure_subheap(sub)?;
         let op = self.begin_op(sub)?;
-        let offsets = subheap::refill_blocks(&op, class, cache.config.magazine_size.max(1))?;
+        let offsets = subheap::refill_blocks(&op, class, MAGAZINE_SIZE)?;
         if offsets.is_empty() {
             return Ok(None); // free-space pressure: let the slow path defragment
         }
@@ -775,7 +757,7 @@ mod tests {
     #[test]
     fn tiny_pools_degrade_classes_to_bypass() {
         let layout = HeapLayout::compute(8 << 20, 1).unwrap();
-        let cache = HeapCache::new(CacheConfig::default(), &layout, 2);
+        let cache = HeapCache::new(&layout, 2);
         assert!(cache.is_cacheable(0), "32 B blocks must stay cacheable");
         let degraded = (0..CACHEABLE_CLASSES).any(|c| !cache.is_cacheable(c));
         let budget = |c: usize| (128 + 64) as u64 * class_size(c);
@@ -789,7 +771,7 @@ mod tests {
     #[test]
     fn free_via_map_detects_double_free() {
         let layout = HeapLayout::compute(64 << 20, 1).unwrap();
-        let cache = HeapCache::new(CacheConfig::default(), &layout, 1);
+        let cache = HeapCache::new(&layout, 1);
         cache.admit(0, 2, &[128]); // checked out
         assert!(matches!(cache.try_free(0, 0, true, 128), CachedFree::Hit));
         assert!(matches!(cache.try_free(0, 0, true, 128), CachedFree::DoubleFree));

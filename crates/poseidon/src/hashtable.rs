@@ -30,7 +30,8 @@ use pmem::Pod;
 use crate::error::{PoseidonError, Result};
 use crate::layout::{ENTRY_SIZE, MAX_LEVELS, PROBE_WINDOW};
 use crate::persist::{state, HashEntry};
-use crate::session::{OpSession, UndoScope};
+use crate::session::OpSession;
+use crate::undo::UndoScope;
 
 /// SplitMix64 mixing for slot hashing.
 fn mix(mut x: u64) -> u64 {
@@ -355,7 +356,7 @@ fn probe_target(op: &OpSession<'_>, key: u64, active: usize) -> Result<Target> {
 /// key already exists.
 pub(crate) fn insert(
     op: &OpSession<'_>,
-    scope: &mut UndoScope<'_, '_>,
+    scope: &mut UndoScope<'_>,
     entry: HashEntry,
     allow_activate: bool,
 ) -> Result<u64> {
@@ -405,13 +406,13 @@ pub(crate) fn insert(
 /// Overwrites the record at `entry_off` through the scope. Rewrites keep
 /// the record's key and liveness — [`insert`] and [`delete`] are the only
 /// liveness changes, and they keep the [`RecordIndex`] in step.
-pub(crate) fn write_entry(scope: &mut UndoScope<'_, '_>, entry_off: u64, entry: &HashEntry) -> Result<()> {
+pub(crate) fn write_entry(scope: &mut UndoScope<'_>, entry_off: u64, entry: &HashEntry) -> Result<()> {
     scope.log_and_write_pod(entry_off, entry)
 }
 
 /// Tombstones the record at `entry_off` and decrements its level's live
 /// count.
-pub(crate) fn delete(op: &OpSession<'_>, scope: &mut UndoScope<'_, '_>, entry_off: u64) -> Result<()> {
+pub(crate) fn delete(op: &OpSession<'_>, scope: &mut UndoScope<'_>, entry_off: u64) -> Result<()> {
     let level = level_of(op, entry_off);
     let mut entry = op.entry(entry_off)?;
     let key = entry.offset;
@@ -438,18 +439,13 @@ pub(crate) fn level_of(op: &OpSession<'_>, entry_off: u64) -> usize {
 
 /// Toggles `key` into/out of `level`'s identity checksum (XOR is its own
 /// inverse, so insert and delete share this).
-fn bump_level_sum(op: &OpSession<'_>, scope: &mut UndoScope<'_, '_>, level: usize, key: u64) -> Result<()> {
+fn bump_level_sum(op: &OpSession<'_>, scope: &mut UndoScope<'_>, level: usize, key: u64) -> Result<()> {
     let off = op.ctx.level_sum_off(level);
     let sum: u64 = op.read_pod(off)?;
     scope.log_and_write_pod(off, &(sum ^ key_digest(key)))
 }
 
-fn bump_level_count(
-    op: &OpSession<'_>,
-    scope: &mut UndoScope<'_, '_>,
-    level: usize,
-    delta: i64,
-) -> Result<()> {
+fn bump_level_count(op: &OpSession<'_>, scope: &mut UndoScope<'_>, level: usize, delta: i64) -> Result<()> {
     let off = op.ctx.level_count_off(level);
     let count: u64 = op.read_pod(off)?;
     let updated =
@@ -553,7 +549,7 @@ mod tests {
     use super::*;
     use crate::layout::HeapLayout;
     use crate::persist::SubCtx;
-    use crate::session::UndoScope;
+    use crate::undo::UndoScope;
     use pmem::{DeviceConfig, PmemDevice};
 
     /// Builds a device + layout with an initialised (zeroed) sub-heap 0
@@ -570,7 +566,7 @@ mod tests {
         HashEntry { offset: key, size: 64, state: state::ALLOC, ..Default::default() }
     }
 
-    fn with_scope<R>(op: &OpSession<'_>, f: impl FnOnce(&mut UndoScope<'_, '_>) -> Result<R>) -> Result<R> {
+    fn with_scope<R>(op: &OpSession<'_>, f: impl FnOnce(&mut UndoScope<'_>) -> Result<R>) -> Result<R> {
         let mut s = op.undo()?;
         let r = f(&mut s)?;
         s.commit()?;
@@ -821,7 +817,7 @@ mod tests {
                     free_and_shrink(&op, off, &mut log, &mut cover);
                 }
                 log.push(format!("drain: {:?}", subheap::drain_blocks(&op, &std::mem::take(&mut cached))));
-                log.push(format!("merge: {:?}", defrag::merge_all_below(&op, NUM_CLASSES)));
+                log.push(format!("merge: {:?}", defrag::merge_all_below(&op, NUM_CLASSES, u64::MAX)));
                 while let Some(bytes) = shrink_one(&op).unwrap() {
                     log.push(format!("shrink: {bytes}"));
                     cover.levels_retired += 1;
@@ -858,7 +854,9 @@ mod tests {
                         subheap::drain_blocks(&op, &std::mem::take(&mut cached))
                     ));
                 }
-                93..=96 => log.push(format!("merge: {:?}", defrag::merge_all_below(&op, NUM_CLASSES))),
+                93..=96 => {
+                    log.push(format!("merge: {:?}", defrag::merge_all_below(&op, NUM_CLASSES, u64::MAX)))
+                }
                 _ => {
                     fresh += 32;
                     touched.push(fresh);

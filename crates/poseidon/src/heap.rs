@@ -10,7 +10,7 @@ use pmem::contention::{LockProfile, TrackedMutex};
 use pmem::{numa, PmemDevice};
 
 use crate::error::{OpKind, PoseidonError, Result};
-use crate::frontend::{CacheConfig, HeapCache};
+use crate::frontend::HeapCache;
 use crate::hashtable::RecordIndex;
 use crate::hugeregion::{self, HugeAudit, HUGE_SUBHEAP};
 use crate::layout::{HeapLayout, Region, MAX_SUBHEAPS};
@@ -18,7 +18,7 @@ use crate::nvmptr::NvmPtr;
 use crate::persist::{DirEntry, HugeCtx, SubCtx, SUPERBLOCK_MAGIC};
 use crate::recovery::{self, RecoveryReport};
 use crate::selfheal::HealthCounters;
-use crate::session::OpSession;
+use crate::session::{HugeOp, OpSession};
 use crate::subheap::{self, SubheapAudit};
 use crate::superblock;
 
@@ -33,11 +33,17 @@ pub struct HeapConfig {
     /// "no protection" ablation: no key is allocated, no `wrpkru` pair per
     /// operation, and metadata pages stay writable to everyone.
     pub unprotected: bool,
-    /// The transient caching layer in front of the persistent buddy
-    /// (default enabled — see [`CacheConfig`]). Disabling it is the
-    /// "uncached" ablation: every operation takes the undo-logged slow
-    /// path.
-    pub cache: CacheConfig,
+    /// Turns off the transient caching layer in front of the persistent
+    /// buddy (default `false`: cached). The cache is bounded: per CPU a
+    /// magazine of 32 blocks per size class up to 4 KiB, per sub-heap a
+    /// transfer pool of 128 blocks per class, and classes whose
+    /// worst-case footprint would eat an eighth of a sub-heap bypass it.
+    /// Cached blocks stay `FREE` on media, so a cached allocation that
+    /// was never published (by [`PoseidonHeap::set_root`] or a clean
+    /// close) evaporates across a crash, like a DRAM `malloc`. Turning it
+    /// off is the "uncached" ablation: every operation takes the
+    /// undo-logged slow path, and every returning call is durable.
+    pub uncached: bool,
 }
 
 impl HeapConfig {
@@ -62,13 +68,7 @@ impl HeapConfig {
     /// takes the undo-logged slow path (ablation, and for tests that pin
     /// slow-path behaviour).
     pub fn without_cache(mut self) -> HeapConfig {
-        self.cache.enabled = false;
-        self
-    }
-
-    /// Replaces the cache configuration wholesale.
-    pub fn with_cache(mut self, cache: CacheConfig) -> HeapConfig {
-        self.cache = cache;
+        self.uncached = true;
         self
     }
 }
@@ -117,8 +117,6 @@ pub struct HeapOpStats {
     pub tx_commits: u64,
     /// Explicitly aborted transactions.
     pub tx_aborts: u64,
-    /// Buddy merges performed by explicit defragmentation calls.
-    pub defrag_merges: u64,
 }
 
 #[derive(Debug, Default)]
@@ -128,7 +126,6 @@ pub(crate) struct OpCounters {
     pub(crate) rejected_frees: std::sync::atomic::AtomicU64,
     pub(crate) tx_commits: std::sync::atomic::AtomicU64,
     pub(crate) tx_aborts: std::sync::atomic::AtomicU64,
-    pub(crate) defrag_merges: std::sync::atomic::AtomicU64,
 }
 
 /// A Poseidon persistent heap: per-CPU sub-heaps, fully segregated
@@ -337,8 +334,7 @@ impl PoseidonHeap {
             .collect();
         // The cache is DRAM-only and rebuilt empty on every open — there
         // is deliberately nothing about it to recover.
-        let cache =
-            config.cache.enabled.then(|| HeapCache::new(config.cache, &layout, dev.topology().cpus()));
+        let cache = (!config.uncached).then(|| HeapCache::new(&layout, dev.topology().cpus()));
         PoseidonHeap {
             dev,
             pkey,
@@ -373,12 +369,6 @@ impl PoseidonHeap {
     /// What the load-time recovery pass found (all-default for a freshly
     /// created heap).
     pub fn recovery_report(&self) -> RecoveryReport {
-        self.recovery
-    }
-
-    /// Alias for [`recovery_report`](Self::recovery_report): the report
-    /// of the most recent load-time recovery.
-    pub fn last_recovery(&self) -> RecoveryReport {
         self.recovery
     }
 
@@ -456,22 +446,22 @@ impl PoseidonHeap {
 
     /// Opens a mutating session on the huge region (write grant + huge
     /// lock), refusing if recovery quarantined the region.
-    pub(crate) fn begin_huge(&self) -> Result<hugeregion::HugeOp<'_>> {
+    pub(crate) fn begin_huge(&self) -> Result<HugeOp<'_>> {
         if self.huge_quarantined.load(Ordering::Acquire) {
             return Err(PoseidonError::SubheapQuarantined { subheap: HUGE_SUBHEAP });
         }
         let pkru = self.write_guard();
         let lock = self.huge_lock.lock();
-        hugeregion::HugeOp::guarded(self.huge_ctx(), lock, pkru)
+        OpSession::guarded(self.huge_ctx(), lock, pkru)
     }
 
     /// Opens a read-only session on the huge region.
-    pub(crate) fn begin_huge_read(&self) -> Result<hugeregion::HugeOp<'_>> {
+    pub(crate) fn begin_huge_read(&self) -> Result<HugeOp<'_>> {
         if self.huge_quarantined.load(Ordering::Acquire) {
             return Err(PoseidonError::SubheapQuarantined { subheap: HUGE_SUBHEAP });
         }
         let lock = self.huge_lock.lock();
-        hugeregion::HugeOp::read_only(self.huge_ctx(), lock)
+        OpSession::read_only(self.huge_ctx(), lock)
     }
 
     pub(crate) fn ensure_subheap(&self, sub: u16) -> Result<()> {
@@ -503,7 +493,8 @@ impl PoseidonHeap {
     ///
     /// Small classes are served by the transient cache when possible
     /// (lock- and fence-free after the first, batched withdrawal); see
-    /// [`CacheConfig`] for the durability contract of cached blocks.
+    /// [`HeapConfig::uncached`] for the durability contract of cached
+    /// blocks.
     ///
     /// # Errors
     ///
@@ -1061,7 +1052,6 @@ impl PoseidonHeap {
                 break;
             }
         }
-        self.ops.defrag_merges.fetch_add(merged, Ordering::Relaxed);
         Ok(merged)
     }
 
@@ -1142,7 +1132,6 @@ impl PoseidonHeap {
             rejected_frees: self.ops.rejected_frees.load(Ordering::Relaxed),
             tx_commits: self.ops.tx_commits.load(Ordering::Relaxed),
             tx_aborts: self.ops.tx_aborts.load(Ordering::Relaxed),
-            defrag_merges: self.ops.defrag_merges.load(Ordering::Relaxed),
         }
     }
 

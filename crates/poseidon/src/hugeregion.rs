@@ -23,10 +23,10 @@
 //! fits (page-granular), splitting off the remainder; freeing coalesces
 //! with free neighbours eagerly, so adjacent free extents never persist
 //! and fragmentation stays bounded by the live-object pattern. Every
-//! mutation goes through the same batched two-fence undo log as sub-heap
-//! metadata ([`UndoScope::begin_raw`] on the region's own log area), so
-//! a crash at any point is rolled back by the ordinary device-backed
-//! replay on the next load.
+//! mutation runs in a [`HugeOp`] — the same operation session sub-heaps
+//! use, over the huge metadata — and goes through its undo scope on the
+//! region's own log area, so a crash at any point is rolled back by the
+//! ordinary device-backed replay on the next load.
 //!
 //! Metadata lives in the MPK-protected prefix; data pages are punched
 //! back to the device on free. Extents overlapping uncorrectable media
@@ -35,11 +35,7 @@
 //!
 //! [`HeapLayout::max_alloc`]: crate::layout::HeapLayout::max_alloc
 
-use std::cell::RefCell;
-
-use mpk::PkruGuard;
-use pmem::contention::TrackedGuard;
-use pmem::{AccessKind, MetaView, PmemDevice, PoisonRange, PAGE_SIZE};
+use pmem::{PmemDevice, PoisonRange, PAGE_SIZE};
 
 use crate::error::{PoseidonError, Result};
 use crate::layout::{
@@ -49,111 +45,13 @@ use crate::layout::{
 use crate::nvmptr::NvmPtr;
 use crate::persist::{state, ExtentRecord, HugeCtx, HugeHeader, SubCtx, FORMAT_VERSION, HUGE_MAGIC};
 use crate::quarantine;
-use crate::session::UndoScope;
-use crate::undo::StagedWrites;
+use crate::session::HugeOp;
 
 /// Sentinel sub-heap id embedded in huge-object pointers: `u16::MAX`
 /// never names a real sub-heap (the directory is capped below it), so a
 /// pointer carrying it is routed to the extent allocator by every heap
 /// entry point (`free`, `block_size`, `realloc`, recovery).
 pub(crate) const HUGE_SUBHEAP: u16 = u16::MAX;
-
-/// One operation's session on the huge region — the extent allocator's
-/// analogue of `OpSession`: a [`MetaView`] over the huge metadata
-/// (validated once), the staged-write overlay of the open undo scope,
-/// and optionally the huge-region lock and the PKRU write guard.
-#[derive(Debug)]
-pub(crate) struct HugeOp<'a> {
-    pub(crate) ctx: HugeCtx<'a>,
-    view: MetaView<'a>,
-    staged: RefCell<StagedWrites>,
-    // Field order is drop order: view stats flush under the lock, then
-    // the lock releases, then write access is revoked.
-    _lock: Option<TrackedGuard<'a, ()>>,
-    _pkru: Option<PkruGuard<'a>>,
-}
-
-impl<'a> HugeOp<'a> {
-    fn map(
-        ctx: HugeCtx<'a>,
-        view_base: u64,
-        view_size: u64,
-        kind: AccessKind,
-        lock: Option<TrackedGuard<'a, ()>>,
-        pkru: Option<PkruGuard<'a>>,
-    ) -> Result<HugeOp<'a>> {
-        debug_assert!(ctx.layout.huge_data_size() > 0, "no huge region on this layout");
-        let view = ctx.dev.map_meta(view_base, view_size, kind)?;
-        Ok(HugeOp { ctx, view, staged: RefCell::new(Vec::new()), _lock: lock, _pkru: pkru })
-    }
-
-    /// A write session owning the huge-region lock guard and (when
-    /// metadata protection is on) the PKRU write guard.
-    pub fn guarded(
-        ctx: HugeCtx<'a>,
-        lock: TrackedGuard<'a, ()>,
-        pkru: Option<PkruGuard<'a>>,
-    ) -> Result<HugeOp<'a>> {
-        Self::map(ctx, ctx.meta_base(), HUGE_META_SIZE, AccessKind::Write, Some(lock), pkru)
-    }
-
-    /// A write session whose view *spans* from sub-heap `sub`'s metadata
-    /// up to the end of the huge metadata — used by transactional huge
-    /// allocation, which must log the extent writes and the sub-heap's
-    /// micro-log append in **one** undo scope (the undo log stores
-    /// absolute targets, so device-backed replay restores both regions).
-    ///
-    /// # Errors
-    ///
-    /// [`PoseidonError::MediaError`] if any metadata page in the span is
-    /// poisoned — including an unrelated sub-heap's between `sub` and the
-    /// huge metadata. Transactional huge allocation degrades in that
-    /// (already-quarantined) situation; plain huge allocation does not.
-    pub fn spanning(
-        ctx: HugeCtx<'a>,
-        sub: u16,
-        lock: TrackedGuard<'a, ()>,
-        pkru: Option<PkruGuard<'a>>,
-    ) -> Result<HugeOp<'a>> {
-        let base = ctx.layout.meta_base(sub);
-        Self::map(ctx, base, ctx.layout.meta_end() - base, AccessKind::Write, Some(lock), pkru)
-    }
-
-    /// A write session without guards, for callers that already hold
-    /// them (formatting, recovery) and for module tests.
-    pub fn unguarded(ctx: HugeCtx<'a>) -> Result<HugeOp<'a>> {
-        Self::map(ctx, ctx.meta_base(), HUGE_META_SIZE, AccessKind::Write, None, None)
-    }
-
-    /// A read-only session holding the huge-region lock but no PKRU
-    /// grant (metadata pages rest readable).
-    pub fn read_only(ctx: HugeCtx<'a>, lock: TrackedGuard<'a, ()>) -> Result<HugeOp<'a>> {
-        Self::map(ctx, ctx.meta_base(), HUGE_META_SIZE, AccessKind::Read, Some(lock), None)
-    }
-
-    /// Reads a [`pmem::Pod`] value through the view, patched with the
-    /// open scope's staged writes.
-    pub fn read_pod<T: pmem::Pod>(&self, offset: u64) -> Result<T> {
-        let mut value = T::zeroed();
-        self.view.read(offset, value.as_bytes_mut())?;
-        crate::undo::overlay_patch(&self.staged.borrow(), offset, value.as_bytes_mut());
-        Ok(value)
-    }
-
-    /// Reads extent-table slot `slot` (overlay-patched).
-    pub fn slot(&self, slot: usize) -> Result<ExtentRecord> {
-        self.read_pod(self.ctx.slot_off(slot))
-    }
-
-    /// Opens an undo scope on the huge region's log area.
-    ///
-    /// # Errors
-    ///
-    /// As for [`UndoScope::begin_raw`].
-    pub fn undo(&self) -> Result<UndoScope<'_, 'a>> {
-        UndoScope::begin_raw(&self.view, &self.staged, self.ctx.undo_area(), self._lock.is_some())
-    }
-}
 
 /// Shorthand for building an [`ExtentRecord`].
 fn extent(offset: u64, len: u64, state: u32) -> ExtentRecord {

@@ -98,7 +98,6 @@ mod superblock;
 mod undo;
 
 pub use error::{OpKind, PoseidonError, Result};
-pub use frontend::CacheConfig;
 pub use heap::{GrowReport, HeapConfig, HeapOpStats, PoseidonHeap};
 pub use hugeregion::HugeAudit;
 pub use layout::{

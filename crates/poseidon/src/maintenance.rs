@@ -14,7 +14,9 @@
 //! like a crash after any alloc or free:
 //!
 //! * **buddy merge** — one [`defrag::merge_once`] scope: unlink both
-//!   halves, delete the loser's record, push the doubled survivor;
+//!   halves, delete the loser's record, push the doubled survivor (the
+//!   engine walks the classes with the alloc path's own
+//!   [`defrag::merge_all_below`], budgeted);
 //! * **table shrink** — one [`hashtable::shrink_one`] scope: retire the
 //!   empty top level and hole-punch its slots;
 //! * **cache trim** — handing a sub-heap's cold cached blocks back to
@@ -47,7 +49,7 @@ use crate::defrag;
 use crate::error::{OpKind, PoseidonError, Result};
 use crate::hashtable;
 use crate::heap::PoseidonHeap;
-use crate::layout::{class_for_size, class_size, HUGE_EXTENT_SLOTS, NUM_CLASSES};
+use crate::layout::{class_size, HUGE_EXTENT_SLOTS, NUM_CLASSES};
 use crate::persist::{state, FLAG_CACHED};
 
 /// Free-space accounting for one buddy size class of one sub-heap.
@@ -453,37 +455,10 @@ impl PoseidonHeap {
             }
         }
         let op = self.begin_op(sub)?;
-        'classes: for k in 0..NUM_CLASSES {
-            if spent >= left {
-                break;
-            }
-            // Snapshot, then re-validate each record: earlier merges may
-            // have consumed or grown entries from this list.
-            for rec_off in buddy::collect(&op, k)? {
-                if spent >= left {
-                    break 'classes;
-                }
-                let rec = op.entry(rec_off)?;
-                if rec.state != state::FREE
-                    || rec.flags & FLAG_CACHED != 0
-                    || class_for_size(rec.size)?.0 != k
-                {
-                    continue;
-                }
-                let mut cur = rec_off;
-                while spent < left {
-                    match defrag::merge_once(&op, cur)? {
-                        Some((surv, size)) => {
-                            spent += 1;
-                            step.merges += 1;
-                            step.bytes_coalesced += size;
-                            cur = surv;
-                        }
-                        None => break,
-                    }
-                }
-            }
-        }
+        let (merges, bytes) = defrag::merge_all_below(&op, NUM_CLASSES, left - spent)?;
+        spent += merges;
+        step.merges += merges;
+        step.bytes_coalesced += bytes;
         while spent < left {
             match hashtable::shrink_one(&op)? {
                 Some(bytes) => {

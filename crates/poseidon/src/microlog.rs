@@ -12,7 +12,8 @@
 use crate::error::{PoseidonError, Result};
 use crate::layout::{MICRO_LOG_CAPACITY, MICRO_SLOTS};
 use crate::nvmptr::NvmPtr;
-use crate::session::{OpSession, UndoScope};
+use crate::session::OpSession;
+use crate::undo::UndoScope;
 
 /// Number of pointers currently logged in `slot`.
 pub(crate) fn count(op: &OpSession<'_>, slot: usize) -> Result<u64> {
@@ -24,12 +25,7 @@ pub(crate) fn count(op: &OpSession<'_>, slot: usize) -> Result<u64> {
 /// # Errors
 ///
 /// [`PoseidonError::TxTooLarge`] if the slot is full.
-pub(crate) fn append(
-    op: &OpSession<'_>,
-    scope: &mut UndoScope<'_, '_>,
-    slot: usize,
-    ptr: NvmPtr,
-) -> Result<()> {
+pub(crate) fn append(op: &OpSession<'_>, scope: &mut UndoScope<'_>, slot: usize, ptr: NvmPtr) -> Result<()> {
     let n = count(op, slot)?;
     if n as usize >= MICRO_LOG_CAPACITY {
         return Err(PoseidonError::TxTooLarge { max: MICRO_LOG_CAPACITY });

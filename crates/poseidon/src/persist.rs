@@ -393,12 +393,6 @@ impl<'a> SubCtx<'a> {
         self.micro_count_off(slot) + 16 + index * 16
     }
 
-    /// Reads this sub-heap's header.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn header(&self) -> Result<SubheapHeader> {
-        Ok(self.dev.read_pod(self.meta_base())?)
-    }
-
     /// Reads the number of active hash-table levels.
     pub fn active_levels(&self) -> Result<u64> {
         Ok(self.dev.read_pod(self.active_levels_off())?)

@@ -124,7 +124,7 @@ pub(crate) fn recover(dev: &PmemDevice, layout: &HeapLayout) -> Result<(Recovery
         match salvage {
             Ok(()) => {
                 huge_ok = true;
-                let op = hugeregion::HugeOp::unguarded(HugeCtx { dev, layout })?;
+                let op = OpSession::unguarded(HugeCtx { dev, layout })?;
                 // A crash between a grow's epoch commit and its huge-band
                 // bookkeeping leaves the committed layout ahead of the
                 // extent table; finish the (idempotent) completion here so
@@ -228,7 +228,7 @@ fn recover_sub(op: &OpSession<'_>, huge_ok: bool, report: &mut RecoveryReport) -
                 // --repair` rebuilds the table.
                 if huge_ok {
                     let hctx = HugeCtx { dev: op.ctx.dev, layout: op.ctx.layout };
-                    let hop = hugeregion::HugeOp::unguarded(hctx)?;
+                    let hop = OpSession::unguarded(hctx)?;
                     match hugeregion::free(&hop, ptr.offset()) {
                         Ok(_) => report.tx_allocations_reverted += 1,
                         // Same idempotence rule as below: an earlier,

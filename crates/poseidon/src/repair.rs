@@ -809,7 +809,7 @@ mod tests {
         let report = repair(&dev).unwrap();
         assert_eq!(report.headers_rebuilt, 1);
         let ctx = SubCtx { dev: &dev, layout: &layout, sub: 1 };
-        assert_eq!(ctx.header().unwrap().magic, SUBHEAP_MAGIC);
+        assert_eq!(dev.read_pod::<SubheapHeader>(ctx.meta_base()).unwrap().magic, SUBHEAP_MAGIC);
         audit_sub(&dev, &layout, 1);
 
         let heap = reload_and_audit(&dev);

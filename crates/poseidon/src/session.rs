@@ -8,105 +8,161 @@
 //! that to operation granularity: it owns everything one operation needs
 //! —
 //!
-//! * the sub-heap context (geometry),
-//! * a [`MetaView`] over the sub-heap's metadata region, validated
-//!   **once** at construction ([`pmem::PmemDevice::map_meta`]),
+//! * the region context (geometry) — a sub-heap's [`SubCtx`] or the
+//!   huge region's [`HugeCtx`] ([`HugeOp`]),
+//! * a [`MetaView`] over the region's metadata, validated **once** at
+//!   construction ([`pmem::PmemDevice::map_meta`]),
 //! * the staged-write overlay of the operation's open [`UndoScope`]
 //!   (reads through the session observe the operation's own
 //!   not-yet-issued stores — see `undo`'s module docs),
-//! * and, when built by the heap's entry points, the sub-heap lock guard
-//!   and the PKRU write guard. The lock guards the sub-heap's DRAM
+//! * and, when built by the heap's entry points, the region lock guard
+//!   and the PKRU write guard. A sub-heap lock guards the sub-heap's DRAM
 //!   [`RecordIndex`], so only a session holding the lock reaches it; a
 //!   scope that rolls back drops it (see `hashtable`).
 //!
 //! All metadata word traffic in `buddy`/`hashtable`/`microlog`/`defrag`/
-//! `subheap` flows through the view, whose accessors cost a local bounds
-//! check (plus a relaxed poison probe on reads) instead of the full
-//! per-call sequence. Crash semantics are unchanged: the view still
-//! captures every pre-image into the crash model and counts every
+//! `subheap`/`hugeregion` flows through the view, whose accessors cost a
+//! local bounds check (plus a relaxed poison probe on reads) instead of
+//! the full per-call sequence. Crash semantics are unchanged: the view
+//! still captures every pre-image into the crash model and counts every
 //! mutation against armed crash/poison injection (see `pmem::view`).
 //!
-//! [`UndoScope`] is the session-local undo-log writer: a
-//! [`LogCore`](crate::undo) driving the session's [`MetaView`]. It is
-//! byte-*identical* with the device-backed [`UndoSession`] — one shared
-//! implementation, not a transcribed twin — so an operation interrupted
-//! by a crash is recovered by the ordinary device-backed
-//! [`undo::replay`] on the next load. Dropping a scope without
-//! committing rolls back immediately, so an early `?` return leaves the
-//! heap untouched.
-//!
-//! [`UndoSession`]: crate::undo::UndoSession
+//! [`OpSession::undo`] opens the operation's [`UndoScope`] on the view —
+//! the same writer the superblock drives on the raw device — so an
+//! operation interrupted by a crash is recovered by the ordinary
+//! device-backed [`undo::replay`] on the next load. Dropping a scope
+//! without committing rolls back immediately, so an early `?` return
+//! leaves the heap untouched.
 
 use std::cell::RefCell;
 
 use mpk::PkruGuard;
 use pmem::contention::TrackedGuard;
-use pmem::{AccessKind, MetaView};
+use pmem::{AccessKind, MetaView, PmemDevice};
 
 use crate::error::Result;
 use crate::hashtable::RecordIndex;
-use crate::persist::{HashEntry, SubCtx, SubheapHeader};
-use crate::undo::{self, LogCore, StagedWrites};
+use crate::layout::HUGE_META_SIZE;
+use crate::persist::{ExtentRecord, HashEntry, HugeCtx, SubCtx};
+use crate::undo::{self, StagedWrites, UndoArea, UndoScope};
 
-/// One allocator operation's session on one sub-heap. See the
-/// [module docs](self).
+/// What a session needs from its region context: the device, the
+/// metadata range to map, the undo-log area, and what the region lock
+/// guards.
+pub(crate) trait MetaRegion<'a>: Copy {
+    /// The payload of the region's lock.
+    type Payload;
+
+    fn dev(&self) -> &'a PmemDevice;
+
+    /// `(base, len)` of the metadata a session maps.
+    fn meta_range(&self) -> (u64, u64);
+
+    fn undo_area(&self) -> UndoArea;
+
+    /// The DRAM record index in the lock payload, if any — dropped when
+    /// a scope rolls back.
+    fn index(payload: &Self::Payload) -> Option<&RefCell<RecordIndex>>;
+}
+
+impl<'a> MetaRegion<'a> for SubCtx<'a> {
+    type Payload = RefCell<RecordIndex>;
+
+    fn dev(&self) -> &'a PmemDevice {
+        self.dev
+    }
+
+    fn meta_range(&self) -> (u64, u64) {
+        (self.meta_base(), self.layout.meta_size)
+    }
+
+    fn undo_area(&self) -> UndoArea {
+        SubCtx::undo_area(self)
+    }
+
+    fn index(payload: &RefCell<RecordIndex>) -> Option<&RefCell<RecordIndex>> {
+        Some(payload)
+    }
+}
+
+impl<'a> MetaRegion<'a> for HugeCtx<'a> {
+    type Payload = ();
+
+    fn dev(&self) -> &'a PmemDevice {
+        self.dev
+    }
+
+    fn meta_range(&self) -> (u64, u64) {
+        debug_assert!(self.layout.huge_data_size() > 0, "no huge region on this layout");
+        (self.meta_base(), HUGE_META_SIZE)
+    }
+
+    fn undo_area(&self) -> UndoArea {
+        HugeCtx::undo_area(self)
+    }
+
+    fn index(_: &()) -> Option<&RefCell<RecordIndex>> {
+        None
+    }
+}
+
+/// One allocator operation's session on one metadata region — a
+/// sub-heap by default. See the [module docs](self).
 #[derive(Debug)]
-pub(crate) struct OpSession<'a> {
-    /// The sub-heap context (device, geometry, index). Rare non-word
-    /// device operations (hole punching, NUMA placement, poison queries)
-    /// go through `ctx.dev` directly and re-validate per call.
-    pub(crate) ctx: SubCtx<'a>,
+pub(crate) struct OpSession<'a, C: MetaRegion<'a> = SubCtx<'a>> {
+    /// The region context (device, geometry). Rare non-word device
+    /// operations (hole punching, NUMA placement, poison queries) go
+    /// through `ctx.dev` directly and re-validate per call.
+    pub(crate) ctx: C,
     view: MetaView<'a>,
     /// Target writes staged by the open [`UndoScope`] (empty outside a
     /// scope). Held here, not in the scope, so the session's read
     /// accessors can patch them over view reads.
     staged: RefCell<StagedWrites>,
     // Field order is drop order: the view flushes its stats deltas while
-    // the sub-heap lock is still held, then the lock is released, then
+    // the region lock is still held, then the lock is released, then
     // write access to metadata is revoked.
-    lock: Option<TrackedGuard<'a, RefCell<RecordIndex>>>,
+    lock: Option<TrackedGuard<'a, C::Payload>>,
     _pkru: Option<PkruGuard<'a>>,
 }
 
-impl<'a> OpSession<'a> {
+/// A session on the huge region's extent table.
+pub(crate) type HugeOp<'a> = OpSession<'a, HugeCtx<'a>>;
+
+impl<'a, C: MetaRegion<'a>> OpSession<'a, C> {
     fn map(
-        ctx: SubCtx<'a>,
+        ctx: C,
+        (base, len): (u64, u64),
         kind: AccessKind,
-        lock: Option<TrackedGuard<'a, RefCell<RecordIndex>>>,
+        lock: Option<TrackedGuard<'a, C::Payload>>,
         pkru: Option<PkruGuard<'a>>,
-    ) -> Result<OpSession<'a>> {
-        let view = ctx.dev.map_meta(ctx.meta_base(), ctx.layout.meta_size, kind)?;
+    ) -> Result<OpSession<'a, C>> {
+        let view = ctx.dev().map_meta(base, len, kind)?;
         Ok(OpSession { ctx, view, staged: RefCell::new(Vec::new()), lock, _pkru: pkru })
     }
 
-    /// A write session owning the sub-heap lock guard and (when metadata
+    /// A write session owning the region lock guard and (when metadata
     /// protection is on) the PKRU write guard — the heap entry points'
     /// constructor.
     pub fn guarded(
-        ctx: SubCtx<'a>,
-        lock: TrackedGuard<'a, RefCell<RecordIndex>>,
+        ctx: C,
+        lock: TrackedGuard<'a, C::Payload>,
         pkru: Option<PkruGuard<'a>>,
-    ) -> Result<OpSession<'a>> {
-        Self::map(ctx, AccessKind::Write, Some(lock), pkru)
+    ) -> Result<OpSession<'a, C>> {
+        Self::map(ctx, ctx.meta_range(), AccessKind::Write, Some(lock), pkru)
     }
 
     /// A write session without guards, for callers that already hold them
-    /// (sub-heap creation, recovery) and for module tests.
-    pub fn unguarded(ctx: SubCtx<'a>) -> Result<OpSession<'a>> {
-        Self::map(ctx, AccessKind::Write, None, None)
+    /// (creation, formatting, recovery) and for module tests.
+    pub fn unguarded(ctx: C) -> Result<OpSession<'a, C>> {
+        Self::map(ctx, ctx.meta_range(), AccessKind::Write, None, None)
     }
 
-    /// A read-only session holding the sub-heap lock but no PKRU grant —
+    /// A read-only session holding the region lock but no PKRU grant —
     /// metadata pages are readable under their resting `ReadOnly` rights,
     /// so lookups and audits never pay a `wrpkru` pair.
-    pub fn read_only(ctx: SubCtx<'a>, lock: TrackedGuard<'a, RefCell<RecordIndex>>) -> Result<OpSession<'a>> {
-        Self::map(ctx, AccessKind::Read, Some(lock), None)
-    }
-
-    /// The sub-heap's record index, reachable through the lock guard —
-    /// `None` for unguarded sessions, which probe the table instead.
-    pub fn index(&self) -> Option<&RefCell<RecordIndex>> {
-        self.lock.as_deref()
+    pub fn read_only(ctx: C, lock: TrackedGuard<'a, C::Payload>) -> Result<OpSession<'a, C>> {
+        Self::map(ctx, ctx.meta_range(), AccessKind::Read, Some(lock), None)
     }
 
     /// The metadata view (accessors take absolute device offsets).
@@ -133,6 +189,27 @@ impl<'a> OpSession<'a> {
         Ok(value)
     }
 
+    /// Opens an undo scope on the region's log area. A guarded session
+    /// provably owns the region lock, so the scope re-drives a rollback
+    /// that died mid-flight; an unguarded session cannot rule out a
+    /// concurrent writer and stays strict (see [`UndoScope::begin`]).
+    ///
+    /// # Errors
+    ///
+    /// As for [`UndoScope::begin`].
+    pub fn undo(&self) -> Result<UndoScope<'_>> {
+        let index = self.lock.as_deref().and_then(C::index);
+        UndoScope::begin(&self.view, &self.staged, self.ctx.undo_area(), self.lock.is_some(), index)
+    }
+}
+
+impl OpSession<'_> {
+    /// The sub-heap's record index, reachable through the lock guard —
+    /// `None` for unguarded sessions, which probe the table instead.
+    pub fn index(&self) -> Option<&RefCell<RecordIndex>> {
+        self.lock.as_deref()
+    }
+
     /// Reads the block record at device offset `entry_off`.
     pub fn entry(&self, entry_off: u64) -> Result<HashEntry> {
         self.read_pod(entry_off)
@@ -142,157 +219,35 @@ impl<'a> OpSession<'a> {
     pub fn active_levels(&self) -> Result<u64> {
         self.read_pod(self.ctx.active_levels_off())
     }
-
-    /// Reads this sub-heap's header.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn header(&self) -> Result<SubheapHeader> {
-        self.read_pod(self.ctx.meta_base())
-    }
-
-    /// Opens an undo scope on this sub-heap's log area.
-    ///
-    /// # Errors
-    ///
-    /// As for [`UndoScope::begin`].
-    pub fn undo(&self) -> Result<UndoScope<'_, 'a>> {
-        UndoScope::begin(self)
-    }
 }
 
-/// An open undo scope writing through its session's view; the in-session
-/// equivalent of [`crate::undo::UndoSession`], sharing its
-/// [`LogCore`](crate::undo) implementation (identical on-device format
-/// and two-fence commit). Finish with [`commit`](Self::commit) or
-/// [`abort`](Self::abort); dropping without committing rolls back.
-#[derive(Debug)]
-pub(crate) struct UndoScope<'s, 'a> {
-    view: &'s MetaView<'a>,
-    staged: &'s RefCell<StagedWrites>,
-    core: LogCore,
-    /// The session's record index, which the scope's inserts and deletes
-    /// update ahead of the commit: a rollback drops it.
-    index: Option<&'s RefCell<RecordIndex>>,
-}
-
-impl<'s, 'a> UndoScope<'s, 'a> {
-    /// Opens a scope on `op`'s sub-heap undo area. A guarded session
-    /// provably owns the sub-heap lock, so a live log can only be a
-    /// rollback that died mid-flight (e.g. interrupted by a transient
-    /// media fault) and is re-driven here; an unguarded session cannot
-    /// rule out a concurrent writer and stays strict.
+impl<'a> HugeOp<'a> {
+    /// A write session whose view *spans* from sub-heap `sub`'s metadata
+    /// up to the end of the huge metadata — used by transactional huge
+    /// allocation, which must log the extent writes and the sub-heap's
+    /// micro-log append in **one** undo scope (the undo log stores
+    /// absolute targets, so device-backed replay restores both regions).
     ///
     /// # Errors
     ///
-    /// [`PoseidonError::Corrupted`](crate::PoseidonError::Corrupted) if
-    /// live entries from a crashed operation are present and cannot be
-    /// re-driven (recovery must run first), or a device error.
-    pub fn begin(op: &'s OpSession<'a>) -> Result<UndoScope<'s, 'a>> {
-        let mut scope = Self::begin_raw(&op.view, &op.staged, op.ctx.undo_area(), op.lock.is_some())?;
-        scope.index = op.index();
-        Ok(scope)
+    /// [`PoseidonError::MediaError`](crate::PoseidonError::MediaError) if
+    /// any metadata page in the span is poisoned — including an unrelated
+    /// sub-heap's between `sub` and the huge metadata. Transactional huge
+    /// allocation degrades in that (already-quarantined) situation; plain
+    /// huge allocation does not.
+    pub fn spanning(
+        ctx: HugeCtx<'a>,
+        sub: u16,
+        lock: TrackedGuard<'a, ()>,
+        pkru: Option<PkruGuard<'a>>,
+    ) -> Result<HugeOp<'a>> {
+        let base = ctx.layout.meta_base(sub);
+        Self::map(ctx, (base, ctx.layout.meta_end() - base), AccessKind::Write, Some(lock), pkru)
     }
 
-    /// Opens a scope on an arbitrary undo `area` through `view`, with
-    /// staged target writes accumulating in `staged` — the constructor
-    /// shared by sub-heap sessions and the huge-region session
-    /// (`hugeregion::HugeOp`), which carries its own view and overlay.
-    /// `holds_lock` asserts that the caller owns the area's lock, which
-    /// permits re-driving a rollback that died mid-flight.
-    ///
-    /// # Errors
-    ///
-    /// As for [`begin`](Self::begin).
-    pub fn begin_raw(
-        view: &'s MetaView<'a>,
-        staged: &'s RefCell<StagedWrites>,
-        area: crate::undo::UndoArea,
-        holds_lock: bool,
-    ) -> Result<UndoScope<'s, 'a>> {
-        debug_assert!(staged.borrow().is_empty(), "one undo scope per session at a time");
-        let core =
-            if holds_lock { LogCore::begin_recovering(view, area)? } else { LogCore::begin(view, area)? };
-        Ok(UndoScope { view, staged, core, index: None })
-    }
-
-    /// Logs the current (overlay-visible) content of
-    /// `[target, target + new.len())`, then stages `new` there. The
-    /// store is issued and becomes durable at [`commit`](Self::commit);
-    /// until then the session's read accessors observe it through the
-    /// overlay.
-    ///
-    /// # Errors
-    ///
-    /// [`PoseidonError::Corrupted`](crate::PoseidonError::Corrupted) on
-    /// log overflow, or a device error.
-    pub fn log_and_write(&mut self, target: u64, new: &[u8]) -> Result<()> {
-        let mut staged = self.staged.borrow_mut();
-        self.core.log_and_write(self.view, &mut staged, target, new)
-    }
-
-    /// Whether one more [`log_and_write`](Self::log_and_write) of `len`
-    /// bytes fits in the log area. Batch operations (cache refill/drain)
-    /// size their batches with this so they commit what fits instead of
-    /// dying on `"undo log overflow"`.
-    pub fn has_room_for(&self, len: u64) -> bool {
-        self.core.has_room_for(len)
-    }
-
-    /// [`log_and_write`](Self::log_and_write) of a [`pmem::Pod`] value.
-    ///
-    /// # Errors
-    ///
-    /// As for [`log_and_write`](Self::log_and_write).
-    pub fn log_and_write_pod<T: pmem::Pod>(&mut self, target: u64, value: &T) -> Result<()> {
-        self.log_and_write(target, value.as_bytes())
-    }
-
-    /// The two-fence batched commit (see `undo`'s module docs): fence
-    /// the log entries, issue + fence the staged stores (lines deduped),
-    /// bump the generation. Zero fences if the scope staged nothing.
-    ///
-    /// # Errors
-    ///
-    /// Device errors only.
-    pub fn commit(mut self) -> Result<()> {
-        let mut staged = self.staged.borrow_mut();
-        self.core.commit(self.view, &mut staged)
-    }
-
-    /// Rolls the scope back: discards staged stores, restores every
-    /// logged range (newest first) and invalidates the log.
-    ///
-    /// # Errors
-    ///
-    /// Device errors only.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn abort(mut self) -> Result<()> {
-        self.drop_index();
-        let mut staged = self.staged.borrow_mut();
-        self.core.abort(self.view, &mut staged)
-    }
-
-    /// Drops the record index: it may hold this scope's updates. Never
-    /// panics (it runs in `Drop`): the index is only ever borrowed inside
-    /// one `hashtable` call, so a borrow held here means a panic is
-    /// already unwinding out of one.
-    fn drop_index(&self) {
-        if let Some(mut index) = self.index.and_then(|cell| cell.try_borrow_mut().ok()) {
-            index.invalidate();
-        }
-    }
-}
-
-impl Drop for UndoScope<'_, '_> {
-    fn drop(&mut self) {
-        // A dropped-without-commit scope (e.g. an early `?` return or a
-        // failed commit) must not leave half-applied metadata behind:
-        // roll back best-effort. If the device has crashed, rollback fails
-        // harmlessly here and recovery replays the log instead.
-        if !self.core.finished() {
-            self.drop_index();
-        }
-        let mut staged = self.staged.borrow_mut();
-        self.core.drop_rollback(self.view, &mut staged);
+    /// Reads extent-table slot `slot` (overlay-patched).
+    pub fn slot(&self, slot: usize) -> Result<ExtentRecord> {
+        self.read_pod(self.ctx.slot_off(slot))
     }
 }
 
@@ -301,8 +256,7 @@ mod tests {
     use super::*;
     use crate::error::PoseidonError;
     use crate::layout::HeapLayout;
-    use crate::undo::UndoSession;
-    use pmem::{CrashMode, DeviceConfig, PmemDevice};
+    use pmem::{CrashMode, DeviceConfig, TrackedMutex};
 
     fn setup() -> (PmemDevice, HeapLayout) {
         let layout = HeapLayout::compute(64 << 20, 2).unwrap();
@@ -324,8 +278,12 @@ mod tests {
             let op = OpSession::unguarded(ctx).unwrap();
             let mut scope = op.undo().unwrap();
             for i in 0..16u64 {
-                scope.log_and_write_pod(target_off(&layout) + i * 8, &i).unwrap();
+                scope.log_and_write_pod(target_off(&layout) + i * 8, &(i + 1)).unwrap();
             }
+            // Staged: the raw view misses the stores, the session's
+            // overlay-patched reads see them.
+            assert_eq!(op.view().read_pod::<u64>(target_off(&layout)).unwrap(), 0);
+            assert_eq!(op.read_pod::<u64>(target_off(&layout)).unwrap(), 1);
             scope.commit().unwrap();
         }
         let after = dev.stats();
@@ -333,53 +291,6 @@ mod tests {
         assert_eq!(after.validations - before.validations, 1);
         assert_eq!(after.meta_maps - before.meta_maps, 1);
         assert!(after.write_ops - before.write_ops >= 32, "16 entries + 16 targets at least");
-    }
-
-    #[test]
-    fn session_reads_observe_the_open_scope() {
-        let (dev, layout) = setup();
-        let ctx = SubCtx { dev: &dev, layout: &layout, sub: 0 };
-        let target = target_off(&layout);
-        let op = OpSession::unguarded(ctx).unwrap();
-        let mut scope = op.undo().unwrap();
-        scope.log_and_write_pod(target, &0x5Au64).unwrap();
-        // Staged: raw view misses it, the session accessor sees it.
-        assert_eq!(op.view().read_pod::<u64>(target).unwrap(), 0);
-        assert_eq!(op.read_pod::<u64>(target).unwrap(), 0x5A);
-        scope.commit().unwrap();
-        assert_eq!(op.view().read_pod::<u64>(target).unwrap(), 0x5A);
-        assert_eq!(op.read_pod::<u64>(target).unwrap(), 0x5A);
-    }
-
-    #[test]
-    fn scope_commit_is_durable_and_replay_is_noop() {
-        let (dev, layout) = setup();
-        let ctx = SubCtx { dev: &dev, layout: &layout, sub: 0 };
-        let target = target_off(&layout);
-        {
-            let op = OpSession::unguarded(ctx).unwrap();
-            let mut scope = op.undo().unwrap();
-            scope.log_and_write_pod(target, &0xAAu64).unwrap();
-            scope.commit().unwrap();
-        }
-        dev.simulate_crash(CrashMode::Strict, 0);
-        assert_eq!(dev.read_pod::<u64>(target).unwrap(), 0xAA);
-        assert!(!undo::replay(&dev, ctx.undo_area()).unwrap());
-    }
-
-    #[test]
-    fn empty_scope_commit_is_barrier_free() {
-        // Satellite regression: read-only operations must not fence.
-        let (dev, layout) = setup();
-        let ctx = SubCtx { dev: &dev, layout: &layout, sub: 0 };
-        let before = dev.stats();
-        {
-            let op = OpSession::unguarded(ctx).unwrap();
-            op.undo().unwrap().commit().unwrap();
-        }
-        let after = dev.stats();
-        assert_eq!(after.sfence_count, before.sfence_count, "empty scope commit fenced");
-        assert_eq!(after.clwb_count, before.clwb_count, "empty scope commit flushed");
     }
 
     #[test]
@@ -407,70 +318,62 @@ mod tests {
     }
 
     #[test]
-    fn device_backed_session_blocks_scope_and_vice_versa() {
-        // Both writers share one log area and generation: a crashed one
-        // must block the other until recovery, regardless of which side
-        // wrote the entries.
+    fn guarded_sessions_redrive_a_stale_rollback() {
+        // A rollback that died mid-flight (here: the device failed under
+        // it) leaves the log live. A session holding the region lock
+        // finishes it when it opens its next scope; an unguarded one
+        // cannot rule out a concurrent writer and refuses.
         let (dev, layout) = setup();
         let ctx = SubCtx { dev: &dev, layout: &layout, sub: 0 };
         let target = target_off(&layout);
-        let mut s = UndoSession::begin(&dev, ctx.undo_area()).unwrap();
+        {
+            let op = OpSession::unguarded(ctx).unwrap();
+            let mut scope = op.undo().unwrap();
+            scope.log_and_write_pod(target, &2u64).unwrap();
+            dev.arm_crash_after(3);
+            assert!(scope.commit().is_err()); // its rollback fails too
+        }
+        dev.clear_crash();
+        let op = OpSession::unguarded(ctx).unwrap();
+        assert!(matches!(op.undo(), Err(PoseidonError::Corrupted(_))));
+        drop(op);
+
+        let lock = TrackedMutex::new(RefCell::new(RecordIndex::default()));
+        let op = OpSession::guarded(ctx, lock.lock(), None).unwrap();
+        op.undo().unwrap().commit().unwrap();
+        assert_eq!(op.read_pod::<u64>(target).unwrap(), 0);
+        assert!(!undo::replay(&dev, ctx.undo_area()).unwrap());
+    }
+
+    #[test]
+    fn device_backed_scope_blocks_session_scope_and_vice_versa() {
+        // Both access paths share one log area and generation: a crashed
+        // scope on one must block the other until recovery, regardless of
+        // which side wrote the entries.
+        let (dev, layout) = setup();
+        let ctx = SubCtx { dev: &dev, layout: &layout, sub: 0 };
+        let target = target_off(&layout);
+        let staged = RefCell::default();
+        let mut s = UndoScope::begin(&dev, &staged, ctx.undo_area(), false, None).unwrap();
         s.log_and_write_pod(target, &7u64).unwrap();
         std::mem::forget(s);
         let op = OpSession::unguarded(ctx).unwrap();
         assert!(matches!(op.undo(), Err(PoseidonError::Corrupted(_))));
         drop(op);
         undo::replay(&dev, ctx.undo_area()).unwrap();
-        let op = OpSession::unguarded(ctx).unwrap();
-        op.undo().unwrap().commit().unwrap();
-    }
 
-    #[test]
-    fn drop_without_commit_rolls_back_through_the_view() {
-        let (dev, layout) = setup();
-        let ctx = SubCtx { dev: &dev, layout: &layout, sub: 0 };
-        let target = target_off(&layout);
-        dev.write_pod(target, &7u64).unwrap();
-        let op = OpSession::unguarded(ctx).unwrap();
-        {
-            let mut scope = op.undo().unwrap();
-            scope.log_and_write_pod(target, &8u64).unwrap();
-            // dropped here without commit
-        }
-        assert_eq!(op.read_pod::<u64>(target).unwrap(), 7);
-        op.undo().unwrap().commit().unwrap();
-    }
-
-    #[test]
-    fn abort_restores_in_reverse_order() {
-        let (dev, layout) = setup();
-        let ctx = SubCtx { dev: &dev, layout: &layout, sub: 0 };
-        let target = target_off(&layout);
-        dev.write_pod(target, &1u64).unwrap();
         let op = OpSession::unguarded(ctx).unwrap();
         let mut scope = op.undo().unwrap();
-        scope.log_and_write_pod(target, &2u64).unwrap();
-        scope.log_and_write_pod(target, &3u64).unwrap();
-        scope.abort().unwrap();
-        assert_eq!(op.read_pod::<u64>(target).unwrap(), 1);
-    }
-
-    #[test]
-    fn scope_overflow_is_detected() {
-        let (dev, layout) = setup();
-        let ctx = SubCtx { dev: &dev, layout: &layout, sub: 0 };
+        scope.log_and_write_pod(target, &8u64).unwrap();
+        std::mem::forget(scope);
+        let staged = RefCell::default();
+        assert!(matches!(
+            UndoScope::begin(&dev, &staged, ctx.undo_area(), false, None),
+            Err(PoseidonError::Corrupted(_))
+        ));
+        drop(op);
+        undo::replay(&dev, ctx.undo_area()).unwrap();
         let op = OpSession::unguarded(ctx).unwrap();
-        let mut scope = op.undo().unwrap();
-        let big = vec![0u8; 4096];
-        let mut wrote = 0u64;
-        let r = loop {
-            match scope.log_and_write(target_off(&layout), &big) {
-                Ok(()) => wrote += 1,
-                Err(e) => break e,
-            }
-        };
-        assert!(wrote > 0);
-        assert!(matches!(r, PoseidonError::Corrupted("undo log overflow")));
-        scope.abort().unwrap();
+        op.undo().unwrap().commit().unwrap();
     }
 }

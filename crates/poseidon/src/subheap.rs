@@ -14,7 +14,8 @@ use crate::error::{PoseidonError, Result};
 use crate::hashtable;
 use crate::layout::{class_size, MIN_BLOCK, NUM_CLASSES, SH_UNDO_OFF};
 use crate::persist::{state, HashEntry, SubheapHeader, FLAG_CACHED, SUBHEAP_MAGIC};
-use crate::session::{OpSession, UndoScope};
+use crate::session::OpSession;
+use crate::undo::UndoScope;
 
 /// Initialises (or re-initialises, after a creation that crashed before
 /// its directory entry was published) the sub-heap's metadata and seeds
@@ -80,7 +81,7 @@ pub(crate) fn alloc_block(op: &OpSession<'_>, class: usize, micro: Option<(u64, 
             Some(k) => k,
             None => {
                 // §5.4 trigger 1: merge smaller free blocks.
-                defrag::merge_all_below(op, class)?;
+                defrag::merge_all_below(op, class, u64::MAX)?;
                 match buddy::first_class_at_least(op, class)? {
                     Some(k) => k,
                     None => return Err(PoseidonError::NoSpace { requested: class_size(class) }),
@@ -215,7 +216,7 @@ fn try_refill(op: &OpSession<'_>, class: usize, want: usize) -> Result<RefillAtt
 /// Pops the head of class `from`, splits down to `want`, and stamps the
 /// final block `FREE | FLAG_CACHED` with cleared links — withdrawn from
 /// its free list but still free on media. Runs inside the caller's scope.
-fn carve_cached(op: &OpSession<'_>, scope: &mut UndoScope<'_, '_>, from: usize, want: usize) -> Result<u64> {
+fn carve_cached(op: &OpSession<'_>, scope: &mut UndoScope<'_>, from: usize, want: usize) -> Result<u64> {
     let head_off = buddy::head(op, from)?;
     if head_off == 0 {
         return Err(PoseidonError::Corrupted("free list emptied under the sub-heap lock"));
@@ -420,27 +421,6 @@ impl Default for SubheapAudit {
     }
 }
 
-impl SubheapAudit {
-    /// Largest currently-free block, in bytes (0 when nothing is free).
-    pub fn largest_free_block(&self) -> u64 {
-        self.free_by_class
-            .iter()
-            .enumerate()
-            .rev()
-            .find(|(_, &count)| count > 0)
-            .map_or(0, |(class, _)| crate::layout::class_size(class))
-    }
-
-    /// External fragmentation in [0, 1]: one minus the fraction of free
-    /// bytes usable by a single largest-block allocation.
-    pub fn fragmentation(&self) -> f64 {
-        if self.free_bytes == 0 {
-            return 0.0;
-        }
-        1.0 - self.largest_free_block() as f64 / self.free_bytes as f64
-    }
-}
-
 /// How the transient cache layer accounts one cache-flagged record
 /// during an audit (see [`audit_with`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -641,7 +621,7 @@ mod tests {
         create(&op, 1).unwrap();
         let a = audit(&op).unwrap();
         assert_eq!(a.alloc_bytes, 0);
-        assert_eq!(op.header().unwrap().node, 1);
+        assert_eq!(op.read_pod::<SubheapHeader>(op.ctx.meta_base()).unwrap().node, 1);
     }
 
     #[test]

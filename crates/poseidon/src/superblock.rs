@@ -1,6 +1,15 @@
 //! Superblock creation, validation, and the root pointer (§2.2, §4.6).
+//!
+//! The superblock's undo-logged commits ([`set_root`], [`commit_epoch`],
+//! [`quarantine_subheap`]) open their [`UndoScope`] on the raw device,
+//! not through a metadata view: a view over the superblock region fails
+//! if any of its lines is poisoned, and the superblock has no quarantine
+//! to fall back on, while a device-backed scope touches only the lines it
+//! logs and writes.
 
-use pmem::{PmemDevice, PAGE_SIZE};
+use std::cell::RefCell;
+
+use pmem::{PmemDevice, Pod, PAGE_SIZE};
 
 use crate::error::{PoseidonError, Result};
 use crate::layout::{
@@ -11,7 +20,7 @@ use crate::persist::{
     DirEntry, EpochRecord, SuperblockHeader, EPOCH_COMMITTED, EPOCH_EMPTY, FORMAT_VERSION, FORMAT_VERSION_V1,
     SUPERBLOCK_MAGIC,
 };
-use crate::undo::{self, UndoArea};
+use crate::undo::{UndoArea, UndoScope};
 
 /// Size of one on-device epoch record.
 const EPOCH_RECORD_SIZE: u64 = std::mem::size_of::<EpochRecord>() as u64;
@@ -54,15 +63,31 @@ pub(crate) fn epoch_record(dev: &PmemDevice, index: usize) -> Result<EpochRecord
 /// crash after it leaves the epoch fully described. Caller holds the
 /// superblock lock and the MPK write guard.
 pub(crate) fn commit_epoch(dev: &PmemDevice, index: usize, epoch: &Epoch) -> Result<()> {
-    let mut session = undo::UndoSession::begin_recovering(dev, undo_area())?;
-    session.log_and_write_pod(epoch_record_off(index), &EpochRecord::from_epoch(epoch))?;
-    session.log_and_write_pod(epoch_count_off(), &(index as u32 + 1))?;
-    session.commit()
+    commit(
+        dev,
+        &[
+            (epoch_record_off(index), EpochRecord::from_epoch(epoch).as_bytes()),
+            (epoch_count_off(), (index as u32 + 1).as_bytes()),
+        ],
+    )
 }
 
 /// The superblock's undo-log area.
 pub(crate) fn undo_area() -> UndoArea {
     UndoArea { base: SB_UNDO_OFF, size: SB_UNDO_SIZE, gen_field: undo_gen_off() }
+}
+
+/// Logs and writes each `(target, bytes)` pair, in order, under one
+/// superblock undo scope on the raw device (see the module docs) — one
+/// two-fence commit. The caller holds the superblock lock, so the scope
+/// re-drives a rollback that died mid-flight.
+fn commit(dev: &PmemDevice, writes: &[(u64, &[u8])]) -> Result<()> {
+    let staged = RefCell::default();
+    let mut scope = UndoScope::begin(dev, &staged, undo_area(), true, None)?;
+    for &(target, bytes) in writes {
+        scope.log_and_write(target, bytes)?;
+    }
+    scope.commit()
 }
 
 /// Directory-entry state of a sub-heap condemned online after a live
@@ -284,9 +309,7 @@ pub(crate) fn root(dev: &PmemDevice) -> Result<NvmPtr> {
 /// value cannot be stored atomically, §5.8 machinery covers it).
 /// Caller holds the superblock lock and the MPK write guard.
 pub(crate) fn set_root(dev: &PmemDevice, ptr: NvmPtr) -> Result<()> {
-    let mut session = undo::UndoSession::begin_recovering(dev, undo_area())?;
-    session.log_and_write_pod(root_off(), &ptr)?;
-    session.commit()
+    commit(dev, &[(root_off(), ptr.as_bytes())])
 }
 
 /// Persistently condemns sub-heap `sub` after a live media fault: its
@@ -299,15 +322,15 @@ pub(crate) fn quarantine_subheap(dev: &PmemDevice, sub: u16) -> Result<()> {
     if entry.state == DIR_QUARANTINED {
         return Ok(());
     }
-    let mut session = undo::UndoSession::begin_recovering(dev, undo_area())?;
-    session.log_and_write_pod(dir_entry_off(sub), &DirEntry { state: DIR_QUARANTINED, node: entry.node })?;
-    session.commit()
+    commit(dev, &[(dir_entry_off(sub), DirEntry { state: DIR_QUARANTINED, node: entry.node }.as_bytes())])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmem::{CrashMode, DeviceConfig};
+    use crate::layout::SB_REGION_SIZE;
+    use crate::undo;
+    use pmem::{AccessKind, CrashMode, DeviceConfig, PmemError};
 
     fn setup() -> (PmemDevice, HeapLayout) {
         let dev = PmemDevice::new(DeviceConfig::new(64 << 20));
@@ -384,6 +407,33 @@ mod tests {
         undo::replay(&dev, undo_area()).unwrap();
         let e = dir_entry(&dev, 0).unwrap();
         assert!(e.state == 0 || e.state == DIR_QUARANTINED, "torn directory entry: {}", e.state);
+    }
+
+    #[test]
+    fn commits_stay_device_backed_past_a_poisoned_line() {
+        // Why the superblock's scope runs on the raw device: a view over
+        // the superblock region refuses a region with any poisoned line,
+        // and the superblock has no quarantine to fall back on. With a
+        // line poisoned that no commit touches (the last epoch slot),
+        // device-backed commits still succeed at the ordinary cost.
+        let (dev, layout) = setup();
+        create(&dev, &layout, 0xABCD).unwrap();
+        publish_subheap(&dev, 1, DirEntry { state: 1, node: 0 }).unwrap();
+        dev.poison(epoch_record_off(MAX_EPOCHS - 1), 64).unwrap();
+        assert!(matches!(
+            dev.map_meta(0, SB_REGION_SIZE, AccessKind::Write),
+            Err(PmemError::Uncorrectable { .. })
+        ));
+
+        let before = dev.stats();
+        set_root(&dev, NvmPtr::new(0xABCD, 1, 64)).unwrap();
+        let after = dev.stats();
+        assert_eq!(after.sfence_count - before.sfence_count, 3, "set_root fences");
+        assert_eq!(after.clwb_count - before.clwb_count, 3, "set_root flushes");
+        assert_eq!(root(&dev).unwrap().offset(), 64);
+
+        quarantine_subheap(&dev, 1).unwrap();
+        assert_eq!(dir_entry(&dev, 1).unwrap().state, DIR_QUARANTINED);
     }
 
     /// Rewinds a freshly created v2 image to what a v1 build would have

@@ -1,6 +1,6 @@
 //! Undo logging (§4.5, §5.2) with batched persistence.
 //!
-//! Every allocator operation mutates metadata inside an *undo session*:
+//! Every allocator operation mutates metadata inside an *undo scope*:
 //! before a range is overwritten, its original bytes are appended to the
 //! undo-log area; the new bytes are **staged in DRAM** and only reach
 //! the device at commit, after a single fence has made every log entry
@@ -12,7 +12,7 @@
 //! # The two-fence commit protocol
 //!
 //! The old implementation persisted each log entry eagerly — one
-//! `clwb`+`sfence` pair per [`log_and_write`](UndoSession::log_and_write)
+//! `clwb`+`sfence` pair per [`log_and_write`](UndoScope::log_and_write)
 //! plus two more at commit, i.e. *N* + 2 serialising fences for an
 //! *N*-entry operation. The batched protocol pays a constant number:
 //!
@@ -54,14 +54,22 @@
 //! └──────────┴─────────────┴──────────┴───────────────┴───────────────┘
 //! ```
 //!
-//! Both log writers — the device-backed [`UndoSession`] here and the
-//! view-routed [`UndoScope`](crate::session::UndoScope) — share one
-//! implementation, [`LogCore`], parameterised over the [`LogAccess`]
-//! word-access trait, so the on-device format cannot silently fork.
+//! [`UndoScope`] is the one writer of every log — sub-heap, huge region
+//! and superblock alike. It is generic over the [`LogAccess`] word-access
+//! trait, which has two implementations: a [`MetaView`] (operation
+//! sessions, which validate their metadata range once) and the raw
+//! [`PmemDevice`]. The superblock's commits open their scope on the
+//! device on purpose: a view over the superblock region fails if any of
+//! its lines is poisoned, and the superblock has no quarantine to fall
+//! back on. [`replay`] stays device-backed for the same reason — it is
+//! the recovery path, and it runs on exactly the states a view refuses.
+
+use std::cell::RefCell;
 
 use pmem::{FlushBatch, MetaView, PmemDevice, PmemError};
 
 use crate::error::{PoseidonError, Result};
+use crate::hashtable::RecordIndex;
 
 /// Location of one undo-log area and its persistent generation field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,11 +105,11 @@ pub(crate) fn checksum(gen: u64, target: u64, len: u64, old: &[u8]) -> u64 {
 /// in issue order.
 pub(crate) type StagedWrites = Vec<(u64, Vec<u8>)>;
 
-/// The word-access surface a log writer needs from its backing store —
+/// The word-access surface the log writer needs from its backing store —
 /// implemented by the raw [`PmemDevice`] and by [`MetaView`] (which
 /// routes through the session's single up-front validation). Everything
-/// format-bearing lives in [`LogCore`] and the free functions below, so
-/// both writers produce and parse byte-identical logs.
+/// format-bearing lives in [`UndoScope`] and the free functions below, so
+/// both access paths produce and parse byte-identical logs.
 pub(crate) trait LogAccess {
     fn read(&self, offset: u64, buf: &mut [u8]) -> std::result::Result<(), PmemError>;
     fn write(&self, offset: u64, buf: &[u8]) -> std::result::Result<(), PmemError>;
@@ -178,47 +186,72 @@ pub(crate) fn overlay_patch(staged: &[(u64, Vec<u8>)], offset: u64, buf: &mut [u
     }
 }
 
-/// The shared log-writer state machine: entry construction, staging,
-/// the two-fence commit, and rollback. [`UndoSession`] (device-backed)
-/// and [`UndoScope`](crate::session::UndoScope) (view-routed) are thin
-/// wrappers pairing a `LogCore` with their backing [`LogAccess`] and
-/// staged-write vector.
+/// An open undo scope: logs each metadata mutation before staging it,
+/// and commits with the two-fence protocol of the [module docs](self).
+/// Every mutation goes through [`log_and_write`](Self::log_and_write);
+/// finish with [`commit`](Self::commit) or [`abort`](Self::abort).
+///
+/// `A` is the access path ([`LogAccess`]): a session's [`MetaView`] by
+/// default, the raw [`PmemDevice`] for the superblock. The staged target
+/// writes live in a cell the caller owns, so the caller's reads can
+/// patch them over the device ([`overlay_patch`]) while the scope is
+/// open.
+///
+/// Exactly one scope may be open per area at a time — the caller's
+/// sub-heap, huge-region or superblock lock guarantees this. Dropping a
+/// scope without committing rolls back immediately, so an early `?`
+/// return leaves the metadata untouched; a crash instead leaves durable
+/// entries (if fence #1 ran) for [`replay`] to roll back on recovery —
+/// and if it did not run, no target was ever touched.
 #[derive(Debug)]
-pub(crate) struct LogCore {
+pub(crate) struct UndoScope<'s, A: LogAccess = MetaView<'s>> {
+    acc: &'s A,
+    staged: &'s RefCell<StagedWrites>,
     area: UndoArea,
     gen: u64,
     /// Bytes of the log area used so far this operation.
     tail: u64,
     /// Lines of the entries written so far, pending fence #1.
     entry_batch: FlushBatch,
+    /// Whether the scope committed or aborted: a scope dropped
+    /// unfinished rolls back.
     finished: bool,
     /// Reusable entry buffer (header + old bytes).
     buffer: Vec<u8>,
+    /// The sub-heap's record index, which the scope's inserts and
+    /// deletes update ahead of the commit: a rollback drops it.
+    index: Option<&'s RefCell<RecordIndex>>,
 }
 
-impl LogCore {
-    /// Opens a log writer on `area`. A log still holding live entries is
-    /// rejected outright: without knowing who owns the area, the entries
-    /// may belong to a *concurrently open* scope (a locking bug), and
-    /// rolling them back underneath it would corrupt that operation.
-    pub fn begin<A: LogAccess>(acc: &A, area: UndoArea) -> Result<LogCore> {
-        Self::begin_inner(acc, area, false)
-    }
-
-    /// As [`begin`](Self::begin), but a log still holding live entries is
-    /// first **re-driven**: the caller holds the area's lock, which rules
-    /// out a concurrent scope, so live entries can only be an earlier
-    /// rollback that died mid-flight (e.g. interrupted by a transient
-    /// media fault) — load-time replay run early. Only if that rollback
-    /// cannot complete does the area stay wedged.
-    pub fn begin_recovering<A: LogAccess>(acc: &A, area: UndoArea) -> Result<LogCore> {
-        Self::begin_inner(acc, area, true)
-    }
-
-    fn begin_inner<A: LogAccess>(acc: &A, area: UndoArea, recover: bool) -> Result<LogCore> {
+impl<'s, A: LogAccess> UndoScope<'s, A> {
+    /// Opens a scope on `area` through `acc`, staging target writes in
+    /// `staged`.
+    ///
+    /// A log still holding live entries is rejected unless `lock_held`:
+    /// without knowing who owns the area, the entries may belong to a
+    /// *concurrently open* scope (a locking bug), and rolling them back
+    /// underneath it would corrupt that operation. A caller that holds
+    /// the area's lock rules that out, so live entries can only be an
+    /// earlier rollback that died mid-flight (e.g. interrupted by a
+    /// transient media fault); they are re-driven here — load-time
+    /// replay run early — and only if that rollback cannot complete does
+    /// the area stay wedged.
+    ///
+    /// # Errors
+    ///
+    /// [`PoseidonError::Corrupted`] if live entries are present and may
+    /// not (or cannot) be re-driven, or a device error.
+    pub fn begin(
+        acc: &'s A,
+        staged: &'s RefCell<StagedWrites>,
+        area: UndoArea,
+        lock_held: bool,
+        index: Option<&'s RefCell<RecordIndex>>,
+    ) -> Result<UndoScope<'s, A>> {
+        debug_assert!(staged.borrow().is_empty(), "one undo scope per session at a time");
         let mut gen: u64 = acc.read_pod(area.gen_field)?;
         if read_entry(acc, area, gen, 0)?.is_some() {
-            if !recover {
+            if !lock_held {
                 return Err(PoseidonError::Corrupted("undo log non-empty at operation start"));
             }
             apply_undo(acc, area, gen)?;
@@ -227,25 +260,23 @@ impl LogCore {
                 return Err(PoseidonError::Corrupted("undo log non-empty at operation start"));
             }
         }
-        Ok(LogCore {
+        Ok(UndoScope {
+            acc,
+            staged,
             area,
             gen,
             tail: 0,
             entry_batch: FlushBatch::new(),
             finished: false,
             buffer: Vec::new(),
+            index,
         })
     }
 
-    /// Whether the operation has committed or aborted: a log dropped
-    /// unfinished rolls back.
-    pub fn finished(&self) -> bool {
-        self.finished
-    }
-
     /// Whether one more entry logging `len` target bytes still fits in
-    /// the log area — batch operations consult this to stop cleanly
-    /// before [`log_and_write`](Self::log_and_write) would overflow.
+    /// the log area. Batch operations (cache refill/drain) size their
+    /// batches with this so they commit what fits instead of dying on
+    /// `"undo log overflow"`.
     pub fn has_room_for(&self, len: u64) -> bool {
         self.tail + ENTRY_HEADER + len.next_multiple_of(8) <= self.area.size
     }
@@ -254,18 +285,18 @@ impl LogCore {
     /// `[target, target + new.len())` and stages `new` for application
     /// at commit. The entry write lands in cache now; nothing touches
     /// the target until [`commit`](Self::commit).
-    pub fn log_and_write<A: LogAccess>(
-        &mut self,
-        acc: &A,
-        staged: &mut StagedWrites,
-        target: u64,
-        new: &[u8],
-    ) -> Result<()> {
+    ///
+    /// # Errors
+    ///
+    /// [`PoseidonError::Corrupted`] if the log area overflows, or a
+    /// device error.
+    pub fn log_and_write(&mut self, target: u64, new: &[u8]) -> Result<()> {
         let len = new.len() as u64;
         let entry_len = ENTRY_HEADER + len.next_multiple_of(8);
         if self.tail + entry_len > self.area.size {
             return Err(PoseidonError::Corrupted("undo log overflow"));
         }
+        let mut staged = self.staged.borrow_mut();
         let header = ENTRY_HEADER as usize;
         self.buffer.clear();
         self.buffer.resize(entry_len as usize, 0);
@@ -273,140 +304,23 @@ impl LogCore {
         // i's pre-image reflects staged writes 0..i, so reverse replay
         // still lands every byte on the value of the *first* entry that
         // covers it — the true pre-op state.
-        acc.read(target, &mut self.buffer[header..header + new.len()])?;
-        overlay_patch(staged, target, &mut self.buffer[header..header + new.len()]);
+        self.acc.read(target, &mut self.buffer[header..header + new.len()])?;
+        overlay_patch(&staged, target, &mut self.buffer[header..header + new.len()]);
         let sum = checksum(self.gen, target, len, &self.buffer[header..]);
         self.buffer[0..8].copy_from_slice(&self.gen.to_le_bytes());
         self.buffer[8..16].copy_from_slice(&target.to_le_bytes());
         self.buffer[16..24].copy_from_slice(&len.to_le_bytes());
         self.buffer[24..32].copy_from_slice(&sum.to_le_bytes());
         let entry_off = self.area.base + self.tail;
-        acc.write(entry_off, &self.buffer)?;
+        self.acc.write(entry_off, &self.buffer)?;
         self.entry_batch.note(entry_off, entry_len);
-        acc.record_undo_append(len.div_ceil(8));
+        self.acc.record_undo_append(len.div_ceil(8));
         self.tail += entry_len;
         staged.push((target, new.to_vec()));
         Ok(())
     }
 
-    /// The two-fence commit described in the [module docs](self). An
-    /// operation that staged nothing returns without touching the
-    /// device — zero flushes, zero fences.
-    pub fn commit<A: LogAccess>(&mut self, acc: &A, staged: &mut StagedWrites) -> Result<()> {
-        if self.tail == 0 && staged.is_empty() {
-            self.finished = true;
-            return Ok(());
-        }
-        // Fence #1: every log entry durable before any target store is
-        // *issued* (required under adversarial eviction, see module docs).
-        acc.flush_batch(&self.entry_batch)?;
-        acc.sfence()?;
-        // Apply the staged mutations in order, deduplicating their lines.
-        let mut targets = FlushBatch::new();
-        for (target, bytes) in staged.iter() {
-            acc.write(*target, bytes)?;
-            targets.note(*target, bytes.len() as u64);
-        }
-        staged.clear();
-        // Fence #2: targets durable.
-        acc.flush_batch(&targets)?;
-        acc.sfence()?;
-        // Fence #3: invalidate the log — the commit point.
-        if self.tail > 0 {
-            bump_generation(acc, self.area, self.gen)?;
-        }
-        self.entry_batch.clear();
-        self.finished = true;
-        Ok(())
-    }
-
-    /// Rolls the operation back and invalidates the log. Staged target
-    /// writes are simply discarded; [`apply_undo`] additionally restores
-    /// any target the device did receive (it is a harmless no-op for
-    /// targets never issued), which covers aborts racing a partially
-    /// failed commit.
-    pub fn abort<A: LogAccess>(&mut self, acc: &A, staged: &mut StagedWrites) -> Result<()> {
-        self.finished = true;
-        staged.clear();
-        self.entry_batch.clear();
-        if self.tail > 0 {
-            apply_undo(acc, self.area, self.gen)?;
-        }
-        Ok(())
-    }
-
-    /// Best-effort [`abort`](Self::abort) for `Drop` impls: a session
-    /// dropped without commit (an early `?` return) must not leave
-    /// half-applied metadata. If the device has crashed, rollback fails
-    /// harmlessly here and recovery replays the log instead.
-    pub fn drop_rollback<A: LogAccess>(&mut self, acc: &A, staged: &mut StagedWrites) {
-        if !self.finished {
-            staged.clear();
-            if self.tail != 0 {
-                let _ = apply_undo(acc, self.area, self.gen);
-            }
-        }
-    }
-}
-
-/// An open device-backed undo session. Obtain with
-/// [`UndoSession::begin`]; every metadata mutation goes through
-/// [`log_and_write`](Self::log_and_write); reads that must observe the
-/// session's own staged writes go through [`read`](Self::read); finish
-/// with [`commit`](Self::commit) or [`abort`](Self::abort).
-///
-/// Exactly one session may be open per area at a time — the caller's
-/// sub-heap (or superblock) lock guarantees this. Dropping a session
-/// without committing rolls back immediately; a crash instead leaves
-/// durable entries (if fence #1 ran) for [`replay`] to roll back on
-/// recovery — and if it did not run, no target was ever touched.
-#[derive(Debug)]
-pub struct UndoSession<'a> {
-    dev: &'a PmemDevice,
-    core: LogCore,
-    staged: StagedWrites,
-}
-
-impl<'a> UndoSession<'a> {
-    /// Opens a session on `area`.
-    ///
-    /// # Errors
-    ///
-    /// [`PoseidonError::Corrupted`] if live entries from a crashed
-    /// operation are present (recovery must run first), or a device
-    /// error.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn begin(dev: &'a PmemDevice, area: UndoArea) -> Result<UndoSession<'a>> {
-        Ok(UndoSession { dev, core: LogCore::begin(dev, area)?, staged: Vec::new() })
-    }
-
-    /// As [`begin`](Self::begin), but re-drives a rollback that died
-    /// mid-flight (see [`LogCore::begin_recovering`]). The caller must
-    /// hold the area's lock.
-    ///
-    /// # Errors
-    ///
-    /// As for [`begin`](Self::begin), plus any error from re-driving the
-    /// stale rollback.
-    pub fn begin_recovering(dev: &'a PmemDevice, area: UndoArea) -> Result<UndoSession<'a>> {
-        Ok(UndoSession { dev, core: LogCore::begin_recovering(dev, area)?, staged: Vec::new() })
-    }
-
-    /// Logs the current content of `[target, target + new.len())`, then
-    /// stages `new` for that range. The store is issued and becomes
-    /// durable at [`commit`](Self::commit).
-    ///
-    /// # Errors
-    ///
-    /// [`PoseidonError::Corrupted`] if the log area overflows (operations
-    /// are designed to fit comfortably; overflow means a bug), or a
-    /// device error.
-    pub fn log_and_write(&mut self, target: u64, new: &[u8]) -> Result<()> {
-        self.core.log_and_write(self.dev, &mut self.staged, target, new)
-    }
-
-    /// Convenience: [`log_and_write`](Self::log_and_write) of a
-    /// [`Pod`](pmem::Pod) value.
+    /// [`log_and_write`](Self::log_and_write) of a [`pmem::Pod`] value.
     ///
     /// # Errors
     ///
@@ -415,59 +329,87 @@ impl<'a> UndoSession<'a> {
         self.log_and_write(target, value.as_bytes())
     }
 
-    /// Reads `buf.len()` bytes at `offset` through the staged-write
-    /// overlay, so the session observes its own not-yet-issued stores.
+    /// The two-fence commit described in the [module docs](self): fence
+    /// the log entries, issue + fence the staged stores (lines deduped),
+    /// bump the generation. A scope that staged nothing returns without
+    /// touching the device — zero flushes, zero fences.
     ///
     /// # Errors
     ///
-    /// Device errors.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn read(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-        self.dev.read(offset, buf)?;
-        overlay_patch(&self.staged, offset, buf);
+    /// Device errors only; the dropped scope then rolls back.
+    pub fn commit(mut self) -> Result<()> {
+        let mut staged = self.staged.borrow_mut();
+        if self.tail == 0 && staged.is_empty() {
+            self.finished = true;
+            return Ok(());
+        }
+        // Fence #1: every log entry durable before any target store is
+        // *issued* (required under adversarial eviction, see module docs).
+        self.acc.flush_batch(&self.entry_batch)?;
+        self.acc.sfence()?;
+        // Apply the staged mutations in order, deduplicating their lines.
+        let mut targets = FlushBatch::new();
+        for (target, bytes) in staged.iter() {
+            self.acc.write(*target, bytes)?;
+            targets.note(*target, bytes.len() as u64);
+        }
+        staged.clear();
+        // Fence #2: targets durable.
+        self.acc.flush_batch(&targets)?;
+        self.acc.sfence()?;
+        // Fence #3: invalidate the log — the commit point.
+        if self.tail > 0 {
+            bump_generation(self.acc, self.area, self.gen)?;
+        }
+        self.entry_batch.clear();
+        self.finished = true;
         Ok(())
     }
 
-    /// Reads a [`Pod`](pmem::Pod) value through the staged-write overlay.
-    ///
-    /// # Errors
-    ///
-    /// As for [`read`](Self::read).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn read_pod<T: pmem::Pod>(&self, offset: u64) -> Result<T> {
-        let mut value = T::zeroed();
-        self.read(offset, value.as_bytes_mut())?;
-        Ok(value)
-    }
-
-    /// Commits: one fence makes the log durable, the staged stores are
-    /// issued and fenced, and the generation bump invalidates the log —
-    /// three fences total, zero for an empty session (see the
-    /// [module docs](self)).
+    /// Rolls the scope back and invalidates the log: staged stores are
+    /// discarded, and [`apply_undo`] restores every logged range (newest
+    /// first) — a harmless no-op for targets never issued, which covers
+    /// aborts racing a partially failed commit.
     ///
     /// # Errors
     ///
     /// Device errors only.
-    pub fn commit(mut self) -> Result<()> {
-        self.core.commit(self.dev, &mut self.staged)
-    }
-
-    /// Rolls the session back: discards staged stores, restores every
-    /// logged range (newest first) and invalidates the log. The heap is
-    /// exactly as it was before [`begin`](Self::begin).
-    ///
-    /// # Errors
-    ///
-    /// Device errors only.
-    #[cfg_attr(not(test), allow(dead_code))]
     pub fn abort(mut self) -> Result<()> {
-        self.core.abort(self.dev, &mut self.staged)
+        self.drop_index();
+        self.finished = true;
+        self.staged.borrow_mut().clear();
+        self.entry_batch.clear();
+        if self.tail > 0 {
+            apply_undo(self.acc, self.area, self.gen)?;
+        }
+        Ok(())
+    }
+
+    /// Drops the record index: it may hold this scope's updates. Never
+    /// panics (it runs in `Drop`): the index is only ever borrowed inside
+    /// one `hashtable` call, so a borrow held here means a panic is
+    /// already unwinding out of one.
+    fn drop_index(&self) {
+        if let Some(mut index) = self.index.and_then(|cell| cell.try_borrow_mut().ok()) {
+            index.invalidate();
+        }
     }
 }
 
-impl Drop for UndoSession<'_> {
+impl<A: LogAccess> Drop for UndoScope<'_, A> {
+    /// A scope dropped unfinished (an early `?` return or a failed
+    /// commit) must not leave half-applied metadata behind: roll back
+    /// best-effort. If the device has crashed, rollback fails harmlessly
+    /// here and recovery replays the log instead.
     fn drop(&mut self) {
-        self.core.drop_rollback(self.dev, &mut self.staged);
+        if self.finished {
+            return;
+        }
+        self.drop_index();
+        self.staged.borrow_mut().clear();
+        if self.tail != 0 {
+            let _ = apply_undo(self.acc, self.area, self.gen);
+        }
     }
 }
 
@@ -510,7 +452,7 @@ pub(crate) fn read_entry<A: LogAccess>(
 /// invalidates the log.
 ///
 /// The log is fenced durable *before* the first restoration store is
-/// issued — the same discipline as [`LogCore::commit`]'s fence #1, for
+/// issued — the same discipline as [`UndoScope::commit`]'s fence #1, for
 /// the same reason: restores rewind through overlay-patched intermediate
 /// pre-images that never existed on media, so a crash that interrupts
 /// them is only recoverable if the complete chain survives for recovery
@@ -568,43 +510,169 @@ pub fn replay(dev: &PmemDevice, area: UndoArea) -> Result<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmem::{CrashMode, DeviceConfig};
+    use pmem::{AccessKind, CrashMode, DeviceConfig, Pod};
+
+    /// Bytes a test view maps: the generation field, the log area and
+    /// the targets.
+    const VIEW_LEN: u64 = 128 * 1024;
 
     fn setup() -> (PmemDevice, UndoArea) {
         let dev = PmemDevice::new(DeviceConfig::small_test());
-        // Generation field at 0, log area at 4096.
+        // Generation field at 0, log area at 4096, targets from 64 KiB.
         let area = UndoArea { base: 4096, size: 8192, gen_field: 0 };
         (dev, area)
     }
 
-    #[test]
-    fn commit_makes_writes_durable() {
-        let (dev, area) = setup();
-        let mut s = UndoSession::begin(&dev, area).unwrap();
-        s.log_and_write_pod(64 * 1024, &0xAAu64).unwrap();
-        s.log_and_write_pod(64 * 1024 + 8, &0xBBu64).unwrap();
-        s.commit().unwrap();
-        dev.simulate_crash(CrashMode::Strict, 0);
-        assert_eq!(dev.read_pod::<u64>(64 * 1024).unwrap(), 0xAA);
-        assert_eq!(dev.read_pod::<u64>(64 * 1024 + 8).unwrap(), 0xBB);
-        // Log is invalid after commit.
-        assert!(!replay(&dev, area).unwrap());
+    /// Opens a scope without claiming the area's lock (strict begin).
+    fn begin<'s, A: LogAccess>(
+        acc: &'s A,
+        staged: &'s RefCell<StagedWrites>,
+        area: UndoArea,
+    ) -> Result<UndoScope<'s, A>> {
+        UndoScope::begin(acc, staged, area, false, None)
+    }
+
+    /// Reads a word the way the scope's owner does: through the
+    /// staged-write overlay.
+    fn read_staged<A: LogAccess>(acc: &A, staged: &RefCell<StagedWrites>, offset: u64) -> u64 {
+        let mut word: u64 = acc.read_pod(offset).unwrap();
+        overlay_patch(&staged.borrow(), offset, word.as_bytes_mut());
+        word
+    }
+
+    /// Runs protocol case `$case(dev, acc, area)` over both access
+    /// paths, each on a fresh device: the raw device, then a `MetaView`
+    /// over [`VIEW_LEN`] bytes. Evaluates to each run's device stats
+    /// before and after, the latter taken once the view has dropped (a
+    /// view flushes its traffic counters on drop).
+    macro_rules! on_both_paths {
+        ($case:ident) => {{
+            let run = |through_view: bool| {
+                let (dev, area) = setup();
+                let before = dev.stats();
+                if through_view {
+                    let view = dev.map_meta(0, VIEW_LEN, AccessKind::Write).unwrap();
+                    $case(&dev, &view, area);
+                } else {
+                    $case(&dev, &dev, area);
+                }
+                (before, dev.stats())
+            };
+            [run(false), run(true)]
+        }};
     }
 
     #[test]
-    fn session_reads_see_staged_writes() {
-        let (dev, area) = setup();
-        let target = 64 * 1024;
-        dev.write_pod(target, &1u64).unwrap();
-        dev.persist(target, 8).unwrap();
-        let mut s = UndoSession::begin(&dev, area).unwrap();
-        s.log_and_write_pod(target, &2u64).unwrap();
-        // The store is staged: invisible on the raw device, visible
-        // through the session overlay.
-        assert_eq!(dev.read_pod::<u64>(target).unwrap(), 1);
-        assert_eq!(s.read_pod::<u64>(target).unwrap(), 2);
-        s.commit().unwrap();
-        assert_eq!(dev.read_pod::<u64>(target).unwrap(), 2);
+    fn commit_makes_writes_durable() {
+        fn case<A: LogAccess>(dev: &PmemDevice, acc: &A, area: UndoArea) {
+            let staged = RefCell::default();
+            let mut s = begin(acc, &staged, area).unwrap();
+            s.log_and_write_pod(64 * 1024, &0xAAu64).unwrap();
+            s.log_and_write_pod(64 * 1024 + 8, &0xBBu64).unwrap();
+            s.commit().unwrap();
+            dev.simulate_crash(CrashMode::Strict, 0);
+            assert_eq!(dev.read_pod::<u64>(64 * 1024).unwrap(), 0xAA);
+            assert_eq!(dev.read_pod::<u64>(64 * 1024 + 8).unwrap(), 0xBB);
+            // Log is invalid after commit.
+            assert!(!replay(dev, area).unwrap());
+        }
+        on_both_paths!(case);
+    }
+
+    #[test]
+    fn staged_writes_are_visible_only_through_the_overlay() {
+        fn case<A: LogAccess>(dev: &PmemDevice, acc: &A, area: UndoArea) {
+            let target = 64 * 1024;
+            dev.write_pod(target, &1u64).unwrap();
+            dev.persist(target, 8).unwrap();
+            let staged = RefCell::default();
+            let mut s = begin(acc, &staged, area).unwrap();
+            s.log_and_write_pod(target, &2u64).unwrap();
+            // The store is staged: invisible to a raw read, visible
+            // through the overlay.
+            assert_eq!(acc.read_pod::<u64>(target).unwrap(), 1);
+            assert_eq!(read_staged(acc, &staged, target), 2);
+            s.commit().unwrap();
+            assert_eq!(acc.read_pod::<u64>(target).unwrap(), 2);
+            assert_eq!(read_staged(acc, &staged, target), 2);
+        }
+        on_both_paths!(case);
+    }
+
+    #[test]
+    fn drop_without_commit_rolls_back() {
+        fn case<A: LogAccess>(dev: &PmemDevice, acc: &A, area: UndoArea) {
+            let target = 64 * 1024;
+            dev.write_pod(target, &7u64).unwrap();
+            let staged = RefCell::default();
+            {
+                let mut s = begin(acc, &staged, area).unwrap();
+                s.log_and_write_pod(target, &8u64).unwrap();
+                // dropped here without commit
+            }
+            assert_eq!(read_staged(acc, &staged, target), 7);
+            // A fresh scope can begin.
+            begin(acc, &staged, area).unwrap().commit().unwrap();
+        }
+        on_both_paths!(case);
+    }
+
+    #[test]
+    fn abort_restores_the_first_pre_image() {
+        // The overlay feeds entry pre-images: logging target→2 then
+        // target→3 must record old values 1 and 2 (not 1 and 1), and the
+        // abort restores them newest first, ending on the true pre-op 1.
+        fn case<A: LogAccess>(dev: &PmemDevice, acc: &A, area: UndoArea) {
+            let target = 64 * 1024;
+            dev.write_pod(target, &1u64).unwrap();
+            dev.persist(target, 8).unwrap();
+            let staged = RefCell::default();
+            let mut s = begin(acc, &staged, area).unwrap();
+            s.log_and_write_pod(target, &2u64).unwrap();
+            assert_eq!(read_staged(acc, &staged, target), 2);
+            s.log_and_write_pod(target, &3u64).unwrap();
+            assert_eq!(read_staged(acc, &staged, target), 3);
+            s.abort().unwrap();
+            assert_eq!(read_staged(acc, &staged, target), 1);
+            assert!(!replay(dev, area).unwrap());
+        }
+        on_both_paths!(case);
+    }
+
+    #[test]
+    fn overflow_is_detected() {
+        fn case<A: LogAccess>(_: &PmemDevice, acc: &A, area: UndoArea) {
+            let staged = RefCell::default();
+            let mut s = begin(acc, &staged, area).unwrap();
+            let big = vec![0u8; 4096];
+            let mut wrote = 0u64;
+            let err = loop {
+                match s.log_and_write(64 * 1024, &big) {
+                    Ok(()) => wrote += 1,
+                    Err(e) => break e,
+                }
+            };
+            assert!(wrote > 0);
+            assert!(matches!(err, PoseidonError::Corrupted("undo log overflow")));
+            s.abort().unwrap();
+        }
+        on_both_paths!(case);
+    }
+
+    #[test]
+    fn empty_commit_is_barrier_free() {
+        // A scope that logs nothing must not pay a single flush or fence,
+        // and must not bump the generation.
+        fn case<A: LogAccess>(dev: &PmemDevice, acc: &A, area: UndoArea) {
+            let gen_before: u64 = dev.read_pod(area.gen_field).unwrap();
+            let staged = RefCell::default();
+            begin(acc, &staged, area).unwrap().commit().unwrap();
+            assert_eq!(dev.read_pod::<u64>(area.gen_field).unwrap(), gen_before);
+        }
+        for (before, after) in on_both_paths!(case) {
+            assert_eq!(after.sfence_count, before.sfence_count, "empty commit fenced");
+            assert_eq!(after.clwb_count, before.clwb_count, "empty commit flushed");
+        }
     }
 
     #[test]
@@ -617,9 +685,10 @@ mod tests {
         dev.write_pod(target, &1u64).unwrap();
         dev.persist(target, 8).unwrap();
 
-        let mut s = UndoSession::begin(&dev, area).unwrap();
+        let staged = RefCell::default();
+        let mut s = begin(&dev, &staged, area).unwrap();
         s.log_and_write_pod(target, &2u64).unwrap();
-        std::mem::forget(s); // simulate losing the session in a crash
+        std::mem::forget(s); // simulate losing the scope in a crash
         dev.simulate_crash(CrashMode::Strict, 7);
 
         assert!(!replay(&dev, area).unwrap());
@@ -633,7 +702,8 @@ mod tests {
         dev.write_pod(target, &1u64).unwrap();
         dev.persist(target, 8).unwrap();
 
-        let mut s = UndoSession::begin(&dev, area).unwrap();
+        let staged = RefCell::default();
+        let mut s = begin(&dev, &staged, area).unwrap();
         s.log_and_write_pod(target, &2u64).unwrap();
         // Commit events: entry write, entry-line clwb, fence #1, target
         // write, … Crash on the target flush: the entry is durable, the
@@ -654,14 +724,15 @@ mod tests {
         let target = 64 * 1024;
         dev.write_pod(target, &1u64).unwrap();
         dev.persist(target, 8).unwrap();
-        let mut s = UndoSession::begin(&dev, area).unwrap();
+        let staged = RefCell::default();
+        let mut s = begin(&dev, &staged, area).unwrap();
         s.log_and_write_pod(target, &2u64).unwrap();
         s.log_and_write_pod(target, &3u64).unwrap(); // same target twice
         s.commit().unwrap();
         dev.simulate_crash(CrashMode::Strict, 0);
         assert_eq!(dev.read_pod::<u64>(target).unwrap(), 3);
         // Now interrupt a fresh double-update during target application.
-        let mut s = UndoSession::begin(&dev, area).unwrap();
+        let mut s = begin(&dev, &staged, area).unwrap();
         s.log_and_write_pod(target, &4u64).unwrap();
         s.log_and_write_pod(target, &5u64).unwrap();
         dev.arm_crash_after(6); // entry writes ×2, clwb ×2, fence, write
@@ -673,87 +744,28 @@ mod tests {
     }
 
     #[test]
-    fn second_log_of_same_target_records_first_staged_value() {
-        // The overlay feeds entry pre-images: logging target→2 then
-        // target→3 must record old values 1 and 2 (not 1 and 1), or
-        // reverse replay would be wrong if only the *second* entry's
-        // target application crashed. Verified through abort, which
-        // replays both entries.
-        let (dev, area) = setup();
-        let target = 64 * 1024;
-        dev.write_pod(target, &1u64).unwrap();
-        dev.persist(target, 8).unwrap();
-        let mut s = UndoSession::begin(&dev, area).unwrap();
-        s.log_and_write_pod(target, &2u64).unwrap();
-        assert_eq!(s.read_pod::<u64>(target).unwrap(), 2);
-        s.log_and_write_pod(target, &3u64).unwrap();
-        assert_eq!(s.read_pod::<u64>(target).unwrap(), 3);
-        s.abort().unwrap();
-        assert_eq!(dev.read_pod::<u64>(target).unwrap(), 1);
-    }
-
-    #[test]
-    fn abort_rolls_back_immediately() {
-        let (dev, area) = setup();
-        let target = 64 * 1024;
-        dev.write_pod(target, &7u64).unwrap();
-        let mut s = UndoSession::begin(&dev, area).unwrap();
-        s.log_and_write_pod(target, &8u64).unwrap();
-        assert_eq!(s.read_pod::<u64>(target).unwrap(), 8);
-        s.abort().unwrap();
-        assert_eq!(dev.read_pod::<u64>(target).unwrap(), 7);
-        assert!(!replay(&dev, area).unwrap());
-    }
-
-    #[test]
-    fn drop_without_commit_rolls_back() {
-        let (dev, area) = setup();
-        let target = 64 * 1024;
-        dev.write_pod(target, &7u64).unwrap();
-        {
-            let mut s = UndoSession::begin(&dev, area).unwrap();
-            s.log_and_write_pod(target, &8u64).unwrap();
-            // dropped here without commit
-        }
-        assert_eq!(dev.read_pod::<u64>(target).unwrap(), 7);
-        // A fresh session can begin.
-        UndoSession::begin(&dev, area).unwrap().commit().unwrap();
-    }
-
-    #[test]
     fn begin_rejects_unrecovered_log() {
         let (dev, area) = setup();
-        let mut s = UndoSession::begin(&dev, area).unwrap();
+        let staged = RefCell::default();
+        let mut s = begin(&dev, &staged, area).unwrap();
         s.log_and_write_pod(64 * 1024, &1u64).unwrap();
         std::mem::forget(s);
-        assert!(matches!(UndoSession::begin(&dev, area), Err(PoseidonError::Corrupted(_))));
+        let staged = RefCell::default();
+        assert!(matches!(begin(&dev, &staged, area), Err(PoseidonError::Corrupted(_))));
         replay(&dev, area).unwrap();
-        UndoSession::begin(&dev, area).unwrap().commit().unwrap();
-    }
-
-    #[test]
-    fn empty_commit_is_barrier_free() {
-        // Satellite regression: a session that logs nothing must not
-        // pay a single flush or fence, and must not bump the generation.
-        let (dev, area) = setup();
-        let gen_before: u64 = dev.read_pod(area.gen_field).unwrap();
-        let before = dev.stats();
-        UndoSession::begin(&dev, area).unwrap().commit().unwrap();
-        let after = dev.stats();
-        assert_eq!(after.sfence_count, before.sfence_count, "empty commit fenced");
-        assert_eq!(after.clwb_count, before.clwb_count, "empty commit flushed");
-        assert_eq!(dev.read_pod::<u64>(area.gen_field).unwrap(), gen_before);
+        begin(&dev, &staged, area).unwrap().commit().unwrap();
     }
 
     #[test]
     fn commit_dedupes_same_line_flushes() {
-        // Satellite regression: two staged writes to one cache line must
-        // cost one target clwb, not two (and the two 40-byte entries
-        // share a line boundary: lines 0 and 1 of the log area).
+        // Two staged writes to one cache line must cost one target clwb,
+        // not two (and the two 40-byte entries share a line boundary:
+        // lines 0 and 1 of the log area).
         let (dev, area) = setup();
         let target = 64 * 1024; // line-aligned
         let before = dev.stats();
-        let mut s = UndoSession::begin(&dev, area).unwrap();
+        let staged = RefCell::default();
+        let mut s = begin(&dev, &staged, area).unwrap();
         s.log_and_write_pod(target, &2u64).unwrap();
         s.log_and_write_pod(target + 8, &3u64).unwrap(); // same line
         s.commit().unwrap();
@@ -765,23 +777,13 @@ mod tests {
     }
 
     #[test]
-    fn overflow_is_detected() {
-        let (dev, area) = setup();
-        let mut s = UndoSession::begin(&dev, area).unwrap();
-        let big = vec![0u8; 4096];
-        s.log_and_write(64 * 1024, &big).unwrap();
-        let r = s.log_and_write(80 * 1024, &big);
-        assert!(matches!(r, Err(PoseidonError::Corrupted("undo log overflow"))));
-        s.abort().unwrap();
-    }
-
-    #[test]
     fn replay_survives_crash_during_replay() {
         let (dev, area) = setup();
         let target = 64 * 1024;
         dev.write_pod(target, &1u64).unwrap();
         dev.persist(target, 8).unwrap();
-        let mut s = UndoSession::begin(&dev, area).unwrap();
+        let staged = RefCell::default();
+        let mut s = begin(&dev, &staged, area).unwrap();
         s.log_and_write_pod(target, &2u64).unwrap();
         s.log_and_write_pod(target + 8, &9u64).unwrap();
         // Crash right after fence #1 (2 entry writes + 2 entry-line
@@ -806,24 +808,25 @@ mod tests {
         // A rollback that dies partway (here: device failure during the
         // abort) leaves the log live. A lock-holding caller must be able
         // to finish the rollback instead of wedging until a power cycle;
-        // plain begin (which cannot assume the lock) still rejects.
+        // a strict begin (which cannot assume the lock) still rejects.
         let (dev, area) = setup();
         let target = 64 * 1024;
         dev.write_pod(target, &1u64).unwrap();
         dev.persist(target, 8).unwrap();
-        let mut s = UndoSession::begin(&dev, area).unwrap();
+        let staged = RefCell::default();
+        let mut s = begin(&dev, &staged, area).unwrap();
         s.log_and_write_pod(target, &2u64).unwrap();
         s.log_and_write_pod(target + 8, &9u64).unwrap();
         dev.arm_crash_after(5);
-        assert!(s.commit().is_err()); // consumes s; drop_rollback fails too
+        assert!(s.commit().is_err()); // consumes s; its rollback fails too
         dev.clear_crash();
 
-        // Plain begin stays strict about the live log...
-        assert!(matches!(UndoSession::begin(&dev, area), Err(PoseidonError::Corrupted(_))));
+        // A strict begin stays strict about the live log...
+        assert!(matches!(begin(&dev, &staged, area), Err(PoseidonError::Corrupted(_))));
 
-        // ...but begin_recovering re-drives the rollback and opens
+        // ...but a lock-holding begin re-drives the rollback and opens
         // cleanly on the bumped generation.
-        let s = UndoSession::begin_recovering(&dev, area).unwrap();
+        let s = UndoScope::begin(&dev, &staged, area, true, None).unwrap();
         drop(s);
         assert_eq!(dev.read_pod::<u64>(target).unwrap(), 1);
         assert!(!replay(&dev, area).unwrap());
@@ -850,8 +853,9 @@ mod tests {
                 }
                 let start_gen: u64 = dev.read_pod(area.gen_field).unwrap();
                 dev.arm_crash_after(arm);
+                let staged = RefCell::default();
                 let committed = (|| -> Result<()> {
-                    let mut s = UndoSession::begin(&dev, area)?;
+                    let mut s = begin(&dev, &staged, area)?;
                     for i in 0..3 {
                         s.log_and_write_pod(targets(i), &2u64)?;
                     }
@@ -897,14 +901,14 @@ mod tests {
     fn generation_bump_invalidates_stale_entries() {
         let (dev, area) = setup();
         let target = 64 * 1024;
-        let mut s = UndoSession::begin(&dev, area).unwrap();
+        let staged = RefCell::default();
+        let mut s = begin(&dev, &staged, area).unwrap();
         s.log_and_write_pod(target, &5u64).unwrap();
         s.commit().unwrap();
         // The old entry bytes still sit in the log area but belong to a
-        // dead generation: a new session starts clean and replay is a
-        // no-op.
+        // dead generation: a new scope starts clean and replay is a no-op.
         assert!(!replay(&dev, area).unwrap());
-        let mut s = UndoSession::begin(&dev, area).unwrap();
+        let mut s = begin(&dev, &staged, area).unwrap();
         s.log_and_write_pod(target, &6u64).unwrap();
         s.commit().unwrap();
         assert_eq!(dev.read_pod::<u64>(target).unwrap(), 6);

@@ -10,6 +10,15 @@ export CARGO_NET_OFFLINE=true
 echo "== cargo fmt --check"
 cargo fmt --all --check
 
+# Test-only code stays out of production paths: an item only tests use
+# is deleted or moved into the test module, never kept alive behind an
+# allow(dead_code).
+echo "== no allow(dead_code) under crates/*/src or src/"
+if grep -rnE "allow\([^)]*dead_code" crates/*/src src; then
+    echo "allow(dead_code) found above: delete the unused item instead" >&2
+    exit 1
+fi
+
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -474,7 +474,7 @@ fn run_grow_case(case_seed: u64, with_poison: bool) -> Result<CaseOutcome, Strin
     // so the extent table must tile the *recovered* logical space).
     heap.audit().map_err(|e| format!("post-recovery audit: {e}"))?;
     let frozen = heap.quarantined_subheaps();
-    let recovery = heap.last_recovery();
+    let recovery = heap.recovery_report();
     let huge = heap.huge_audit().map_err(|e| format!("post-recovery huge audit: {e}"))?;
     if heap.layout().huge_data_size() > 0 && !recovery.huge_region_quarantined && huge.is_none() {
         return Err("huge region unavailable without being quarantined".into());
@@ -633,7 +633,7 @@ fn run_maint_case(case_seed: u64, with_poison: bool, with_grow: bool) -> Result<
     // double-claim offsets and fail these audits.
     heap.audit().map_err(|e| format!("post-recovery audit: {e}"))?;
     let frozen = heap.quarantined_subheaps();
-    let recovery = heap.last_recovery();
+    let recovery = heap.recovery_report();
     let huge = heap.huge_audit().map_err(|e| format!("post-recovery huge audit: {e}"))?;
     if heap.layout().huge_data_size() > 0 && !recovery.huge_region_quarantined && huge.is_none() {
         return Err("huge region unavailable without being quarantined".into());
@@ -817,7 +817,7 @@ fn run_case(case_seed: u64, with_tx: bool, with_poison: bool) -> Result<CaseOutc
     // count matches the frozen sub-heap set, and the audit sees at least
     // the block quarantine recovery claims (frees before the crash may
     // have quarantined more).
-    let recovery = heap.last_recovery();
+    let recovery = heap.recovery_report();
     let frozen = heap.quarantined_subheaps();
     if recovery.subheaps_quarantined as usize != frozen.len() {
         return Err(format!(

@@ -153,7 +153,7 @@ fn main() -> ExitCode {
             epoch.huge_size >> 20,
         );
     }
-    let report = heap.last_recovery();
+    let report = heap.recovery_report();
     if report.crash_detected() {
         println!(
             "recovery : CRASH DETECTED — superblock undo: {}, sub-heap undos: {}, huge undo: {}, \
@@ -229,6 +229,13 @@ fn main() -> ExitCode {
             return ExitCode::from(1);
         }
     };
+    let frag = match heap.fragmentation() {
+        Ok(frag) => frag,
+        Err(e) => {
+            eprintln!("pfsck: STRUCTURAL CORRUPTION: {e}");
+            return ExitCode::from(1);
+        }
+    };
     let mut total_alloc = 0;
     let mut total_free = 0;
     let mut total_quarantined = 0;
@@ -236,6 +243,13 @@ fn main() -> ExitCode {
         total_alloc += audit.alloc_bytes;
         total_free += audit.free_bytes;
         total_quarantined += audit.quarantined_bytes;
+        // External fragmentation: the share of free bytes a single
+        // largest-block allocation cannot use.
+        let fragmentation = frag
+            .subheaps
+            .iter()
+            .find(|s| s.subheap == *sub && s.free_bytes > 0)
+            .map_or(0.0, |s| 1.0 - s.largest_block as f64 / s.free_bytes as f64);
         println!(
             "subheap {sub:>3}: {:>7} blocks ({:>6} allocated), {:>8} KiB live, {:>8} KiB free, \
              {} levels, {:>5} tombstones, fragmentation {:>5.1}%",
@@ -245,7 +259,7 @@ fn main() -> ExitCode {
             audit.free_bytes >> 10,
             audit.active_levels,
             audit.tombstones,
-            100.0 * audit.fragmentation()
+            100.0 * fragmentation
         );
         if audit.quarantined_blocks > 0 {
             println!(

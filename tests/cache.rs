@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use pmem::{CrashMode, DeviceConfig, PmemDevice};
-use poseidon::{CacheConfig, HeapConfig, PoseidonError, PoseidonHeap};
+use poseidon::{HeapConfig, PoseidonError, PoseidonHeap};
 
 fn fresh(bytes: u64) -> Arc<PmemDevice> {
     Arc::new(PmemDevice::new(DeviceConfig::new(bytes)))
@@ -194,24 +194,23 @@ fn tiny_pool_degrades_to_cache_bypass_without_oom() {
 
 #[test]
 fn bounded_cache_drains_when_the_pool_overflows() {
-    // A deliberately small cache: magazine of 4, pool of 8. Freeing far
-    // more blocks than that must overflow into batched drains (visible in
-    // the stats) while the audit stays balanced.
-    let config = CacheConfig { enabled: true, magazine_size: 4, max_cached_per_class: 8 };
+    // The default cache holds a magazine of 32 blocks per CPU and class
+    // and a transfer pool of 128 per sub-heap and class. Freeing far more
+    // blocks than that must overflow into batched drains (visible in the
+    // stats) while the audit stays balanced.
     let dev = fresh(64 << 20);
-    let heap =
-        PoseidonHeap::create(dev.clone(), HeapConfig::new().with_subheaps(1).with_cache(config)).unwrap();
+    let heap = PoseidonHeap::create(dev.clone(), HeapConfig::new().with_subheaps(1)).unwrap();
     pmem::numa::set_current_cpu(0);
-    let held: Vec<_> = (0..256).map(|_| heap.alloc(64).unwrap()).collect();
+    let held: Vec<_> = (0..2048).map(|_| heap.alloc(64).unwrap()).collect();
     for p in held {
         heap.free(p).unwrap();
     }
     let profile = heap.contention_profile();
     let cache = profile[0].cache.expect("cache stats");
-    assert!(cache.drains > 0, "256 frees through a 12-slot cache never drained: {cache:?}");
-    // The cache never holds more than its configured bound.
+    assert!(cache.drains > 0, "2048 frees through a 192-slot cache never drained: {cache:?}");
+    // The cache never holds more than its bound.
     assert!(
-        heap.cache_snapshot().len() <= 8 + 2 * 4,
+        heap.cache_snapshot().len() <= 128 + 2 * 32,
         "cache exceeded its bound: {} blocks",
         heap.cache_snapshot().len()
     );

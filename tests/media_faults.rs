@@ -34,7 +34,7 @@ fn poisoned_free_block_is_quarantined_and_never_reused() {
     dev.simulate_crash(CrashMode::Strict, 1);
 
     let heap = PoseidonHeap::load(dev.clone(), HeapConfig::new()).unwrap();
-    let report = heap.last_recovery();
+    let report = heap.recovery_report();
     assert!(report.media_damage_detected());
     assert_eq!(report.subheaps_quarantined, 0, "user-line poison must not freeze the sub-heap");
     assert_eq!(report.blocks_quarantined, 1);
@@ -159,7 +159,7 @@ fn poisoned_metadata_quarantines_subheap_and_alloc_fails_over() {
 
     let heap = PoseidonHeap::load(dev.clone(), HeapConfig::new()).unwrap();
     assert_eq!(heap.quarantined_subheaps(), vec![home]);
-    assert_eq!(heap.last_recovery().subheaps_quarantined, 1);
+    assert_eq!(heap.recovery_report().subheaps_quarantined, 1);
 
     // alloc transparently retries from the healthy sub-heap, even when the
     // calling CPU's home sub-heap is the frozen one...
