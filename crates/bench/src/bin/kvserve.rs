@@ -148,10 +148,10 @@ fn print_report(report: &SoakReport) {
     }
     let h = &report.health;
     println!(
-        "maintenance: {} steps, {} full passes, {} buddy merges, {} table levels shrunk, \
-         {} cached blocks trimmed",
-        h.maint_steps, h.maint_passes, h.maint_merges, h.maint_table_levels_shrunk, h.maint_blocks_trimmed
+        "maintenance: {} steps, {} buddy merges, {} table levels shrunk, {} cached blocks trimmed",
+        h.maint_steps, h.maint_merges, h.maint_table_levels_shrunk, h.maint_blocks_trimmed
     );
+    println!("background engine: {} full passes (scrub and maintenance visits)", h.passes);
 
     println!("\n## totals");
     for (class, summary) in &report.totals {

@@ -216,7 +216,7 @@ fn digest() {
             dev.poison(heap.layout().user_base(sub) + 64 * rng.below(4096), 1).expect("user poison");
         }
     }
-    let mut total = poseidon::ScrubStep::default();
+    let mut total = poseidon::MaintStep::default();
     while total.passes_completed < 2 {
         total.absorb(&heap.scrub_step(1).expect("scrub step"));
     }
@@ -228,7 +228,7 @@ fn digest() {
     fold.update(health.subheaps_condemned_live);
     fold.update(health.blocks_quarantined_live);
     fold.update(health.media_errors_during_scrub);
-    fold.update(total.units_examined);
+    fold.update(total.units_visited);
     println!("\n## Self-healing digest (1 metadata + 16 user-data faults, 2 scrub passes)");
     println!("{:<12} {:>#18x} {:>#20x}", "self-heal", HEAL_SEED, fold.finish());
     println!(
@@ -236,7 +236,7 @@ fn digest() {
         health.quarantined_subheaps,
         health.blocks_quarantined_live,
         health.media_errors_during_scrub,
-        total.units_examined
+        total.units_visited
     );
 
     // Sparse-cost digest: creating and then growing an almost-empty
@@ -790,7 +790,7 @@ fn ablation(options: &Options) {
             }
             if every != 0 && op % every == 0 {
                 let step = heap.scrub_step(budget).expect("scrub step");
-                units += step.units_examined;
+                units += step.units_visited;
                 if step.blocks_quarantined > 0 {
                     detected = Some(op);
                     break;

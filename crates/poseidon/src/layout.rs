@@ -855,6 +855,9 @@ mod tests {
     #[test]
     fn locate_classifies_every_region() {
         let layout = HeapLayout::compute(256 << 20, 4).unwrap();
+        // The first byte past the huge data belongs to no region.
+        let huge_end = layout.huge_bands()[0].phys + layout.huge_data_size();
+        assert_eq!(layout.locate(huge_end), Region::Unused);
         layout.push_epoch(layout.plan_growth(512 << 20).unwrap()).unwrap();
         assert_eq!(layout.locate(0), Region::Superblock);
         assert_eq!(layout.locate(layout.meta_base(1) + 8), Region::SubMeta(1));
@@ -867,6 +870,13 @@ mod tests {
         assert_eq!(layout.locate(band.phys + 100), Region::HugeData { logical: band.logical + 100 });
         // Epoch 0's per-sub rounding remainder belongs to no region.
         assert_eq!(layout.locate(layout.epoch(0).capacity - 1), Region::Unused);
+
+        // A layout too small to carve a huge region.
+        let small = HeapLayout::compute(8 << 20, 1).unwrap();
+        assert_eq!(small.huge_data_size(), 0);
+        assert_eq!(small.locate(small.meta_base(0)), Region::SubMeta(0));
+        assert_eq!(small.locate(small.user_base(0)), Region::SubUser(0));
+        assert_eq!(small.locate(small.capacity()), Region::Unused);
     }
 
     #[test]

@@ -38,6 +38,13 @@
 //! ([`PoseidonHeap::scrub_step`]) promotes latent poison to quarantine
 //! before a user thread trips on it — see [`PoseidonHeap::health`].
 //!
+//! Deferred buddy coalescing is paid down the same way: the scrubber and
+//! incremental defragmentation ([`PoseidonHeap::maint_step`]) are two
+//! kinds of visit on one background engine — one cursor over the
+//! sub-heaps and the huge region, one budgeted step loop, one step report
+//! ([`MaintStep`]) — with [`PoseidonHeap::maint_tick`] letting a serving
+//! loop leave the scheduling to its pressure and watermark triggers.
+//!
 //! This implementation runs on the [`pmem`] simulated-NVMM substrate and
 //! the [`mpk`] simulated protection keys (see those crates and `DESIGN.md`
 //! for the substitution rationale); the allocator logic itself is exactly
@@ -107,5 +114,5 @@ pub use maintenance::{ClassFrag, FragmentationReport, HugeFrag, MaintStep, Subhe
 pub use nvmptr::{NvmPtr, MAX_OFFSET};
 pub use recovery::RecoveryReport;
 pub use repair::{repair, RepairReport};
-pub use selfheal::{HeapHealth, ScrubStep};
+pub use selfheal::HeapHealth;
 pub use subheap::SubheapAudit;

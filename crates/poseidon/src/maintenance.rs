@@ -1,17 +1,27 @@
-//! Background maintenance engine: budgeted incremental defragmentation
-//! driven by live fragmentation statistics.
+//! The background engine: one budgeted cursor over the heap's units that
+//! drives both the scrubber and incremental defragmentation.
 //!
 //! The whole-heap [`defragment`](PoseidonHeap::defragment) pass is a
-//! stop-the-world affair — unusable inside a serving loop. This module
-//! is the incremental replacement, shaped like the scrubber
-//! ([`PoseidonHeap::scrub_step`]): a session-persistent cursor walks the
-//! same unit partition (one unit per sub-heap, plus one for the huge
-//! region) and each [`maint_step`](PoseidonHeap::maint_step) performs at
-//! most `budget` bounded *units of work* before returning.
+//! stop-the-world affair — unusable inside a serving loop — and so is a
+//! full poison sweep. Both are broken into *unit visits* on one engine:
+//! a session-persistent cursor walks the unit partition (each sub-heap,
+//! then the huge region) and a *step* visits at most one cycle of units
+//! from the cursor, stopping once its budget is spent. Each kind hands
+//! the step loop its unit visit and the loop never branches on its
+//! caller:
 //!
-//! A unit of work is one committed metadata operation under the ordinary
-//! two-fence undo discipline, so a crash after any unit recovers exactly
-//! like a crash after any alloc or free:
+//! * the scrub visit ([`PoseidonHeap::scrub_step`], in `selfheal`) costs
+//!   one budget unit per unit visited;
+//! * the maintenance visit ([`PoseidonHeap::maint_step`]) costs one
+//!   budget unit per committed operation, and a clean visit is free.
+//!
+//! Only a visit that finishes its unit advances the cursor, so a
+//! maintenance visit cut short by its budget resumes where it stopped.
+//! Every step returns the same report, [`MaintStep`].
+//!
+//! A maintenance operation is one committed metadata operation under the
+//! ordinary two-fence undo discipline, so a crash after any of them
+//! recovers exactly like a crash after any alloc or free:
 //!
 //! * **buddy merge** — one [`defrag::merge_once`] scope: unlink both
 //!   halves, delete the loser's record, push the doubled survivor (the
@@ -24,29 +34,27 @@
 //!   fast-path hits), which re-arms them for merging.
 //!
 //! The huge region needs no active work — extent coalescing is eager up
-//! to band walls on every huge free — so its unit is a read-only scan
-//! that refreshes the cached largest-free-extent figure
-//! ([`PoseidonHeap::huge_largest_free`]), fixing the historical wart
-//! that the figure was observable only inside a
-//! [`TooLarge`](crate::PoseidonError::TooLarge) failure.
+//! to band walls on every huge free — so its maintenance visit is a
+//! read-only scan that refreshes the cached largest-free-extent figure
+//! ([`PoseidonHeap::huge_largest_free`]).
 //!
-//! **Trigger policy** ([`PoseidonHeap::maint_needed`]): the engine
+//! **Trigger policy** ([`PoseidonHeap::maint_needed`]): maintenance
 //! self-schedules from two inputs, mirroring how the growth pressure
 //! flag works. A `NoSpace`/`TooLarge` failure on the alloc paths sets a
-//! pressure flag (cleared by the first fully-clean maintenance pass),
-//! and the always-on fragmentation accounting
+//! pressure flag, and the always-on fragmentation accounting
 //! ([`PoseidonHeap::fragmentation`]) caches watermark inputs: when a
 //! quarter of the sub-heap free bytes sit in buddy pairs that could
 //! merge but have not (the deferred-coalescing debt), maintenance is
-//! due. [`PoseidonHeap::maint_tick`] packages the policy check and the
-//! step for serving loops.
+//! due. A step that visits every unit and finds no work proves the debt
+//! is zero, so it lowers both the pressure flag and the cached debt.
+//! [`PoseidonHeap::maint_tick`] packages the policy check and the step
+//! for serving loops.
 
 use std::sync::atomic::Ordering;
-use std::time::Instant;
 
 use crate::buddy;
 use crate::defrag;
-use crate::error::{OpKind, PoseidonError, Result};
+use crate::error::{OpKind, Result};
 use crate::hashtable;
 use crate::heap::PoseidonHeap;
 use crate::layout::{class_size, HUGE_EXTENT_SLOTS, NUM_CLASSES};
@@ -134,16 +142,24 @@ impl FragmentationReport {
     }
 }
 
-/// What one [`PoseidonHeap::maint_step`] (or an accumulated
-/// [`maint_until`](PoseidonHeap::maint_until) run) did.
+/// One unit of the engine's partition: each sub-heap, then the huge
+/// region (when the layout carves one).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Unit {
+    Sub(u16),
+    Huge,
+}
+
+/// What one engine step — [`PoseidonHeap::scrub_step`] or
+/// [`PoseidonHeap::maint_step`] — did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MaintStep {
-    /// Unit visits (a unit may be visited more than once per step if the
-    /// budget allows a full cycle).
+    /// Units visited — at most one cycle over every unit.
     pub units_visited: u64,
     /// Full passes over every unit completed.
     pub passes_completed: u64,
-    /// Committed units of work — never exceeds the step's budget.
+    /// Budget spent — never exceeds the step's budget: committed
+    /// operations on a maintenance step, units visited on a scrub step.
     pub work_units: u64,
     /// Buddy merges committed.
     pub merges: u64,
@@ -158,9 +174,20 @@ pub struct MaintStep {
     /// Huge-region scans performed (read-only; refresh the cached
     /// largest-free-extent figure).
     pub huge_scans: u64,
-    /// Whether the step observed a full clean cycle: every unit visited
-    /// back-to-back with no work left to do. The heap is as defragmented
-    /// as buddy merging can make it.
+    /// Sub-heaps the scrubber condemned wholesale (metadata poison found,
+    /// or the block walk itself faulted).
+    pub subheaps_condemned: u64,
+    /// Free blocks the scrubber promoted to `QUARANTINED`.
+    pub blocks_quarantined: u64,
+    /// Bytes covered by the promoted blocks and extents.
+    pub bytes_quarantined: u64,
+    /// Huge extents the scrubber promoted to `QUARANTINED`.
+    pub extents_quarantined: u64,
+    /// Whether the scrubber quarantined the huge region wholesale.
+    pub huge_region_quarantined: bool,
+    /// Whether the step visited every unit and none had work: the heap is
+    /// as defragmented as buddy merging can make it. Never set on a scrub
+    /// step, whose visits always cost budget.
     pub fully_defragged: bool,
 }
 
@@ -176,12 +203,12 @@ impl MaintStep {
         self.table_bytes_released += other.table_bytes_released;
         self.cache_blocks_trimmed += other.cache_blocks_trimmed;
         self.huge_scans += other.huge_scans;
+        self.subheaps_condemned += other.subheaps_condemned;
+        self.blocks_quarantined += other.blocks_quarantined;
+        self.bytes_quarantined += other.bytes_quarantined;
+        self.extents_quarantined += other.extents_quarantined;
+        self.huge_region_quarantined |= other.huge_region_quarantined;
         self.fully_defragged = other.fully_defragged;
-    }
-
-    /// Whether the step committed any work at all.
-    pub fn found_work(&self) -> bool {
-        self.work_units > 0
     }
 }
 
@@ -319,7 +346,7 @@ impl PoseidonHeap {
 
     /// Raises the maintenance pressure flag — called by the alloc paths
     /// when space runs out, exactly like the growth pressure signal. The
-    /// next fully-clean maintenance pass lowers it.
+    /// next fully-defragged maintenance step lowers it.
     pub(crate) fn note_space_pressure(&self) {
         self.health.maint_pressure.store(true, Ordering::Release);
     }
@@ -327,8 +354,9 @@ impl PoseidonHeap {
     /// Whether the trigger policy wants maintenance to run now: either
     /// the alloc paths signalled space pressure, or the last
     /// fragmentation sample found more than a quarter of the sub-heap
-    /// free bytes sitting in mergeable-but-unmerged buddy pairs. Two
-    /// atomic loads.
+    /// free bytes sitting in mergeable-but-unmerged buddy pairs and no
+    /// fully-defragged step has retired that debt since. Two atomic
+    /// loads.
     pub fn maint_needed(&self) -> bool {
         if self.health.maint_pressure.load(Ordering::Acquire) {
             return true;
@@ -354,17 +382,60 @@ impl PoseidonHeap {
         self.maint_step(budget).map(Some)
     }
 
-    /// One budgeted maintenance increment: resumes at the engine's
-    /// cursor and commits at most `budget` units of work — buddy merges,
-    /// hash-table level retirements, and (under pressure) cache trims —
-    /// each under its own two-fence undo scope, so a crash after any
-    /// unit recovers cleanly. The huge region's unit is a read-only scan
+    /// The engine's step loop, shared by [`scrub_step`](Self::scrub_step)
+    /// and [`maint_step`](Self::maint_step): visits at most one cycle of
+    /// units from the cursor and stops once `budget` is spent. `visit`
+    /// works one unit on the budget left and returns what it spent and
+    /// whether it finished the unit; only a finished visit advances the
+    /// cursor, so an unfinished one resumes there on the next step.
+    pub(crate) fn engine_step(
+        &self,
+        budget: usize,
+        mut visit: impl FnMut(Unit, u64, &mut MaintStep) -> Result<(u64, bool)>,
+    ) -> Result<MaintStep> {
+        let n = self.layout.num_subheaps() as u64;
+        let units = n + u64::from(self.layout.huge_data_size() > 0);
+        let budget = budget.max(1) as u64;
+        let mut step = MaintStep::default();
+        while step.units_visited < units && step.work_units < budget {
+            let raw = self.health.cursor.load(Ordering::Relaxed);
+            let unit = match raw % units {
+                i if i == n => Unit::Huge,
+                i => Unit::Sub(i as u16),
+            };
+            step.units_visited += 1;
+            let (spent, finished) = visit(unit, budget - step.work_units, &mut step)?;
+            step.work_units += spent;
+            // A concurrent step may already have moved the cursor on, in
+            // which case this visit simply doubled up and the cursor stays
+            // theirs.
+            if finished
+                && self
+                    .health
+                    .cursor
+                    .compare_exchange(raw, raw + 1, Ordering::Relaxed, Ordering::Relaxed)
+                    .is_ok()
+                && (raw + 1).is_multiple_of(units)
+            {
+                self.health.passes.fetch_add(1, Ordering::Relaxed);
+                step.passes_completed += 1;
+            }
+        }
+        step.fully_defragged = step.units_visited == units && step.work_units == 0;
+        Ok(step)
+    }
+
+    /// One budgeted maintenance step: resumes at the engine's cursor and
+    /// commits at most `budget` operations — buddy merges, hash-table
+    /// level retirements, and (under pressure) cache trims — each under
+    /// its own two-fence undo scope, so a crash after any of them
+    /// recovers cleanly. The huge region's visit is a read-only scan
     /// refreshing [`huge_largest_free`](Self::huge_largest_free).
     ///
-    /// Returns early with `fully_defragged` set when a whole cycle over
-    /// every unit found nothing left to do; that also lowers the
-    /// pressure flag. Safe to call concurrently with serving traffic —
-    /// each unit takes only the ordinary per-sub-heap lock for its own
+    /// Sets `fully_defragged` when the step visited every unit and found
+    /// nothing to do; that lowers the pressure flag and the cached
+    /// coalescing debt. Safe to call concurrently with serving traffic —
+    /// each visit takes only the ordinary per-sub-heap lock for its own
     /// duration.
     ///
     /// # Errors
@@ -373,53 +444,18 @@ impl PoseidonHeap {
     /// through the self-healing layer (counted as scrub-path errors)
     /// before surfacing.
     pub fn maint_step(&self, budget: usize) -> Result<MaintStep> {
-        match self.maint_step_inner(budget) {
-            Err(e @ PoseidonError::MediaError { .. }) => {
-                let (e, _) = self.heal_media_error(e, OpKind::Scrub);
-                Err(e)
-            }
-            other => other,
-        }
-    }
-
-    fn maint_step_inner(&self, budget: usize) -> Result<MaintStep> {
-        let n = self.layout.num_subheaps() as u64;
-        let units = n + u64::from(self.layout.huge_data_size() > 0);
-        let budget = budget.max(1) as u64;
         let aggressive = self.health.maint_pressure.load(Ordering::Acquire);
-        let mut step = MaintStep::default();
-        let mut clean = 0u64;
-        while step.work_units < budget && clean < units {
-            let raw = self.health.maint_cursor.load(Ordering::Relaxed);
-            let unit = raw % units;
-            step.units_visited += 1;
-            let left = budget - step.work_units;
-            let (spent, drained) = if unit == n {
-                self.maint_huge_unit(&mut step)?
-            } else {
-                self.maint_sub_unit(unit as u16, left, aggressive, &mut step)?
-            };
-            step.work_units += spent;
-            clean = if spent == 0 { clean + 1 } else { 0 };
-            if drained {
-                // Advance past the drained unit; a concurrent engine may
-                // already have moved the cursor, in which case this visit
-                // simply doubled up and the cursor stays theirs.
-                if self
-                    .health
-                    .maint_cursor
-                    .compare_exchange(raw, raw + 1, Ordering::Relaxed, Ordering::Relaxed)
-                    .is_ok()
-                    && (raw + 1).is_multiple_of(units)
-                {
-                    self.health.maint_passes.fetch_add(1, Ordering::Relaxed);
-                    step.passes_completed += 1;
-                }
-            }
-        }
-        step.fully_defragged = clean >= units;
+        let step = self
+            .engine_step(budget, |unit, left, step| match unit {
+                Unit::Sub(sub) => self.maint_sub_visit(sub, left, aggressive, step),
+                Unit::Huge => self.maint_huge_visit(step),
+            })
+            .map_err(|e| self.heal_media_error(e, OpKind::Scrub).0)?;
         if step.fully_defragged {
+            // A clean cycle proves the debt is zero: nothing is left for
+            // the pressure flag or the last fragmentation sample to ask for.
             self.health.maint_pressure.store(false, Ordering::Release);
+            self.health.maint_frag_bytes.store(0, Ordering::Relaxed);
         }
         self.health.maint_steps.fetch_add(1, Ordering::Relaxed);
         self.health.maint_merges.fetch_add(step.merges, Ordering::Relaxed);
@@ -428,11 +464,10 @@ impl PoseidonHeap {
         Ok(step)
     }
 
-    /// Works sub-heap `sub` for up to `left` units. Returns the units
-    /// spent and whether the unit is *drained* (nothing left that the
-    /// remaining budget could not cover — i.e. the visit ended for lack
-    /// of work, not lack of budget).
-    fn maint_sub_unit(
+    /// Works sub-heap `sub` for up to `left` operations. Returns the
+    /// operations committed and whether the visit finished the unit (it
+    /// ended for lack of work, not lack of budget).
+    fn maint_sub_visit(
         &self,
         sub: u16,
         left: u64,
@@ -446,8 +481,8 @@ impl PoseidonHeap {
         if aggressive && spent < left {
             // Trim: hand the sub-heap's cold cached blocks back to the
             // free lists so the merge scan below can coalesce them. One
-            // unit when anything moved (bounded by the cache's residency,
-            // which magazine capacities cap).
+            // operation when anything moved (bounded by the cache's
+            // residency, which magazine capacities cap).
             let trimmed = self.evict_subheap_cache(sub)?;
             if trimmed > 0 {
                 spent += 1;
@@ -472,38 +507,15 @@ impl PoseidonHeap {
         Ok((spent, spent < left))
     }
 
-    /// The huge region's unit: extent coalescing is eager up to band
+    /// The huge region's visit: extent coalescing is eager up to band
     /// walls on every free, so there is never merge work to commit here
-    /// — the unit is a read-only scan that refreshes the cached
-    /// largest-free-extent figure. Costs no budget and always drains.
-    fn maint_huge_unit(&self, step: &mut MaintStep) -> Result<(u64, bool)> {
+    /// — the visit is a read-only scan that refreshes the cached
+    /// largest-free-extent figure. Free, and always finishes.
+    fn maint_huge_visit(&self, step: &mut MaintStep) -> Result<(u64, bool)> {
         if self.huge_fragmentation()?.is_some() {
             step.huge_scans += 1;
         }
         Ok((0, true))
-    }
-
-    /// Runs [`maint_step`](Self::maint_step) increments until the heap
-    /// is fully defragged or `deadline` passes, yielding between steps.
-    /// Returns the accumulated step; check its `fully_defragged` flag to
-    /// see which way the run ended.
-    ///
-    /// [`defragment`](Self::defragment) is this without a deadline on a
-    /// pressure-marked heap.
-    ///
-    /// # Errors
-    ///
-    /// As [`maint_step`](Self::maint_step).
-    pub fn maint_until(&self, deadline: Instant, budget: usize) -> Result<MaintStep> {
-        let mut total = MaintStep::default();
-        loop {
-            let step = self.maint_step(budget)?;
-            total.absorb(&step);
-            if step.fully_defragged || Instant::now() >= deadline {
-                return Ok(total);
-            }
-            std::thread::yield_now();
-        }
     }
 }
 
@@ -512,14 +524,34 @@ mod tests {
     use super::*;
     use crate::heap::HeapConfig;
     use crate::persist::SubCtx;
+    use crate::quarantine::overlaps_any;
     use std::sync::Arc;
-    use std::time::Duration;
 
+    use pmem::numa::CpuPinGuard;
     use pmem::{DeviceConfig, PmemDevice};
 
     fn uncached_heap(subheaps: u16) -> PoseidonHeap {
         let dev = Arc::new(PmemDevice::new(DeviceConfig::new(64 << 20)));
         PoseidonHeap::open(dev, HeapConfig::new().with_subheaps(subheaps).without_cache()).unwrap()
+    }
+
+    /// Units in the engine's partition: each sub-heap, plus the huge region.
+    fn unit_count(h: &PoseidonHeap) -> u64 {
+        u64::from(h.layout().num_subheaps()) + u64::from(h.layout().huge_data_size() > 0)
+    }
+
+    /// Steps maintenance on `budget` until a step reports
+    /// `fully_defragged`, returning the accumulated tallies.
+    fn converge(h: &PoseidonHeap, budget: usize) -> MaintStep {
+        let mut total = MaintStep::default();
+        for _ in 0..100_000 {
+            let step = h.maint_step(budget).unwrap();
+            total.absorb(&step);
+            if step.fully_defragged {
+                return total;
+            }
+        }
+        panic!("maintenance never converged");
     }
 
     /// Allocates a checkerboard of small blocks and frees every other
@@ -559,6 +591,7 @@ mod tests {
                     "step spent {} units on a budget of {budget}",
                     step.work_units
                 );
+                assert!(step.units_visited <= unit_count(&h), "step visited more than one cycle");
                 if step.fully_defragged {
                     break;
                 }
@@ -573,15 +606,14 @@ mod tests {
     }
 
     #[test]
-    fn maint_until_converges_to_defragmented() {
+    fn maint_steps_converge_to_defragmented() {
         let h = uncached_heap(2);
         let hold = fragment(&h);
         for p in hold {
             h.free(p).unwrap();
         }
         let before = h.fragmentation().unwrap();
-        let total = h.maint_until(Instant::now() + Duration::from_secs(30), 4).unwrap();
-        assert!(total.fully_defragged, "maint_until hit the deadline instead of converging");
+        let total = converge(&h, 4);
         assert!(total.merges > 0, "a fragmented heap must yield merges");
         let after = h.fragmentation().unwrap();
         assert!(
@@ -591,6 +623,120 @@ mod tests {
             after.frag_bytes()
         );
         assert_eq!(after.frag_bytes(), 0, "a converged heap must owe no coalescing debt");
+        h.audit().unwrap();
+    }
+
+    #[test]
+    fn converged_maintenance_lowers_the_stale_watermark() {
+        // Regression: maint_needed() read the debt cached by the last
+        // fragmentation() sample, and nothing lowered it when the engine
+        // retired that debt, so a converged engine kept running full
+        // no-op steps until the next sample.
+        let h = uncached_heap(1);
+        let mut blocks = Vec::new();
+        while let Ok(p) = h.alloc(4096) {
+            blocks.push(p);
+        }
+        for p in blocks {
+            h.free(p).unwrap();
+        }
+        assert!(h.fragmentation().unwrap().frag_bytes() > 0);
+        assert!(h.maint_needed(), "the freed heap must trip the watermark");
+        loop {
+            let step = h.maint_tick(64).unwrap().expect("the trigger must hold until the engine converges");
+            if step.fully_defragged {
+                break;
+            }
+        }
+        assert!(!h.maint_needed(), "a converged engine must not keep stepping on a stale watermark");
+        assert_eq!(h.maint_tick(64).unwrap(), None);
+        assert_eq!(h.fragmentation().unwrap().frag_bytes(), 0);
+    }
+
+    #[test]
+    fn an_unfinished_visit_holds_the_cursor() {
+        // A visit cut short by its budget must resume on the same unit:
+        // one-operation steps on a sub-heap with debt never move the
+        // cursor until the sub-heap is done.
+        let h = uncached_heap(2);
+        let hold = fragment(&h);
+        for p in hold {
+            h.free(p).unwrap();
+        }
+        for _ in 0..8 {
+            let step = h.maint_step(1).unwrap();
+            assert_eq!((step.work_units, step.units_visited), (1, 1));
+        }
+        assert_eq!(h.health.cursor.load(Ordering::Relaxed), 0, "an unfinished visit advanced the cursor");
+        assert_eq!(h.health().passes, 0);
+    }
+
+    #[test]
+    fn a_scrub_step_visits_at_most_one_cycle() {
+        // The scrub budget counts units visited: the time-to-detect
+        // ablation and the robustness sweeps' "full pass" rely on it.
+        let h = uncached_heap(3);
+        let units = unit_count(&h);
+        let step = h.scrub_step(usize::MAX).unwrap();
+        assert_eq!((step.units_visited, step.work_units, step.passes_completed), (units, units, 1));
+        let step = h.scrub_step(2).unwrap();
+        assert_eq!((step.units_visited, step.work_units, step.passes_completed), (2, 2, 0));
+        assert!(!step.fully_defragged, "a scrub step never reports a clean maintenance cycle");
+        assert_eq!((h.health().passes, h.health().scrub_steps), (1, 2));
+    }
+
+    /// Free-list blocks of the usable sub-heaps whose bytes overlap a
+    /// poisoned line.
+    fn poisoned_free_blocks(h: &PoseidonHeap) -> usize {
+        let poison = h.device().scrub();
+        let mut hits = 0;
+        for sub in (0..h.layout().num_subheaps()).filter(|&sub| h.sub_usable(sub)) {
+            let op = h.begin_read_op(sub).unwrap();
+            for k in 0..NUM_CLASSES {
+                for rec_off in buddy::collect(&op, k).unwrap() {
+                    let rec = op.entry(rec_off).unwrap();
+                    hits +=
+                        usize::from(overlaps_any(&poison, h.layout().user_base(sub) + rec.offset, rec.size));
+                }
+            }
+        }
+        hits
+    }
+
+    #[test]
+    fn interleaved_scrub_and_maintenance_starve_neither() {
+        // Scrub and maintenance steps share one cursor: alternate
+        // one-unit steps of each on a heap carrying both poisoned free
+        // blocks and coalescing debt, and both kinds must finish.
+        let dev = Arc::new(PmemDevice::new(DeviceConfig::new(64 << 20).with_media_faults(true)));
+        let h = PoseidonHeap::open(dev.clone(), HeapConfig::new().with_subheaps(2).without_cache()).unwrap();
+        let mut victims = Vec::new();
+        for cpu in 0..2 {
+            let _pin = CpuPinGuard::pin(cpu);
+            let hold = fragment(&h);
+            victims.extend(hold.iter().step_by(16).map(|&p| h.raw_offset(p).unwrap()));
+            for p in hold {
+                h.free(p).unwrap();
+            }
+        }
+        for &raw in &victims {
+            dev.poison(raw, 1).unwrap();
+        }
+        // A poisoned line may cover more than one small free block.
+        assert!(poisoned_free_blocks(&h) >= victims.len());
+        assert!(h.fragmentation().unwrap().frag_bytes() > 0);
+        let mut rounds = 0;
+        loop {
+            h.scrub_step(1).unwrap();
+            if h.maint_step(1).unwrap().fully_defragged && poisoned_free_blocks(&h) == 0 {
+                break;
+            }
+            rounds += 1;
+            assert!(rounds < 100_000, "interleaved steps starved one kind");
+        }
+        assert!(h.health().blocks_quarantined_live > 0);
+        assert_eq!(h.health().quarantined_subheaps, 0);
+        assert_eq!(h.fragmentation().unwrap().frag_bytes(), 0);
         h.audit().unwrap();
     }
 
@@ -658,14 +804,7 @@ mod tests {
             "cached fast-path free must not have probed the table (else this pins nothing)"
         );
 
-        let mut total = MaintStep::default();
-        loop {
-            let step = h.maint_step(4).unwrap();
-            total.absorb(&step);
-            if step.fully_defragged {
-                break;
-            }
-        }
+        let total = converge(&h, 4);
         assert!(total.table_levels_shrunk >= 1, "maintenance did not retire the empty level");
         assert_eq!(
             h.device().read_pod::<u64>(ctx.active_levels_off()).unwrap(),
@@ -687,14 +826,7 @@ mod tests {
         assert!(!h.maint_needed());
         h.note_space_pressure();
         assert!(h.maint_needed(), "pressure must schedule maintenance");
-        let mut total = MaintStep::default();
-        loop {
-            let step = h.maint_step(16).unwrap();
-            total.absorb(&step);
-            if step.fully_defragged {
-                break;
-            }
-        }
+        let total = converge(&h, 16);
         assert!(total.cache_blocks_trimmed > 0, "pressure pass must trim the cold cache");
         assert!(!h.maint_needed(), "a clean pass must lower the pressure flag");
         h.audit().unwrap();

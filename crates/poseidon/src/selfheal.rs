@@ -29,52 +29,27 @@
 //! Frees and pinned transactions cannot fail over (the caller holds a
 //! pointer into the damaged unit) and return the attributed error.
 //!
-//! The **scrubber** ([`PoseidonHeap::scrub_step`]) walks one unit
-//! (sub-heap or huge region) per budget tick, checking its free lists and
-//! extent table against the device's poison list and promoting anything
-//! it finds to quarantine *before* a user thread trips on it. It is
-//! incremental and budgeted so a `platform` thread can drive it
-//! concurrently with the serving loop ([`PoseidonHeap::scrub_until`]).
+//! The live fault path and the **scrubber** share one containment
+//! routine, so a fault a user thread trips and damage the scrubber finds
+//! are contained alike. The scrubber ([`PoseidonHeap::scrub_step`]) is the scrub kind of the
+//! background engine (see `maintenance`): its visit checks one unit's
+//! metadata and data against the device's poison list and contains what
+//! it finds *before* a user thread trips on it. Each unit visited costs
+//! one budget unit, so a step of budget `b` examines `b` units, at most
+//! one full cycle; drive it from a `platform` thread concurrently with
+//! the serving loop, or call it inline between requests.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+use pmem::PoisonRange;
 
 use crate::error::{OpKind, PoseidonError, Result};
 use crate::heap::PoseidonHeap;
 use crate::hugeregion;
-use crate::layout::HeapLayout;
-use crate::quarantine;
+use crate::layout::Region;
+use crate::maintenance::{MaintStep, Unit};
+use crate::quarantine::{self, overlaps_any};
 use crate::superblock;
-
-/// Which layout unit a device offset falls in — the quarantine
-/// granularity decision for a live media fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FaultUnit {
-    /// The superblock region (header, directory, superblock undo log).
-    Superblock,
-    /// Sub-heap `sub`'s metadata region (header, lists, logs, table).
-    SubMeta(u16),
-    /// Sub-heap `sub`'s user-data region.
-    SubUser(u16),
-    /// The huge region's metadata (header, undo log, extent table).
-    HugeMeta,
-    /// The huge region's data pages.
-    HugeData,
-    /// Outside every region (never expected from a live operation).
-    Unknown,
-}
-
-/// Maps a device offset to the layout unit containing it (epoch-aware:
-/// delegates to the layout's region classifier).
-pub(crate) fn fault_unit(layout: &HeapLayout, offset: u64) -> FaultUnit {
-    match layout.locate(offset) {
-        crate::layout::Region::Superblock => FaultUnit::Superblock,
-        crate::layout::Region::SubMeta(sub) => FaultUnit::SubMeta(sub),
-        crate::layout::Region::SubUser(sub) => FaultUnit::SubUser(sub),
-        crate::layout::Region::HugeMeta => FaultUnit::HugeMeta,
-        crate::layout::Region::HugeData { .. } => FaultUnit::HugeData,
-        crate::layout::Region::Unused => FaultUnit::Unknown,
-    }
-}
 
 /// Volatile self-healing counters of one heap (reset on open).
 #[derive(Debug, Default)]
@@ -88,27 +63,28 @@ pub(crate) struct HealthCounters {
     pub(crate) blocks_quarantined: AtomicU64,
     pub(crate) extents_quarantined: AtomicU64,
     pub(crate) cache_blocks_invalidated: AtomicU64,
+    // The background engine (see [`crate::maintenance`]): one cursor
+    // over the unit partition for scrub and maintenance visits alike,
+    // the full cycles it has completed, and each kind's step count.
+    pub(crate) cursor: AtomicU64,
+    pub(crate) passes: AtomicU64,
     pub(crate) scrub_steps: AtomicU64,
-    pub(crate) scrub_passes: AtomicU64,
-    pub(crate) scrub_cursor: AtomicU64,
-    // Maintenance engine (see [`crate::maintenance`]): its own cursor
-    // over the same unit partition the scrubber walks, plus the cached
-    // trigger inputs the fragmentation walk refreshes.
+    // Maintenance tallies, plus the cached trigger inputs the
+    // fragmentation walk refreshes.
     pub(crate) maint_steps: AtomicU64,
-    pub(crate) maint_passes: AtomicU64,
-    pub(crate) maint_cursor: AtomicU64,
     pub(crate) maint_merges: AtomicU64,
     pub(crate) maint_levels_shrunk: AtomicU64,
     pub(crate) maint_blocks_trimmed: AtomicU64,
     /// NoSpace/TooLarge pressure feedback — the alloc paths set it, a
-    /// fully-defragged maintenance pass clears it.
+    /// fully-defragged maintenance step clears it.
     pub(crate) maint_pressure: AtomicBool,
     /// Largest free huge extent from the last huge scan; meaningless
     /// until `maint_huge_sampled` is set.
     pub(crate) huge_largest_free: AtomicU64,
     pub(crate) maint_huge_sampled: AtomicBool,
     /// Fragmented / total free bytes from the last fragmentation walk
-    /// (the watermark inputs for [`PoseidonHeap::maint_needed`]).
+    /// (the watermark inputs for [`PoseidonHeap::maint_needed`]); a
+    /// fully-defragged maintenance step zeroes the fragmented figure.
     pub(crate) maint_frag_bytes: AtomicU64,
     pub(crate) maint_free_bytes: AtomicU64,
 }
@@ -155,14 +131,13 @@ pub struct HeapHealth {
     /// Cached blocks invalidated in DRAM when their sub-heap was
     /// condemned (magazine rounds, pool slots, residency bytes).
     pub cache_blocks_invalidated: u64,
+    /// Full cycles of the background engine's cursor over every unit
+    /// (sub-heaps + huge region), by scrub and maintenance visits alike.
+    pub passes: u64,
     /// Completed [`scrub_step`](PoseidonHeap::scrub_step) calls.
     pub scrub_steps: u64,
-    /// Completed full passes over every unit (sub-heaps + huge region).
-    pub scrub_passes: u64,
     /// Completed [`maint_step`](PoseidonHeap::maint_step) calls.
     pub maint_steps: u64,
-    /// Completed full maintenance passes over every unit.
-    pub maint_passes: u64,
     /// Buddy merges committed by the maintenance engine this session.
     pub maint_merges: u64,
     /// Hash-table levels retired by the maintenance engine this session.
@@ -180,54 +155,17 @@ impl HeapHealth {
             + self.media_errors_during_tx
             + self.media_errors_during_scrub
     }
-
-    /// Whether the self-healing layer has quarantined anything live.
-    pub fn damage_contained(&self) -> bool {
-        self.subheaps_condemned_live > 0
-            || self.blocks_quarantined_live > 0
-            || self.extents_quarantined_live > 0
-    }
 }
 
-/// What one [`PoseidonHeap::scrub_step`] (or an accumulated
-/// [`scrub_until`](PoseidonHeap::scrub_until) run) examined and promoted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ScrubStep {
-    /// Units (sub-heaps or the huge region) examined.
-    pub units_examined: u64,
-    /// Full passes over every unit completed.
-    pub passes_completed: u64,
-    /// Sub-heaps condemned wholesale (metadata poison found).
-    pub subheaps_condemned: u64,
-    /// Free blocks promoted to `QUARANTINED` (user-data poison found).
-    pub blocks_quarantined: u64,
-    /// Bytes covered by the promoted blocks.
-    pub bytes_quarantined: u64,
-    /// Huge extents promoted to `QUARANTINED`.
-    pub extents_quarantined: u64,
-    /// Whether this step quarantined the huge region wholesale.
-    pub huge_region_quarantined: bool,
-}
-
-impl ScrubStep {
-    /// Whether the step promoted any damage to quarantine.
-    pub fn found_damage(&self) -> bool {
-        self.subheaps_condemned > 0
-            || self.blocks_quarantined > 0
-            || self.extents_quarantined > 0
-            || self.huge_region_quarantined
-    }
-
-    /// Folds another step's tallies into this one.
-    pub fn absorb(&mut self, other: &ScrubStep) {
-        self.units_examined += other.units_examined;
-        self.passes_completed += other.passes_completed;
-        self.subheaps_condemned += other.subheaps_condemned;
-        self.blocks_quarantined += other.blocks_quarantined;
-        self.bytes_quarantined += other.bytes_quarantined;
-        self.extents_quarantined += other.extents_quarantined;
-        self.huge_region_quarantined |= other.huge_region_quarantined;
-    }
+/// How [`PoseidonHeap::contain`] dealt with a damaged unit.
+enum Contained {
+    /// This many poisoned free blocks or extents were withdrawn (none:
+    /// the poison sits under live allocations).
+    Withdrawn(u64),
+    /// The whole sub-heap was condemned.
+    Condemned,
+    /// The huge region was flagged wholesale.
+    Flagged,
 }
 
 impl PoseidonHeap {
@@ -303,57 +241,76 @@ impl PoseidonHeap {
         Ok((extents, bytes))
     }
 
-    /// The live self-healing dispatcher: given an error that just aborted
-    /// an operation (the undo scope already rolled it back), quarantine
-    /// the damaged unit at the right granularity and report whether the
-    /// caller may retry on healthy capacity. Non-media errors pass
-    /// through untouched (`retryable = false`).
-    pub(crate) fn heal_media_error(&self, e: PoseidonError, during: OpKind) -> (PoseidonError, bool) {
-        let PoseidonError::MediaError { offset, .. } = e else { return (e, false) };
-        self.health.media_counter(during).fetch_add(1, Ordering::Relaxed);
-        let attributed = e.attribute(during);
-        match fault_unit(&self.layout, offset) {
-            FaultUnit::SubMeta(sub) if sub < self.layout.num_subheaps() => {
-                // Whole-sub-heap condemnation; a persist failure still
-                // leaves the volatile flag set, so retrying is safe.
-                let _ = self.condemn_subheap(sub);
-                (attributed, true)
-            }
-            FaultUnit::SubUser(sub) if sub < self.layout.num_subheaps() => {
-                if !self.sub_usable(sub) {
-                    // A racing condemnation (or an uncreated sub-heap):
-                    // nothing to withdraw, and routing already skips it —
-                    // retrying on healthy capacity is safe.
-                    return (attributed, true);
-                }
-                // Data poison: block-granularity quarantine. Retry only
-                // if something was actually withdrawn — otherwise the
-                // poison sits under a live allocation and retrying the
-                // same operation would loop on the same line.
-                match self.quarantine_poisoned_blocks_on(sub) {
-                    Ok((blocks, _)) => (attributed, blocks > 0),
-                    Err(_) => {
-                        let _ = self.condemn_subheap(sub);
-                        (attributed, true)
+    /// Contains damage in `unit`, tallying into `step`. Metadata damage
+    /// (`meta_hit`) condemns the sub-heap or flags the huge region;
+    /// otherwise the poisoned free blocks or extents are withdrawn, and if
+    /// that walk itself faults the whole unit is condemned or flagged.
+    fn contain(&self, unit: Unit, meta_hit: bool, step: &mut MaintStep) -> Contained {
+        match unit {
+            Unit::Sub(sub) => {
+                if !meta_hit {
+                    if let Ok((blocks, bytes)) = self.quarantine_poisoned_blocks_on(sub) {
+                        step.blocks_quarantined += blocks;
+                        step.bytes_quarantined += bytes;
+                        return Contained::Withdrawn(blocks);
                     }
                 }
+                // A persist failure still leaves the volatile flag set, so
+                // the sub-heap is isolated either way.
+                if self.condemn_subheap(sub).is_ok() {
+                    step.subheaps_condemned += 1;
+                }
+                Contained::Condemned
             }
-            FaultUnit::HugeMeta => {
+            Unit::Huge => {
+                if !meta_hit {
+                    if let Ok((extents, bytes)) = self.quarantine_poisoned_extents() {
+                        step.extents_quarantined += extents;
+                        step.bytes_quarantined += bytes;
+                        return Contained::Withdrawn(extents);
+                    }
+                }
                 // The poison in the extent table is itself the persistent
                 // record: every future load re-quarantines from the scrub
                 // list, exactly like load-time recovery does.
                 self.huge_quarantined.store(true, Ordering::Release);
-                (attributed, false)
+                step.huge_region_quarantined = true;
+                Contained::Flagged
             }
-            FaultUnit::HugeData => match self.quarantine_poisoned_extents() {
-                Ok((extents, _)) => (attributed, extents > 0),
-                Err(_) => {
-                    self.huge_quarantined.store(true, Ordering::Release);
-                    (attributed, false)
-                }
-            },
-            _ => (attributed, false),
         }
+    }
+
+    /// The live self-healing dispatcher: given an error that just aborted
+    /// an operation (the undo scope already rolled it back), contain the
+    /// damaged unit and report whether the caller may retry on healthy
+    /// capacity. Non-media errors pass through untouched
+    /// (`retryable = false`).
+    pub(crate) fn heal_media_error(&self, e: PoseidonError, during: OpKind) -> (PoseidonError, bool) {
+        let PoseidonError::MediaError { offset, .. } = e else { return (e, false) };
+        self.health.media_counter(during).fetch_add(1, Ordering::Relaxed);
+        let attributed = e.attribute(during);
+        let n = self.layout.num_subheaps();
+        let (unit, meta_hit) = match self.layout.locate(offset) {
+            Region::SubMeta(sub) if sub < n => (Unit::Sub(sub), true),
+            // A racing condemnation (or an uncreated sub-heap): nothing to
+            // withdraw, and routing already skips it — retrying on healthy
+            // capacity is safe.
+            Region::SubUser(sub) if sub < n && !self.sub_usable(sub) => return (attributed, true),
+            Region::SubUser(sub) if sub < n => (Unit::Sub(sub), false),
+            Region::HugeMeta => (Unit::Huge, true),
+            Region::HugeData { .. } => (Unit::Huge, false),
+            _ => return (attributed, false),
+        };
+        // Retry only if something was withdrawn or routing now skips the
+        // whole sub-heap — otherwise the poison sits under a live
+        // allocation and retrying the same operation would loop on the
+        // same line.
+        let retryable = match self.contain(unit, meta_hit, &mut MaintStep::default()) {
+            Contained::Withdrawn(count) => count > 0,
+            Contained::Condemned => true,
+            Contained::Flagged => false,
+        };
+        (attributed, retryable)
     }
 
     /// The heap's current health: quarantine census, live media-error
@@ -374,175 +331,107 @@ impl PoseidonHeap {
             blocks_quarantined_live: c.blocks_quarantined.load(Ordering::Relaxed),
             extents_quarantined_live: c.extents_quarantined.load(Ordering::Relaxed),
             cache_blocks_invalidated: c.cache_blocks_invalidated.load(Ordering::Relaxed),
+            passes: c.passes.load(Ordering::Relaxed),
             scrub_steps: c.scrub_steps.load(Ordering::Relaxed),
-            scrub_passes: c.scrub_passes.load(Ordering::Relaxed),
             maint_steps: c.maint_steps.load(Ordering::Relaxed),
-            maint_passes: c.maint_passes.load(Ordering::Relaxed),
             maint_merges: c.maint_merges.load(Ordering::Relaxed),
             maint_table_levels_shrunk: c.maint_levels_shrunk.load(Ordering::Relaxed),
             maint_blocks_trimmed: c.maint_blocks_trimmed.load(Ordering::Relaxed),
         }
     }
 
-    /// One budgeted scrubber increment: examines up to `budget` units
-    /// (each unit is one sub-heap, or the huge region) starting at the
-    /// persistent-within-the-session cursor, checks their free lists and
-    /// extent table against the device's poison list, and promotes any
-    /// discovered damage to quarantine at the usual granularity. A full
-    /// cycle over every unit counts one *pass*.
-    ///
-    /// Budgeted and incremental on purpose (the same step/budget shape
-    /// the roadmap wants for incremental defrag): drive it from a
-    /// `platform` thread concurrently with the serving loop, or call it
-    /// inline between requests.
+    /// One budgeted scrubber step on the background engine: visits up
+    /// to `budget` units (each unit is one sub-heap, or the huge region)
+    /// from the engine's cursor, at most one full cycle, checks their
+    /// metadata and data against the device's poison list, and contains
+    /// any damage it finds at the usual granularity. The step's report
+    /// carries the tallies.
     ///
     /// # Errors
     ///
     /// Device errors other than media faults (those are absorbed into
     /// quarantine and reported in the step).
-    pub fn scrub_step(&self, budget: usize) -> Result<ScrubStep> {
-        let n = self.layout.num_subheaps() as u64;
-        let units = n + u64::from(self.layout.huge_data_size() > 0);
-        let mut step = ScrubStep::default();
+    pub fn scrub_step(&self, budget: usize) -> Result<MaintStep> {
         let poison = self.dev.scrub();
-        for _ in 0..budget.clamp(1, units as usize) {
-            let raw = self.health.scrub_cursor.fetch_add(1, Ordering::Relaxed);
-            let unit = raw % units;
-            if (raw + 1).is_multiple_of(units) {
-                self.health.scrub_passes.fetch_add(1, Ordering::Relaxed);
-                step.passes_completed += 1;
-            }
-            step.units_examined += 1;
-            if poison.is_empty() {
-                continue;
-            }
-            if unit == n {
-                self.scrub_huge_unit(&poison, &mut step);
-            } else {
-                self.scrub_sub_unit(unit as u16, &poison, &mut step);
-            }
-        }
+        let step = self.engine_step(budget, |unit, _, step| {
+            self.scrub_visit(unit, &poison, step);
+            Ok((1, true))
+        })?;
         self.health.scrub_steps.fetch_add(1, Ordering::Relaxed);
         Ok(step)
     }
 
-    fn scrub_sub_unit(&self, sub: u16, poison: &[pmem::PoisonRange], step: &mut ScrubStep) {
-        if !self.sub_usable(sub) {
+    /// The scrub visit: checks `unit` against the device's poison list and
+    /// contains what it finds, counting each containment as a scrub-path
+    /// media error.
+    fn scrub_visit(&self, unit: Unit, poison: &[PoisonRange], step: &mut MaintStep) {
+        if poison.is_empty() {
             return;
         }
-        let meta_base = self.layout.meta_base(sub);
-        if quarantine::overlaps_any(poison, meta_base, self.layout.meta_size) {
-            // Metadata poison found before any user thread tripped on it.
+        let l = &self.layout;
+        let (meta_hit, data_hit) = match unit {
+            Unit::Sub(sub) if self.sub_usable(sub) => (
+                overlaps_any(poison, l.meta_base(sub), l.meta_size),
+                overlaps_any(poison, l.user_base(sub), l.user_size),
+            ),
+            Unit::Huge if !self.huge_quarantined.load(Ordering::Acquire) => (
+                overlaps_any(poison, l.huge_meta_base(), l.huge_meta_size()),
+                l.huge_bands().iter().any(|b| overlaps_any(poison, b.phys, b.len)),
+            ),
+            _ => return,
+        };
+        if (meta_hit || data_hit) && !matches!(self.contain(unit, meta_hit, step), Contained::Withdrawn(0)) {
             self.health.media_errors_scrub.fetch_add(1, Ordering::Relaxed);
-            if self.condemn_subheap(sub).is_ok() {
-                step.subheaps_condemned += 1;
-            }
-            return;
         }
-        if !quarantine::overlaps_any(poison, self.layout.user_base(sub), self.layout.user_size) {
-            return;
-        }
-        match self.quarantine_poisoned_blocks_on(sub) {
-            Ok((blocks, bytes)) => {
-                if blocks > 0 {
-                    self.health.media_errors_scrub.fetch_add(1, Ordering::Relaxed);
-                }
-                step.blocks_quarantined += blocks;
-                step.bytes_quarantined += bytes;
-            }
-            Err(_) => {
-                // The walk itself hit damage: escalate to condemnation.
-                self.health.media_errors_scrub.fetch_add(1, Ordering::Relaxed);
-                if self.condemn_subheap(sub).is_ok() {
-                    step.subheaps_condemned += 1;
-                }
-            }
-        }
-    }
-
-    fn scrub_huge_unit(&self, poison: &[pmem::PoisonRange], step: &mut ScrubStep) {
-        if self.layout.huge_data_size() == 0 || self.huge_quarantined.load(Ordering::Acquire) {
-            return;
-        }
-        if quarantine::overlaps_any(poison, self.layout.huge_meta_base(), self.layout.huge_meta_size()) {
-            self.health.media_errors_scrub.fetch_add(1, Ordering::Relaxed);
-            self.huge_quarantined.store(true, Ordering::Release);
-            step.huge_region_quarantined = true;
-            return;
-        }
-        let any_band_hit =
-            self.layout.huge_bands().iter().any(|b| quarantine::overlaps_any(poison, b.phys, b.len));
-        if !any_band_hit {
-            return;
-        }
-        match self.quarantine_poisoned_extents() {
-            Ok((extents, bytes)) => {
-                if extents > 0 {
-                    self.health.media_errors_scrub.fetch_add(1, Ordering::Relaxed);
-                }
-                step.extents_quarantined += extents;
-                step.bytes_quarantined += bytes;
-            }
-            Err(_) => {
-                self.health.media_errors_scrub.fetch_add(1, Ordering::Relaxed);
-                self.huge_quarantined.store(true, Ordering::Release);
-                step.huge_region_quarantined = true;
-            }
-        }
-    }
-
-    /// Runs the scrubber until `stop` is set: the background-thread
-    /// driver. Spawn it on a [`platform::thread`] scope next to the
-    /// serving threads:
-    ///
-    /// ```ignore
-    /// let stop = AtomicBool::new(false);
-    /// platform::thread::scope(|s| {
-    ///     s.spawn(|| heap.scrub_until(&stop, 1));
-    ///     // ... serving threads ...
-    ///     stop.store(true, Ordering::Release);
-    /// });
-    /// ```
-    ///
-    /// Returns the accumulated step tallies.
-    ///
-    /// # Errors
-    ///
-    /// As for [`scrub_step`](Self::scrub_step).
-    pub fn scrub_until(&self, stop: &AtomicBool, budget: usize) -> Result<ScrubStep> {
-        let mut total = ScrubStep::default();
-        while !stop.load(Ordering::Acquire) {
-            total.absorb(&self.scrub_step(budget)?);
-            std::thread::yield_now();
-        }
-        Ok(total)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::heap::HeapConfig;
+    use std::sync::Arc;
 
-    #[test]
-    fn fault_units_partition_the_device() {
-        let layout = HeapLayout::compute(256 << 20, 4).unwrap();
-        assert_eq!(fault_unit(&layout, 0), FaultUnit::Superblock);
-        assert_eq!(fault_unit(&layout, layout.meta_base(0)), FaultUnit::SubMeta(0));
-        assert_eq!(fault_unit(&layout, layout.meta_base(3) + 0x100), FaultUnit::SubMeta(3));
-        assert_eq!(fault_unit(&layout, layout.huge_meta_base()), FaultUnit::HugeMeta);
-        assert_eq!(fault_unit(&layout, layout.user_base(0)), FaultUnit::SubUser(0));
-        assert_eq!(fault_unit(&layout, layout.user_base(2) + 64), FaultUnit::SubUser(2));
-        let huge_base = layout.huge_phys_of(0, 1).unwrap();
-        assert_eq!(fault_unit(&layout, huge_base), FaultUnit::HugeData);
-        assert_eq!(fault_unit(&layout, huge_base + layout.huge_data_size()), FaultUnit::Unknown);
+    use pmem::{DeviceConfig, PmemDevice};
+
+    fn faulty_heap() -> PoseidonHeap {
+        let dev = Arc::new(PmemDevice::new(DeviceConfig::new(64 << 20).with_media_faults(true)));
+        PoseidonHeap::open(dev, HeapConfig::new().with_subheaps(2).without_cache()).unwrap()
+    }
+
+    fn media_error(offset: u64) -> PoseidonError {
+        PoseidonError::MediaError { offset, during: OpKind::Unknown }
     }
 
     #[test]
-    fn fault_units_without_a_huge_region() {
-        let layout = HeapLayout::compute(8 << 20, 1).unwrap();
-        assert_eq!(layout.huge_data_size(), 0);
-        assert_eq!(fault_unit(&layout, layout.meta_base(0)), FaultUnit::SubMeta(0));
-        assert_eq!(fault_unit(&layout, layout.user_base(0)), FaultUnit::SubUser(0));
-        assert_eq!(fault_unit(&layout, layout.capacity()), FaultUnit::Unknown);
+    fn a_faulting_block_walk_condemns_the_whole_subheap() {
+        // A user-data fault sends the live path into the block walk; if
+        // that walk faults on the sub-heap's metadata, containment must
+        // escalate to the whole sub-heap, which makes the retry safe.
+        let h = faulty_heap();
+        let p = h.alloc(256).unwrap();
+        let raw = h.raw_offset(p).unwrap();
+        h.free(p).unwrap();
+        h.device().poison(raw, 1).unwrap();
+        h.device().poison(h.layout().meta_base(0) + 4096, 1).unwrap();
+        let (_, retryable) = h.heal_media_error(media_error(raw), OpKind::Alloc);
+        assert!(retryable, "a condemned sub-heap is skipped by routing, so the caller may retry");
+        assert_eq!(h.quarantined_subheaps(), vec![0]);
+        assert_eq!(h.health().media_errors_during_alloc, 1);
+    }
+
+    #[test]
+    fn a_flagged_huge_region_is_not_retryable() {
+        // Extent-table poison flags the huge region wholesale; retrying
+        // the huge operation would only trip the same line again.
+        let h = faulty_heap();
+        assert!(h.layout().huge_data_size() > 0, "test device must carve a huge region");
+        let offset = h.layout().huge_meta_base();
+        h.device().poison(offset, 1).unwrap();
+        let (e, retryable) = h.heal_media_error(media_error(offset), OpKind::Alloc);
+        assert!(!retryable, "a flagged huge region must not be retried");
+        assert!(matches!(e, PoseidonError::MediaError { during: OpKind::Alloc, .. }));
+        assert!(h.health().huge_region_quarantined);
+        assert!(h.quarantined_subheaps().is_empty());
     }
 }

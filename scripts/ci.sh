@@ -36,48 +36,42 @@ cargo test --workspace -q
 echo "== cargo test -p poseidon huge (huge-region module)"
 cargo test -p poseidon -q huge
 
-# Fuzzers gate merges too, with fixed seeds for determinism: a bounded
-# crash-point sweep, and the same sweep with uncorrectable media errors
-# interleaved (every case must end in a clean recovery with accurate
-# quarantine accounting or a typed MediaError — never a panic). The
-# workload mixes huge allocations/frees, huge+micro spanning
-# transactions, and cached-path churn bursts in with the small ops, and
-# the harness checks the extent-table invariant plus the cache-residency
-# invariant (cache-held blocks stay media-FREE) after every power cycle.
-echo "== crashfuzz --iters 50 --tx (fixed seed)"
-cargo run --release --bin crashfuzz -- --iters 50 --tx --seed 314159
+# Fuzzers gate merges too, with fixed seeds for determinism: every case
+# injects a crash at a random mutation event (or, under --poison-live,
+# poison while the heap serves) and must end in a clean recovery with
+# accurate quarantine accounting or a typed MediaError — never a panic.
+# After every power cycle the harness checks the undo ordering, the
+# sub-heap and extent-table audits and that the heap still serves; the
+# default arm also checks the cache-residency invariant (cache-held
+# blocks stay media-FREE).
+# One row per sweep: iters, seed, flags, and why the row exists.
+crashfuzz_rows=(
+    "50 314159 --tx"                # crash points over small, huge, cached, tx and ptx ops
+    "50 314159 --tx --poison"       # the same sweep with media errors armed beside the crash
+    "40 271828 --tx --poison"       # a second seed whose draws run huge-heavy
+    "50 161803"                     # no ptx pool: the cached-path sweep
+    "40 314159 --poison-live"       # poison while serving: live quarantine, failover, scrubber
+    "50 314159 --grow"              # the layout-epoch commit is crash-atomic
+    "40 271828 --grow --poison"     # growth with media errors interleaved
+    "50 314159 --maint"             # crashes at maintenance commit points, then convergence
+    "40 271828 --maint --poison"    # maintenance with media errors interleaved
+    "40 161803 --maint --grow"      # maintenance beside growth: the superblock's re-driven rollback
+)
+for row in "${crashfuzz_rows[@]}"; do
+    read -r iters seed flags <<<"$row"
+    echo "== crashfuzz --iters $iters${flags:+ $flags} --seed $seed"
+    # $flags stays unquoted: it splits into separate arguments.
+    cargo run --release --bin crashfuzz -- --iters "$iters" $flags --seed "$seed"
+done
 
-echo "== crashfuzz --iters 50 --tx --poison (fixed seed)"
-cargo run --release --bin crashfuzz -- --iters 50 --tx --poison --seed 314159
-
-echo "== crashfuzz --iters 40 --tx --poison (fixed seed, huge-heavy)"
-cargo run --release --bin crashfuzz -- --iters 40 --tx --poison --seed 271828
-
-echo "== crashfuzz --iters 50 (fixed seed, cached-path sweep)"
-cargo run --release --bin crashfuzz -- --iters 50 --seed 161803
-
-# Online self-healing gates: live-fault cases (poison armed while the
-# heap serves, scrubber ticking concurrently; every case must end with
-# balanced quarantine accounting, a poison-free cache, no poisoned
-# block handed out, and verdicts that survive a crash), plus the
-# quarantine-vs-frontend race and bulk-fault integration tests.
-echo "== crashfuzz --iters 40 --poison-live (fixed seed)"
-cargo run --release --bin crashfuzz -- --iters 40 --poison-live --seed 314159
-
+# Online self-healing gates: the quarantine-vs-frontend race and
+# bulk-fault integration tests.
 echo "== cargo test online_ (live self-healing integration)"
 cargo test -q --test robustness online_
 
-# Online-growth gates: the layout-epoch commit must be crash-atomic at
-# every mutation event (fixed-seed fuzz sweeps, with and without media
-# faults interleaved), and the growth integration tests cover the
+# Online-growth gates: the growth integration tests cover the
 # 256 MiB -> 4 GiB concurrent-serving scenario, the post-grow TooLarge
 # regression, the v1 -> v2 reopen migration, and torn-epoch repair.
-echo "== crashfuzz --iters 50 --grow (fixed seed)"
-cargo run --release --bin crashfuzz -- --iters 50 --grow --seed 314159
-
-echo "== crashfuzz --iters 40 --grow --poison (fixed seed)"
-cargo run --release --bin crashfuzz -- --iters 40 --grow --poison --seed 271828
-
 echo "== cargo test --test growth (online-growth integration)"
 cargo test -q --test growth
 
@@ -107,23 +101,9 @@ cargo test -q --test service
 # Maintenance-engine gates: the unit/integration tests for the budgeted
 # incremental defragmenter (budget ceilings, cursor persistence,
 # fragmentation accounting, trigger policy, engine-on-vs-off soak
-# comparison), then fixed-seed crash sweeps over a pre-fragmented heap
-# where the crash lands at maintenance-unit commit points — block
-# accounting and extent tiling must audit clean after every recovery,
-# and a post-recovery convergence loop must drive coalescing debt to
-# exactly zero. The grow arm exercises the superblock undo area's
-# re-driven rollback as well.
+# comparison).
 echo "== cargo test --workspace maint (maintenance engine)"
 cargo test --workspace -q maint
-
-echo "== crashfuzz --iters 50 --maint (fixed seed)"
-cargo run --release --bin crashfuzz -- --iters 50 --maint --seed 314159
-
-echo "== crashfuzz --iters 40 --maint --poison (fixed seed)"
-cargo run --release --bin crashfuzz -- --iters 40 --maint --poison --seed 271828
-
-echo "== crashfuzz --iters 40 --maint --grow (fixed seed)"
-cargo run --release --bin crashfuzz -- --iters 40 --maint --grow --seed 161803
 
 # The benchmark's smoke test builds perfbench (its own package, path
 # dependencies on these crates) and runs every workload at tiny scale,

@@ -8,12 +8,13 @@
 //! event, in strict or adversarial mode, recovers, and audits every
 //! structural invariant, including the huge region's extent-table
 //! tiling and the cache-residency invariant (every block the DRAM
-//! cache held at the crash must still be media-FREE after recovery). With `--poison`, uncorrectable media errors are armed
-//! alongside the crash point: every case must then end in either a
-//! successful load whose quarantine accounting matches the audit (and
-//! whose fresh allocations never overlap a poisoned line), or a clean
-//! typed `MediaError` — never a panic, never silent reuse of poisoned
-//! blocks. Any failure prints the reproducing seed.
+//! cache held at the crash must still be media-FREE after recovery).
+//! With `--poison`, uncorrectable media errors are armed alongside the
+//! crash point: every case must then end in either a successful load
+//! whose quarantine accounting matches the audit (and whose fresh
+//! allocations never overlap a poisoned line), or a clean typed
+//! `MediaError` — never a panic, never silent reuse of poisoned blocks.
+//! Any failure prints the reproducing seed.
 //!
 //! With `--poison-live`, no crash is armed at all: poison strikes
 //! repeatedly *while the heap is serving*, exercising the online
@@ -40,6 +41,10 @@
 //! the recovered heap must retire every remaining mergeable pair.
 //! Composes with `--poison` and `--grow`.
 //!
+//! Each arm is its op weights plus its own checks: the ops the arms share
+//! are one helper each, and every crash arm ends in the same power cycle
+//! ([`power_cycle`], then [`still_serving`]).
+//!
 //! ```text
 //! crashfuzz [--iters N] [--seed S] [--tx] [--poison] [--poison-live] [--grow] [--maint]
 //! ```
@@ -48,7 +53,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use pmem::{CrashMode, DeviceConfig, PmemDevice};
-use poseidon::{HeapConfig, NvmPtr, PoseidonError, PoseidonHeap};
+use poseidon::{HeapConfig, HugeAudit, NvmPtr, PoseidonError, PoseidonHeap, RecoveryReport, SubheapAudit};
 use ptx::{PtxError, PtxPool};
 
 struct Rng(u64);
@@ -202,6 +207,216 @@ fn check_undo_ordering(
     Ok(())
 }
 
+/// Why a workload stopped before its last op.
+enum Stop {
+    /// An op hit a device error: the armed power cut fired. The live arm
+    /// arms none, so there it is a failure.
+    Cut(String),
+    /// A check failed.
+    Fail(String),
+}
+
+/// The power cut as a [`Stop`].
+fn cut(op: &str, error: pmem::PmemError) -> Stop {
+    Stop::Cut(format!("{op}: device error {error}"))
+}
+
+/// A crash arm's workload runs until the power cut; only a failed check
+/// fails the case.
+fn until_cut(workload: Result<(), Stop>) -> Result<(), String> {
+    match workload {
+        Err(Stop::Fail(why)) => Err(why),
+        Ok(()) | Err(Stop::Cut(_)) => Ok(()),
+    }
+}
+
+/// Maps a background or growth call's error: a device error is the power
+/// cut, a media error is routine under `--poison`, anything else fails.
+fn tolerate<T>(op: &str, result: Result<T, PoseidonError>, with_poison: bool) -> Result<(), Stop> {
+    match result {
+        Ok(_) => Ok(()),
+        Err(PoseidonError::Device(e)) => Err(cut(op, e)),
+        Err(PoseidonError::MediaError { .. }) if with_poison => Ok(()),
+        Err(e) => Err(Stop::Fail(format!("{op}: {e}"))),
+    }
+}
+
+/// Keeps a fresh allocation; failures other than a device error are
+/// routine (space, quarantine, the huge region's size).
+fn keep(op: &str, result: Result<NvmPtr, PoseidonError>, live: &mut Vec<NvmPtr>) -> Result<(), Stop> {
+    match result {
+        Ok(p) => live.push(p),
+        Err(PoseidonError::Device(e)) => return Err(cut(op, e)),
+        Err(_) => {}
+    }
+    Ok(())
+}
+
+/// A small allocation of 1..=8192 bytes.
+fn small_alloc(heap: &PoseidonHeap, rng: &mut Rng, live: &mut Vec<NvmPtr>) -> Result<(), Stop> {
+    keep("alloc", heap.alloc(1 + rng.below(8192)), live)
+}
+
+/// A huge-path allocation (extent allocator) of up to `range` bytes past
+/// the sub-heap cap. TooLarge is routine: the region may be exhausted or
+/// (on one-sub geometries) smaller than the cap.
+fn huge_alloc(heap: &PoseidonHeap, rng: &mut Rng, live: &mut Vec<NvmPtr>, range: u64) -> Result<(), Stop> {
+    keep("huge", heap.alloc(heap.layout().max_alloc() + 1 + rng.below(range)), live)
+}
+
+/// Frees `p`; failures other than a device error are routine.
+fn free(heap: &PoseidonHeap, p: NvmPtr) -> Result<(), Stop> {
+    match heap.free(p) {
+        Err(PoseidonError::Device(e)) => Err(cut("free", e)),
+        _ => Ok(()),
+    }
+}
+
+/// Frees a random live pointer, small or huge alike (the heap routes by
+/// the sub-heap sentinel).
+fn random_free(heap: &PoseidonHeap, rng: &mut Rng, live: &mut Vec<NvmPtr>) -> Result<(), Stop> {
+    if live.is_empty() {
+        return Ok(());
+    }
+    let index = rng.below(live.len() as u64) as usize;
+    free(heap, live.swap_remove(index))
+}
+
+/// A transactional allocation, kept only if it commits.
+fn tx_alloc(heap: &PoseidonHeap, live: &mut Vec<NvmPtr>, size: u64, commit: bool) -> Result<(), Stop> {
+    match heap.tx_alloc(size, commit) {
+        Ok(p) if commit => live.push(p),
+        Ok(_) => {}
+        Err(PoseidonError::Device(e)) => return Err(cut("tx", e)),
+        Err(_) => {
+            let _ = heap.tx_abort();
+        }
+    }
+    Ok(())
+}
+
+/// Cached-path churn: same-size alloc/free pairs drive the magazine fast
+/// path (refill, hits, park) so crashes land while blocks are
+/// cache-withdrawn in every state, and growths re-home mid-flight
+/// magazines.
+fn cached_churn(heap: &PoseidonHeap, rng: &mut Rng) -> Result<(), Stop> {
+    let size = 1 + rng.below(4096);
+    for _ in 0..rng.below(12) + 1 {
+        match heap.alloc(size) {
+            Ok(p) => free(heap, p)?,
+            Err(PoseidonError::Device(e)) => return Err(cut("alloc", e)),
+            Err(_) => break,
+        }
+    }
+    Ok(())
+}
+
+/// Online growth by a random MiB-granular step of up to `max_step_mib`,
+/// clamped to the device ceiling. Small steps extend only the huge band;
+/// larger ones materialise whole sub-heaps. Returns whether a growth
+/// committed.
+fn grow(
+    heap: &PoseidonHeap,
+    dev: &PmemDevice,
+    rng: &mut Rng,
+    max_step_mib: u64,
+    with_poison: bool,
+) -> Result<bool, Stop> {
+    let target = (heap.layout().capacity() + ((1 + rng.below(max_step_mib)) << 20)).min(dev.max_capacity());
+    if target <= heap.layout().capacity() {
+        return Ok(false); // already at the ceiling
+    }
+    match heap.grow(target) {
+        Ok(report) if report.new_capacity != target => {
+            Err(Stop::Fail(format!("grow reported capacity {} for a grow to {target}", report.new_capacity)))
+        }
+        Ok(_) => Ok(true),
+        Err(PoseidonError::BadGeometry(_)) => Ok(false), // step too small for a band page
+        result => tolerate("grow", result, with_poison).map(|()| false),
+    }
+}
+
+/// What a crash arm's power cycle recovered.
+struct Recovered {
+    heap: Arc<PoseidonHeap>,
+    audits: Vec<(u16, SubheapAudit)>,
+    recovery: RecoveryReport,
+    frozen: Vec<u16>,
+    huge: Option<HugeAudit>,
+}
+
+/// The power cycle every crash arm ends with: disarm, snapshot every undo
+/// area's entry chain, crash in a drawn mode (half strict, half
+/// adversarial; poisoned lines survive, like real media errors survive a
+/// reboot), check the undo ordering, reload, audit the sub-heaps and the
+/// huge region, and check the huge region is available unless recovery
+/// quarantined it. `Ok(None)` is a typed media failure on reload —
+/// acceptable under `--poison` when the poison landed on state the heap
+/// cannot rebuild online (e.g. the superblock); any other failure, and
+/// any panic, is a bug.
+fn power_cycle(
+    dev: &Arc<PmemDevice>,
+    heap: Arc<PoseidonHeap>,
+    rng: &mut Rng,
+    with_poison: bool,
+    reload: HeapConfig,
+) -> Result<Option<Recovered>, String> {
+    dev.disarm_crash();
+    dev.disarm_poison();
+    let layout = heap.layout().clone();
+    drop(heap);
+
+    // Reads see all pre-crash stores, so this is exactly what a crashed
+    // operation managed to log.
+    let logged_chains = poseidon::fuzz::undo_chains(dev, &layout);
+    let mode = if rng.below(2) == 0 { CrashMode::Strict } else { CrashMode::Adversarial };
+    dev.simulate_crash(mode, rng.next());
+    check_undo_ordering(dev, &layout, &logged_chains)?;
+
+    let heap = match PoseidonHeap::load(dev.clone(), reload) {
+        Ok(heap) => Arc::new(heap),
+        Err(PoseidonError::MediaError { .. }) if with_poison => return Ok(None),
+        Err(e) => return Err(format!("load: {e}")),
+    };
+    // Block accounting must be clean: a block both coalesced into its
+    // buddy and still reachable would double-claim offsets. The huge
+    // audit errors unless the extent table is a sorted, page-granular,
+    // eagerly-coalesced tiling of the recovered data region.
+    let audits = heap.audit().map_err(|e| format!("post-recovery audit: {e}"))?;
+    let recovery = heap.recovery_report();
+    let frozen = heap.quarantined_subheaps();
+    let huge = heap.huge_audit().map_err(|e| format!("post-recovery huge audit: {e}"))?;
+    if heap.layout().huge_data_size() > 0 && !recovery.huge_region_quarantined && huge.is_none() {
+        return Err("huge region unavailable without being quarantined".into());
+    }
+    Ok(Some(Recovered { heap, audits, recovery, frozen, huge }))
+}
+
+/// The recovered heap must still serve allocations, and never hand out
+/// memory overlapping a poisoned line. Refusing is acceptable only when
+/// poison froze every sub-heap (the failover loop exhausts the sub-heap
+/// set and types it).
+fn still_serving(dev: &PmemDevice, r: &Recovered, with_poison: bool) -> Result<(), String> {
+    match r.heap.alloc(64) {
+        Ok(p) => {
+            let raw = r.heap.raw_offset(p).map_err(|e| format!("raw_offset: {e}"))?;
+            if let Some(range) = dev.scrub().iter().find(|range| range.overlaps(raw, 64)) {
+                return Err(format!(
+                    "fresh allocation at {raw:#x} overlaps poisoned line at {:#x}",
+                    range.offset
+                ));
+            }
+            r.heap.free(p).map_err(|e| format!("post-recovery free: {e}"))
+        }
+        Err(PoseidonError::AllFailed { .. } | PoseidonError::SubheapQuarantined { .. })
+            if with_poison && r.frozen.len() == r.heap.layout().num_subheaps() as usize =>
+        {
+            Ok(())
+        }
+        Err(e) => Err(format!("post-recovery alloc: {e}")),
+    }
+}
+
 /// One `--poison-live` case: poison fires repeatedly *during* live
 /// operations with no crash armed, so every uncorrectable error must be
 /// absorbed online. Ends by checking the self-healing invariants and
@@ -213,7 +428,6 @@ fn run_live_case(case_seed: u64) -> Result<CaseOutcome, String> {
         PoseidonHeap::create(dev.clone(), HeapConfig::new().with_subheaps(2 + rng.below(3) as u16))
             .map_err(|e| format!("create: {e}"))?,
     );
-    let max_alloc = heap.layout().max_alloc();
 
     // Several poison salvos, each landing mid-operation somewhere in the
     // workload. Device errors are impossible without an armed crash, so
@@ -221,51 +435,30 @@ fn run_live_case(case_seed: u64) -> Result<CaseOutcome, String> {
     let mut live: Vec<NvmPtr> = Vec::new();
     for round in 0..4u64 {
         dev.arm_poison_after(1 + rng.below(150), rng.next() ^ round);
-        for _ in 0..rng.below(120) + 30 {
-            match rng.below(10) {
-                0..=4 => match heap.alloc(1 + rng.below(8192)) {
-                    Ok(p) => live.push(p),
-                    Err(PoseidonError::Device(e)) => return Err(format!("live alloc: device error {e}")),
-                    Err(_) => {}
-                },
-                5..=6 => {
-                    if !live.is_empty() {
-                        let index = rng.below(live.len() as u64) as usize;
-                        let p = live.swap_remove(index);
-                        if let Err(PoseidonError::Device(e)) = heap.free(p) {
-                            return Err(format!("live free: device error {e}"));
-                        }
-                    }
-                }
-                7 => {
-                    let commit = rng.below(2) == 0;
-                    match heap.tx_alloc(1 + rng.below(512), commit) {
-                        Ok(p) if commit => live.push(p),
-                        Ok(_) => {}
-                        Err(PoseidonError::Device(e)) => return Err(format!("live tx: device error {e}")),
-                        Err(_) => {
-                            let _ = heap.tx_abort();
-                        }
-                    }
-                }
-                8 => match heap.alloc(max_alloc + 1 + rng.below(2 << 20)) {
-                    Ok(p) => live.push(p),
-                    Err(PoseidonError::Device(e)) => return Err(format!("live huge: device error {e}")),
-                    Err(_) => {}
-                },
-                _ => {
-                    // Budgeted scrubber tick: promotes latent poison to
-                    // quarantine before a user thread trips on it.
-                    heap.scrub_step(1 + rng.below(8) as usize).map_err(|e| format!("scrub_step: {e}"))?;
-                }
+        let salvo = (0..rng.below(120) + 30).try_for_each(|_| match rng.below(10) {
+            0..=4 => small_alloc(&heap, &mut rng, &mut live),
+            5..=6 => random_free(&heap, &mut rng, &mut live),
+            7 => {
+                let commit = rng.below(2) == 0;
+                tx_alloc(&heap, &mut live, 1 + rng.below(512), commit)
             }
-        }
+            8 => huge_alloc(&heap, &mut rng, &mut live, 2 << 20),
+            // Budgeted scrubber tick: promotes latent poison to
+            // quarantine before a user thread trips on it.
+            _ => heap
+                .scrub_step(1 + rng.below(8) as usize)
+                .map(drop)
+                .map_err(|e| Stop::Fail(format!("scrub_step: {e}"))),
+        });
+        salvo.map_err(|stop| match stop {
+            Stop::Cut(why) => format!("live {why}"),
+            Stop::Fail(why) => why,
+        })?;
         dev.disarm_poison();
     }
 
     // A full scrub pass drains whatever poison the workload never touched.
-    let units = heap.layout().num_subheaps() as usize + 1;
-    heap.scrub_step(2 * units).map_err(|e| format!("final scrub: {e}"))?;
+    heap.scrub_step(usize::MAX).map_err(|e| format!("final scrub: {e}"))?;
 
     // Invariant 1 — quarantine accounting balances: the health report's
     // frozen count is the live set, every counted media error was
@@ -354,7 +547,6 @@ fn run_grow_case(case_seed: u64, with_poison: bool) -> Result<CaseOutcome, Strin
         PoseidonHeap::create(dev.clone(), HeapConfig::new().with_subheaps(1 + rng.below(2) as u16))
             .map_err(|e| format!("create: {e}"))?,
     );
-    let max_alloc = heap.layout().max_alloc();
 
     dev.arm_crash_after(rng.below(600));
     if with_poison {
@@ -364,91 +556,26 @@ fn run_grow_case(case_seed: u64, with_poison: bool) -> Result<CaseOutcome, Strin
     // must survive the power cycle verbatim.
     let mut grows_ok = 0usize;
     let mut live: Vec<NvmPtr> = Vec::new();
-    'workload: for _ in 0..rng.below(100) + 20 {
-        match rng.below(12) {
-            0..=4 => match heap.alloc(1 + rng.below(8192)) {
-                Ok(p) => live.push(p),
-                Err(PoseidonError::Device(_)) => break 'workload,
-                Err(_) => {}
-            },
-            5..=6 => {
-                if !live.is_empty() {
-                    let index = rng.below(live.len() as u64) as usize;
-                    let p = live.swap_remove(index);
-                    if matches!(heap.free(p), Err(PoseidonError::Device(_))) {
-                        break 'workload;
-                    }
-                }
-            }
-            7..=8 => match heap.alloc(max_alloc + 1 + rng.below(4 << 20)) {
-                Ok(p) => live.push(p),
-                Err(PoseidonError::Device(_)) => break 'workload,
-                Err(_) => {}
-            },
-            9 => {
-                // Cached-path churn so magazines are mid-flight when a
-                // growth re-homes them.
-                let size = 1 + rng.below(4096);
-                for _ in 0..rng.below(12) + 1 {
-                    match heap.alloc(size) {
-                        Ok(p) => {
-                            if matches!(heap.free(p), Err(PoseidonError::Device(_))) {
-                                break 'workload;
-                            }
-                        }
-                        Err(PoseidonError::Device(_)) => break 'workload,
-                        Err(_) => break,
-                    }
-                }
-            }
-            _ => {
-                // Online growth: random MiB-granular step, clamped to the
-                // device ceiling. Small steps extend only the huge band;
-                // larger ones materialise whole sub-heaps.
-                let target = (heap.layout().capacity() + ((1 + rng.below(48)) << 20)).min(dev.max_capacity());
-                if target <= heap.layout().capacity() {
-                    continue; // already at the ceiling
-                }
-                match heap.grow(target) {
-                    Ok(report) => {
-                        if report.new_capacity != target {
-                            return Err(format!(
-                                "grow reported capacity {} for a grow to {target}",
-                                report.new_capacity
-                            ));
-                        }
-                        grows_ok += 1;
-                    }
-                    Err(PoseidonError::Device(_)) => break 'workload,
-                    Err(PoseidonError::BadGeometry(_)) => {} // step too small for a band page
-                    Err(PoseidonError::MediaError { .. }) if with_poison => {}
-                    Err(e) => return Err(format!("grow: {e}")),
-                }
-            }
-        }
-    }
-    dev.disarm_crash();
-    dev.disarm_poison();
-    let layout = heap.layout().clone();
-    drop(heap);
+    until_cut((0..rng.below(100) + 20).try_for_each(|_| match rng.below(12) {
+        0..=4 => small_alloc(&heap, &mut rng, &mut live),
+        5..=6 => random_free(&heap, &mut rng, &mut live),
+        7..=8 => huge_alloc(&heap, &mut rng, &mut live, 4 << 20),
+        9 => cached_churn(&heap, &mut rng),
+        _ => grow(&heap, &dev, &mut rng, 48, with_poison).map(|grew| grows_ok += usize::from(grew)),
+    }))?;
 
-    let logged_chains = poseidon::fuzz::undo_chains(&dev, &layout);
-    let mode = if rng.below(2) == 0 { CrashMode::Strict } else { CrashMode::Adversarial };
-    dev.simulate_crash(mode, rng.next());
-    check_undo_ordering(&dev, &layout, &logged_chains)?;
-
-    let heap = match PoseidonHeap::load(dev.clone(), HeapConfig::new()) {
-        Ok(heap) => Arc::new(heap),
-        Err(PoseidonError::MediaError { .. }) if with_poison => return Ok(CaseOutcome::TypedMediaFailure),
-        Err(e) => return Err(format!("load: {e}")),
+    let Some(r) = power_cycle(&dev, heap, &mut rng, with_poison, HeapConfig::new())? else {
+        return Ok(CaseOutcome::TypedMediaFailure);
     };
 
     // Epoch-chain consistency: every acknowledged growth survived, at
     // most one unacknowledged growth (the one in flight at the crash)
     // may have reached its commit point, and the recovered layout fits
     // the device (which may be longer — growing the device is durable
-    // before the epoch commit, by design).
-    let chain = heap.layout().epoch_count();
+    // before the epoch commit, by design). The power cycle's audits ran
+    // on the recovered geometry, so a torn growth's band extension was
+    // completed by recovery.
+    let chain = r.heap.layout().epoch_count();
     let expected_min = 1 + grows_ok;
     if chain < expected_min {
         return Err(format!(
@@ -461,42 +588,25 @@ fn run_grow_case(case_seed: u64, with_poison: bool) -> Result<CaseOutcome, Strin
              growths plus one in flight"
         ));
     }
-    if heap.layout().capacity() > dev.capacity() {
+    if r.heap.layout().capacity() > dev.capacity() {
         return Err(format!(
             "recovered layout claims {} bytes on a {}-byte device",
-            heap.layout().capacity(),
+            r.heap.layout().capacity(),
             dev.capacity()
         ));
     }
 
-    // The recovered geometry must audit clean end to end, huge region
-    // included (a torn growth's band extension is completed by recovery,
-    // so the extent table must tile the *recovered* logical space).
-    heap.audit().map_err(|e| format!("post-recovery audit: {e}"))?;
-    let frozen = heap.quarantined_subheaps();
-    let recovery = heap.recovery_report();
-    let huge = heap.huge_audit().map_err(|e| format!("post-recovery huge audit: {e}"))?;
-    if heap.layout().huge_data_size() > 0 && !recovery.huge_region_quarantined && huge.is_none() {
-        return Err("huge region unavailable without being quarantined".into());
-    }
-
-    // Still serving on the recovered geometry.
-    match heap.alloc(64) {
-        Ok(p) => heap.free(p).map_err(|e| format!("post-recovery free: {e}"))?,
-        Err(PoseidonError::AllFailed { .. } | PoseidonError::SubheapQuarantined { .. })
-            if with_poison && frozen.len() == heap.layout().num_subheaps() as usize => {}
-        Err(e) => return Err(format!("post-recovery alloc: {e}")),
-    }
+    still_serving(&dev, &r, with_poison)?;
     // And still growing: a recovered pool below the ceiling must accept
     // a further growth and serve from it.
-    let target = heap.layout().capacity() + (8 << 20);
+    let target = r.heap.layout().capacity() + (8 << 20);
     if target <= dev.max_capacity() {
-        match heap.grow(target) {
+        match r.heap.grow(target) {
             Ok(report) => {
-                if report.new_capacity != target || heap.layout().capacity() != target {
+                if report.new_capacity != target || r.heap.layout().capacity() != target {
                     return Err(format!(
                         "post-recovery grow to {target} left capacity {}",
-                        heap.layout().capacity()
+                        r.heap.layout().capacity()
                     ));
                 }
             }
@@ -533,7 +643,6 @@ fn run_maint_case(case_seed: u64, with_poison: bool, with_grow: bool) -> Result<
         heap_config = heap_config.without_cache();
     }
     let heap = Arc::new(PoseidonHeap::create(dev.clone(), heap_config).map_err(|e| format!("create: {e}"))?);
-    let max_alloc = heap.layout().max_alloc();
 
     // Build coalescing debt before arming: a mixed-class checkerboard
     // whose odd half is freed leaves mergeable buddy pairs in several
@@ -552,99 +661,33 @@ fn run_maint_case(case_seed: u64, with_poison: bool, with_grow: bool) -> Result<
     if with_poison {
         dev.arm_poison_after(1 + rng.below(300), rng.next());
     }
-    'workload: for _ in 0..rng.below(120) + 30 {
-        match rng.below(10) {
-            // Maintenance dominates the armed window so the crash lands
-            // at a unit commit point more often than not.
-            0..=4 => match heap.maint_step(1 + rng.below(4) as usize) {
-                Ok(_) => {}
-                Err(PoseidonError::Device(_)) => break 'workload,
-                Err(PoseidonError::MediaError { .. }) if with_poison => {}
-                Err(e) => return Err(format!("maint_step: {e}")),
-            },
-            5..=6 => match heap.alloc(1 + rng.below(8192)) {
-                Ok(p) => live.push(p),
-                Err(PoseidonError::Device(_)) => break 'workload,
-                Err(_) => {}
-            },
-            7 => {
-                if !live.is_empty() {
-                    let index = rng.below(live.len() as u64) as usize;
-                    let p = live.swap_remove(index);
-                    if matches!(heap.free(p), Err(PoseidonError::Device(_))) {
-                        break 'workload;
-                    }
-                }
-            }
-            8 => match heap.alloc(max_alloc + 1 + rng.below(2 << 20)) {
-                Ok(p) => live.push(p),
-                Err(PoseidonError::Device(_)) => break 'workload,
-                Err(_) => {}
-            },
-            _ => {
-                if with_grow {
-                    let target =
-                        (heap.layout().capacity() + ((1 + rng.below(32)) << 20)).min(dev.max_capacity());
-                    if target <= heap.layout().capacity() {
-                        continue; // already at the ceiling
-                    }
-                    match heap.grow(target) {
-                        Ok(_) => {}
-                        Err(PoseidonError::Device(_)) => break 'workload,
-                        Err(PoseidonError::BadGeometry(_)) => {}
-                        Err(PoseidonError::MediaError { .. }) if with_poison => {}
-                        Err(e) => return Err(format!("grow: {e}")),
-                    }
-                } else {
-                    // Full convergence mid-traffic: marks pressure, so
-                    // subsequent maint_steps take the aggressive path.
-                    match heap.defragment() {
-                        Ok(_) => {}
-                        Err(PoseidonError::Device(_)) => break 'workload,
-                        Err(PoseidonError::MediaError { .. }) if with_poison => {}
-                        Err(e) => return Err(format!("defragment: {e}")),
-                    }
-                }
-            }
-        }
-    }
-    dev.disarm_crash();
-    dev.disarm_poison();
-    let layout = heap.layout().clone();
-    drop(heap);
+    until_cut((0..rng.below(120) + 30).try_for_each(|_| match rng.below(10) {
+        // Maintenance dominates the armed window so the crash lands at a
+        // unit commit point more often than not.
+        0..=4 => tolerate("maint_step", heap.maint_step(1 + rng.below(4) as usize), with_poison),
+        5..=6 => small_alloc(&heap, &mut rng, &mut live),
+        7 => random_free(&heap, &mut rng, &mut live),
+        8 => huge_alloc(&heap, &mut rng, &mut live, 2 << 20),
+        _ if with_grow => grow(&heap, &dev, &mut rng, 32, with_poison).map(drop),
+        // Full convergence mid-traffic: marks pressure, so subsequent
+        // maint_steps take the aggressive path.
+        _ => tolerate("defragment", heap.defragment(), with_poison),
+    }))?;
 
-    let logged_chains = poseidon::fuzz::undo_chains(&dev, &layout);
-    let mode = if rng.below(2) == 0 { CrashMode::Strict } else { CrashMode::Adversarial };
-    dev.simulate_crash(mode, rng.next());
-    check_undo_ordering(&dev, &layout, &logged_chains)?;
-
-    let mut reload_config = HeapConfig::new();
+    let mut reload = HeapConfig::new();
     if uncached {
-        reload_config = reload_config.without_cache();
+        reload = reload.without_cache();
     }
-    let heap = match PoseidonHeap::load(dev.clone(), reload_config) {
-        Ok(heap) => Arc::new(heap),
-        Err(PoseidonError::MediaError { .. }) if with_poison => return Ok(CaseOutcome::TypedMediaFailure),
-        Err(e) => return Err(format!("load: {e}")),
+    let Some(r) = power_cycle(&dev, heap, &mut rng, with_poison, reload)? else {
+        return Ok(CaseOutcome::TypedMediaFailure);
     };
-
-    // Block accounting and extent tiling must be clean: a block that was
-    // both coalesced into its buddy and still reachable would
-    // double-claim offsets and fail these audits.
-    heap.audit().map_err(|e| format!("post-recovery audit: {e}"))?;
-    let frozen = heap.quarantined_subheaps();
-    let recovery = heap.recovery_report();
-    let huge = heap.huge_audit().map_err(|e| format!("post-recovery huge audit: {e}"))?;
-    if heap.layout().huge_data_size() > 0 && !recovery.huge_region_quarantined && huge.is_none() {
-        return Err("huge region unavailable without being quarantined".into());
-    }
 
     // Maintenance must converge on the recovered heap: repeated budgeted
     // steps retire every remaining mergeable pair, however the crash
     // interleaved with the engine.
     let mut converged = false;
     for _ in 0..10_000 {
-        match heap.maint_step(1 + rng.below(8) as usize) {
+        match r.heap.maint_step(1 + rng.below(8) as usize) {
             Ok(step) if step.fully_defragged => {
                 converged = true;
                 break;
@@ -659,7 +702,7 @@ fn run_maint_case(case_seed: u64, with_poison: bool, with_grow: bool) -> Result<
     if !converged {
         return Err("maintenance failed to converge on the recovered heap".into());
     }
-    match heap.fragmentation() {
+    match r.heap.fragmentation() {
         Ok(report) => {
             if report.frag_bytes() != 0 {
                 return Err(format!(
@@ -671,15 +714,10 @@ fn run_maint_case(case_seed: u64, with_poison: bool, with_grow: bool) -> Result<
         Err(PoseidonError::MediaError { .. }) if with_poison => return Ok(CaseOutcome::TypedMediaFailure),
         Err(e) => return Err(format!("post-recovery fragmentation: {e}")),
     }
-    heap.audit().map_err(|e| format!("post-maintenance audit: {e}"))?;
+    r.heap.audit().map_err(|e| format!("post-maintenance audit: {e}"))?;
 
     // Still serving after convergence.
-    match heap.alloc(64) {
-        Ok(p) => heap.free(p).map_err(|e| format!("post-recovery free: {e}"))?,
-        Err(PoseidonError::AllFailed { .. } | PoseidonError::SubheapQuarantined { .. })
-            if with_poison && frozen.len() == heap.layout().num_subheaps() as usize => {}
-        Err(e) => return Err(format!("post-recovery alloc: {e}")),
-    }
+    still_serving(&dev, &r, with_poison)?;
     Ok(CaseOutcome::Recovered)
 }
 
@@ -701,139 +739,78 @@ fn run_case(case_seed: u64, with_tx: bool, with_poison: bool) -> Result<CaseOutc
         dev.arm_poison_after(1 + rng.below(400), rng.next());
     }
     let mut live: Vec<NvmPtr> = Vec::new();
-    'workload: for _ in 0..rng.below(80) + 10 {
-        match rng.below(11) {
-            0..=4 => match heap.alloc(1 + rng.below(8192)) {
-                Ok(p) => live.push(p),
-                Err(PoseidonError::Device(_)) => break 'workload,
-                Err(_) => {}
-            },
-            5..=6 => {
-                // Frees hit small and huge pointers alike: `live` holds
-                // both, and the heap routes by the sub-heap sentinel.
-                if !live.is_empty() {
-                    let index = rng.below(live.len() as u64) as usize;
-                    let p = live.swap_remove(index);
-                    if matches!(heap.free(p), Err(PoseidonError::Device(_))) {
-                        break 'workload;
-                    }
-                }
-            }
-            7 => {
-                // tx_alloc, randomly committed, occasionally beyond the
-                // sub-heap cap so the spanning huge+micro scope is hit.
-                let commit = rng.below(2) == 0;
-                let size =
-                    if rng.below(6) == 0 { max_alloc + 1 + rng.below(1 << 20) } else { 1 + rng.below(512) };
-                match heap.tx_alloc(size, commit) {
-                    Ok(p) if commit => live.push(p),
-                    Ok(_) => {}
-                    Err(PoseidonError::Device(_)) => break 'workload,
-                    Err(_) => {
-                        let _ = heap.tx_abort();
-                    }
-                }
-            }
-            8 => {
-                // Huge-path allocation (extent allocator). TooLarge is
-                // routine: the region may be exhausted or (on one-sub
-                // geometries) smaller than the sub-heap cap.
-                match heap.alloc(max_alloc + 1 + rng.below(4 << 20)) {
-                    Ok(p) => live.push(p),
-                    Err(PoseidonError::Device(_)) => break 'workload,
-                    Err(_) => {}
-                }
-            }
-            9 => {
-                // Cached-path churn: same-size alloc/free pairs drive the
-                // magazine fast path (refill, hits, park) so crashes land
-                // while blocks are cache-withdrawn in every state.
-                let size = 1 + rng.below(4096);
-                for _ in 0..rng.below(12) + 1 {
-                    match heap.alloc(size) {
-                        Ok(p) => {
-                            if matches!(heap.free(p), Err(PoseidonError::Device(_))) {
-                                break 'workload;
-                            }
-                        }
-                        Err(PoseidonError::Device(_)) => break 'workload,
-                        Err(_) => break,
-                    }
-                }
-            }
-            _ => {
-                if let Some(pool) = &pool {
-                    let result = pool.run(|tx| {
-                        let a = tx.alloc(1 + rng.below(256))?;
-                        tx.write_pod(a, 0, &case_seed)?;
-                        if rng.below(3) == 0 {
-                            return Err(PtxError::Aborted("fuzz abort".into()));
-                        }
-                        tx.set_root(a)?;
-                        Ok(())
-                    });
-                    if matches!(result, Err(PtxError::Heap(PoseidonError::Device(_)))) {
-                        break 'workload;
-                    }
-                }
-            }
+    until_cut((0..rng.below(80) + 10).try_for_each(|_| match rng.below(11) {
+        0..=4 => small_alloc(&heap, &mut rng, &mut live),
+        5..=6 => random_free(&heap, &mut rng, &mut live),
+        7 => {
+            // tx_alloc, randomly committed, occasionally beyond the
+            // sub-heap cap so the spanning huge+micro scope is hit.
+            let commit = rng.below(2) == 0;
+            let size =
+                if rng.below(6) == 0 { max_alloc + 1 + rng.below(1 << 20) } else { 1 + rng.below(512) };
+            tx_alloc(&heap, &mut live, size, commit)
         }
-    }
-    dev.disarm_crash();
-    dev.disarm_poison();
-    let layout = heap.layout().clone();
-    let heap_id = heap.heap_id();
+        8 => huge_alloc(&heap, &mut rng, &mut live, 4 << 20),
+        9 => cached_churn(&heap, &mut rng),
+        _ => match &pool {
+            Some(pool) => {
+                let result = pool.run(|tx| {
+                    let a = tx.alloc(1 + rng.below(256))?;
+                    tx.write_pod(a, 0, &case_seed)?;
+                    if rng.below(3) == 0 {
+                        return Err(PtxError::Aborted("fuzz abort".into()));
+                    }
+                    tx.set_root(a)?;
+                    Ok(())
+                });
+                match result {
+                    Err(PtxError::Heap(PoseidonError::Device(e))) => Err(cut("ptx", e)),
+                    _ => Ok(()),
+                }
+            }
+            None => Ok(()),
+        },
+    }))?;
     // Snapshot what the transient cache is holding at the moment of the
     // "power cut": magazine/pool residents and checked-out allocations
     // alike. All of them are persistently FREE by construction (the fast
     // path never touches media), and recovery must return every one to
     // the free lists.
+    let heap_id = heap.heap_id();
     let cache_withdrawn = heap.cache_snapshot();
     drop(pool);
-    drop(heap);
 
-    // Snapshot every undo area's live entry chain *before* the power
-    // cycle: reads see all pre-crash stores, so this is exactly what a
-    // crashed operation managed to log.
-    let logged_chains = poseidon::fuzz::undo_chains(&dev, &layout);
-
-    // Power-cycle (half strict, half adversarial) and recover. Poisoned
-    // lines survive the crash, like real media errors survive a reboot.
-    let mode = if rng.below(2) == 0 { CrashMode::Strict } else { CrashMode::Adversarial };
-    dev.simulate_crash(mode, rng.next());
-
-    check_undo_ordering(&dev, &layout, &logged_chains)?;
-    let heap = match PoseidonHeap::load(dev.clone(), HeapConfig::new()) {
-        Ok(heap) => Arc::new(heap),
-        // Losing state the heap cannot rebuild online (e.g. a poisoned
-        // superblock line) must surface as the typed media error — any
-        // other failure, and any panic, is a bug.
-        Err(PoseidonError::MediaError { .. }) if with_poison => return Ok(CaseOutcome::TypedMediaFailure),
-        Err(e) => return Err(format!("load: {e}")),
+    let Some(r) = power_cycle(&dev, heap, &mut rng, with_poison, HeapConfig::new())? else {
+        return Ok(CaseOutcome::TypedMediaFailure);
     };
-    let audits = heap.audit().map_err(|e| format!("audit: {e}"))?;
 
     // Quarantine accounting must line up: the recovery report's wholesale
     // count matches the frozen sub-heap set, and the audit sees at least
     // the block quarantine recovery claims (frees before the crash may
-    // have quarantined more).
-    let recovery = heap.recovery_report();
-    let frozen = heap.quarantined_subheaps();
-    if recovery.subheaps_quarantined as usize != frozen.len() {
+    // have quarantined more) — in the huge region too.
+    if r.recovery.subheaps_quarantined as usize != r.frozen.len() {
         return Err(format!(
             "recovery reports {} wholesale-quarantined sub-heaps but {} are frozen",
-            recovery.subheaps_quarantined,
-            frozen.len()
+            r.recovery.subheaps_quarantined,
+            r.frozen.len()
         ));
     }
-    let audited_quarantined: u64 = audits.iter().map(|(_, a)| a.quarantined_bytes).sum();
-    if audited_quarantined < recovery.bytes_quarantined {
+    let audited_quarantined: u64 = r.audits.iter().map(|(_, a)| a.quarantined_bytes).sum();
+    if audited_quarantined < r.recovery.bytes_quarantined {
         return Err(format!(
             "audit sees {audited_quarantined} quarantined bytes, recovery quarantined {}",
-            recovery.bytes_quarantined
+            r.recovery.bytes_quarantined
         ));
     }
-    if !with_poison && (recovery.media_damage_detected() || dev.poisoned_lines() > 0) {
+    if let Some(huge) = &r.huge {
+        if huge.quarantined_bytes < r.recovery.huge_bytes_quarantined {
+            return Err(format!(
+                "huge audit sees {} quarantined bytes, recovery quarantined {}",
+                huge.quarantined_bytes, r.recovery.huge_bytes_quarantined
+            ));
+        }
+    }
+    if !with_poison && (r.recovery.media_damage_detected() || dev.poisoned_lines() > 0) {
         return Err("media damage reported without --poison".into());
     }
 
@@ -844,10 +821,10 @@ fn run_case(case_seed: u64, with_tx: bool, with_poison: bool) -> Result<CaseOutc
     // (the reloaded heap's cache starts empty), so success here means the
     // invariant broke.
     for &(sub, offset) in &cache_withdrawn {
-        if frozen.contains(&sub) {
+        if r.frozen.contains(&sub) {
             continue; // wholesale quarantine froze the sub-heap's records as-is
         }
-        if let Ok(size) = heap.block_size(NvmPtr::new(heap_id, sub, offset)) {
+        if let Ok(size) = r.heap.block_size(NvmPtr::new(heap_id, sub, offset)) {
             return Err(format!(
                 "cache-withdrawn block (sub {sub}, offset {offset:#x}) survived the \
                  crash as a live {size}-byte allocation"
@@ -855,24 +832,8 @@ fn run_case(case_seed: u64, with_tx: bool, with_poison: bool) -> Result<CaseOutc
         }
     }
 
-    // Extent-table invariant check, every power cycle: the audit walks
-    // the table and errors unless the non-empty slots form a sorted,
-    // page-granular, eagerly-coalesced tiling of the whole data region.
-    let huge = heap.huge_audit().map_err(|e| format!("huge audit: {e}"))?;
-    if layout.huge_data_size() > 0 && !recovery.huge_region_quarantined && huge.is_none() {
-        return Err("huge region unavailable without being quarantined".into());
-    }
-    if let Some(huge) = &huge {
-        if huge.quarantined_bytes < recovery.huge_bytes_quarantined {
-            return Err(format!(
-                "huge audit sees {} quarantined bytes, recovery quarantined {}",
-                huge.quarantined_bytes, recovery.huge_bytes_quarantined
-            ));
-        }
-    }
-
-    if with_tx && !heap.root().map_err(|e| format!("root: {e}"))?.is_null() {
-        match PtxPool::open(heap.clone()) {
+    if with_tx && !r.heap.root().map_err(|e| format!("root: {e}"))?.is_null() {
+        match PtxPool::open(r.heap.clone()) {
             Ok(pool) => {
                 let _ = pool.recovery_report();
             }
@@ -884,26 +845,6 @@ fn run_case(case_seed: u64, with_tx: bool, with_poison: bool) -> Result<CaseOutc
         }
     }
 
-    // The recovered heap must still serve allocations, and never hand out
-    // memory overlapping a poisoned line.
-    match heap.alloc(64) {
-        Ok(p) => {
-            let raw = heap.raw_offset(p).map_err(|e| format!("raw_offset: {e}"))?;
-            for range in dev.scrub() {
-                if range.offset < raw + 64 && raw < range.offset + range.len {
-                    return Err(format!(
-                        "fresh allocation at {raw:#x} overlaps poisoned line at {:#x}",
-                        range.offset
-                    ));
-                }
-            }
-            heap.free(p).map_err(|e| format!("post-recovery free: {e}"))?;
-        }
-        // Acceptable only when every sub-heap is frozen by poison (the
-        // failover loop exhausts the sub-heap set and types it).
-        Err(PoseidonError::AllFailed { .. } | PoseidonError::SubheapQuarantined { .. })
-            if with_poison && frozen.len() == heap.layout().num_subheaps() as usize => {}
-        Err(e) => return Err(format!("post-recovery alloc: {e}")),
-    }
+    still_serving(&dev, &r, with_poison)?;
     Ok(CaseOutcome::Recovered)
 }
