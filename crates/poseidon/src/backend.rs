@@ -53,9 +53,9 @@ impl PoseidonHeap {
         let (class, _rounded) = class_for_size(size)?;
         self.ensure_subheap(sub)?;
         let op = self.begin_op(sub)?;
-        // Note: no table-shrink probe here. Allocation only ever *adds*
+        // Note: no table shrink here. Allocation only ever *adds*
         // records, so the top level cannot become empty on this path; the
-        // probe runs on free and defragment, where levels actually drain.
+        // shrink runs on free and in maintenance, where levels drain.
         let offset = subheap::alloc_block(&op, class, micro)?;
         drop(op);
         self.ops.allocs.fetch_add(1, Ordering::Relaxed);
@@ -122,10 +122,12 @@ impl PoseidonHeap {
         }
     }
 
-    /// Frees a buddy block through the full persistent path: an
-    /// undo-logged state flip that pushes the block on its class's free
-    /// list, then the table-shrink probe. Coalescing is deferred — the
-    /// free runs no merges; the maintenance engine and the alloc path's
+    /// Frees a buddy block through the full persistent path: one
+    /// undo-logged [`subheap::free_block`], whose record goes where the
+    /// release rule ([`crate::quarantine::release`]) sends it — its
+    /// class's free list, or quarantine when its bytes are poisoned —
+    /// then the table shrink. Coalescing is deferred — the free runs no
+    /// merges; the maintenance engine and the alloc path's
     /// defragmentation pay that debt later (DESIGN.md §15).
     pub(crate) fn free_slow(&self, ptr: NvmPtr) -> Result<()> {
         let sub = ptr.subheap();
@@ -137,20 +139,17 @@ impl PoseidonHeap {
         }
         let op = self.begin_op(sub)?;
         match subheap::free_block(&op, ptr.offset()) {
-            Ok(outcome) => {
-                // Frees drain table levels; probe (two view reads) and
-                // shrink here so the alloc hot path never pays for it.
-                if hashtable::shrink_would_release(&op)? {
-                    hashtable::shrink(&op)?;
-                }
+            Ok((quarantined, _)) => {
+                // Frees drain table levels; shrink here (two view reads
+                // when the top level is still populated) so the alloc hot
+                // path never pays for it.
+                hashtable::shrink(&op)?;
                 drop(op);
-                if outcome.quarantined {
-                    // The block went to quarantine, not a free list —
-                    // keep the live health ledger in step with the
-                    // durable record state so `health()` and the audit
-                    // agree (the scrubber never revisits it: it is no
-                    // longer FREE).
-                    self.health.blocks_quarantined.fetch_add(1, Ordering::Relaxed);
+                if quarantined > 0 {
+                    // A block sent to quarantine, not a free list, must
+                    // show in `health()` as in the audit (the scrubber
+                    // never revisits it: it is no longer FREE).
+                    self.health.blocks_quarantined.fetch_add(quarantined, Ordering::Relaxed);
                 }
                 self.note_free();
                 Ok(())

@@ -25,6 +25,10 @@
 //! `0x40|class` = checked out to the application). The cached free is a
 //! single CAS on that byte — which also gives the fast path the same
 //! double-free protection the table gives the slow path.
+//!
+//! Blocks leave the cache through one drain
+//! ([`PoseidonHeap::drain_resident`]: overflow, eviction, close, scrub)
+//! and one publish (`settle_cache`: `set_root`, close).
 
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -38,6 +42,7 @@ use crate::error::{PoseidonError, Result};
 use crate::heap::PoseidonHeap;
 use crate::layout::{class_for_size, class_size, HeapLayout, MAX_SUBHEAPS, MIN_BLOCK};
 use crate::nvmptr::NvmPtr;
+use crate::session::OpSession;
 use crate::subheap::{self, CacheResidency};
 
 /// Blocks held per CPU magazine and size class; also the batch a cache
@@ -394,16 +399,16 @@ impl HeapCache {
         rest
     }
 
-    /// Clears the residency bytes of blocks that just left cache
-    /// management (drained or published while their bytes were still
-    /// set).
-    pub(crate) fn clear(&self, sub: u16, offsets: &[u64]) {
-        let Some(sc) = self.existing(sub) else { return };
+    /// Clears the residency bytes of a drained batch, which just left
+    /// cache management, and counts the drain.
+    fn drained(&self, sub: u16, offsets: &[u64]) {
+        let sc = self.sub_cache(sub);
         for &offset in offsets {
             if let Some(byte) = sc.map.granule(offset) {
                 byte.store(0, Ordering::Release);
             }
         }
+        sc.drains.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Pops every resident block of `sub` the caller can reach (its pools
@@ -541,10 +546,6 @@ impl HeapCache {
         self.sub_cache(sub).refills.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn note_drain(&self, sub: u16) {
-        self.sub_cache(sub).drains.fetch_add(1, Ordering::Relaxed);
-    }
-
     pub(crate) fn reset_stats(&self) {
         for sc in self.subs.iter().filter_map(OnceLock::get) {
             sc.hits.store(0, Ordering::Relaxed);
@@ -590,11 +591,7 @@ impl PoseidonHeap {
         cache.note_refill(sub);
         cache.admit(sub, class, &offsets);
         let overflow = cache.stash(cpu, sub, sub == home, class, &offsets[1..]);
-        if !overflow.is_empty() {
-            let quarantined = subheap::drain_blocks(&op, &overflow)?;
-            self.health.blocks_quarantined.fetch_add(quarantined, Ordering::Relaxed);
-            cache.clear(sub, &overflow);
-        }
+        self.drain_resident(&op, cache, &overflow)?;
         drop(op);
         self.note_alloc();
         Ok(Some(NvmPtr::new(self.heap_id(), sub, offsets[0])))
@@ -619,33 +616,59 @@ impl PoseidonHeap {
                 Ok(true)
             }
             CachedFree::Drain(batch) => {
-                let op = self.begin_op(sub)?;
-                let quarantined = subheap::drain_blocks(&op, &batch)?;
-                self.health.blocks_quarantined.fetch_add(quarantined, Ordering::Relaxed);
-                cache.clear(sub, &batch);
-                cache.note_drain(sub);
-                drop(op);
+                self.drain_resident(&self.begin_op(sub)?, cache, &batch)?;
                 self.note_free();
                 Ok(true)
             }
         }
     }
 
+    /// The one cache drain, inside the caller's session on the blocks'
+    /// sub-heap: returns resident `blocks` to the persistent sub-heap
+    /// ([`subheap::drain_blocks`]), clears their residency bytes, counts
+    /// the batch, and credits quarantined blocks to the health ledger.
+    /// An empty batch touches nothing. Returns the `(blocks, bytes)`
+    /// quarantined.
+    pub(crate) fn drain_resident(
+        &self,
+        op: &OpSession<'_>,
+        cache: &HeapCache,
+        blocks: &[u64],
+    ) -> Result<(u64, u64)> {
+        if blocks.is_empty() {
+            return Ok((0, 0));
+        }
+        let quarantined = subheap::drain_blocks(op, blocks)?;
+        cache.drained(op.ctx.sub, blocks);
+        self.health.blocks_quarantined.fetch_add(quarantined.0, Ordering::Relaxed);
+        Ok(quarantined)
+    }
+
     /// Publishes every checked-out cached block as a real `ALLOC` on
     /// media — the durability hand-off run by `set_root` (the moment
     /// cached allocations can become reachable) and by a clean close.
     pub(crate) fn publish_cached(&self) -> Result<()> {
-        let Some(cache) = self.cache() else { return Ok(()) };
+        self.cache().map_or(Ok(()), |cache| self.settle_cache(cache, false))
+    }
+
+    /// The one publish: publishes every usable sub-heap's checked-out
+    /// blocks and, with `drain`, drains its resident ones, in one session
+    /// per sub-heap that has either.
+    fn settle_cache(&self, cache: &HeapCache, drain: bool) -> Result<()> {
         for sub in 0..self.layout().num_subheaps() {
-            if !self.sub_usable(sub) || !cache.has_checked_out(sub) {
+            if !self.sub_usable(sub) {
+                continue;
+            }
+            let resident = if drain { cache.evict_resident(sub) } else { Vec::new() };
+            if resident.is_empty() && !cache.has_checked_out(sub) {
                 continue;
             }
             let op = self.begin_op(sub)?;
-            let offsets = cache.claim_checked_out(sub);
-            if !offsets.is_empty() {
-                subheap::publish_blocks(&op, &offsets)?;
+            let checked_out = cache.claim_checked_out(sub);
+            if !checked_out.is_empty() {
+                subheap::publish_blocks(&op, &checked_out)?;
             }
-            drop(op);
+            self.drain_resident(&op, cache, &resident)?;
         }
         Ok(())
     }
@@ -660,12 +683,7 @@ impl PoseidonHeap {
         if victims.is_empty() {
             return Ok(0);
         }
-        let op = self.begin_op(sub)?;
-        let quarantined = subheap::drain_blocks(&op, &victims)?;
-        self.health.blocks_quarantined.fetch_add(quarantined, Ordering::Relaxed);
-        cache.clear(sub, &victims);
-        cache.note_drain(sub);
-        drop(op);
+        self.drain_resident(&self.begin_op(sub)?, cache, &victims)?;
         Ok(victims.len())
     }
 
@@ -675,34 +693,9 @@ impl PoseidonHeap {
     /// an ordinary heap.
     pub(crate) fn flush_cache(&mut self) -> Result<()> {
         let Some(cache) = self.take_cache() else { return Ok(()) };
-        let result = self.flush_cache_inner(&cache);
+        let result = self.settle_cache(&cache, true);
         self.put_cache(cache);
         result
-    }
-
-    fn flush_cache_inner(&self, cache: &HeapCache) -> Result<()> {
-        for sub in 0..self.layout().num_subheaps() {
-            if !self.sub_usable(sub) {
-                continue;
-            }
-            let resident = cache.evict_resident(sub);
-            if resident.is_empty() && !cache.has_checked_out(sub) {
-                continue;
-            }
-            let op = self.begin_op(sub)?;
-            let checked_out = cache.claim_checked_out(sub);
-            if !checked_out.is_empty() {
-                subheap::publish_blocks(&op, &checked_out)?;
-            }
-            if !resident.is_empty() {
-                let quarantined = subheap::drain_blocks(&op, &resident)?;
-                self.health.blocks_quarantined.fetch_add(quarantined, Ordering::Relaxed);
-                cache.clear(sub, &resident);
-                cache.note_drain(sub);
-            }
-            drop(op);
-        }
-        Ok(())
     }
 
     /// Every cache-managed block as `(sub_heap, user_offset)` pairs.

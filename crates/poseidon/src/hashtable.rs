@@ -476,21 +476,10 @@ pub(crate) fn free_in_windows(op: &OpSession<'_>, key: u64) -> Result<Vec<(u64, 
     Ok(found)
 }
 
-/// Whether the top active level is empty, i.e. whether [`shrink`] would
-/// deactivate anything. Two view reads — cheap enough to probe on every
-/// free.
-pub(crate) fn shrink_would_release(op: &OpSession<'_>) -> Result<bool> {
-    let active = op.active_levels()? as usize;
-    if active <= 1 {
-        return Ok(false);
-    }
-    let count: u64 = op.read_pod(op.ctx.level_count_off(active - 1))?;
-    Ok(count == 0)
-}
-
 /// Deactivates trailing levels whose live count is zero, hole-punching
 /// their slots back to the device (§5.6). Runs its own scopes; safe to
-/// call whenever no scope is open on this sub-heap.
+/// call whenever no scope is open on this sub-heap. Two view reads when
+/// there is nothing to release — cheap enough to run on every free.
 pub(crate) fn shrink(op: &OpSession<'_>) -> Result<u64> {
     let mut released = 0;
     while let Some(bytes) = shrink_one(op)? {
@@ -715,20 +704,18 @@ mod tests {
         }
         let grown = op.active_levels().unwrap();
         assert!(grown >= 2);
-        assert!(!shrink_would_release(&op).unwrap());
+        assert_eq!(shrink_one(&op).unwrap(), None);
+        assert_eq!(op.active_levels().unwrap(), grown);
         // Delete everything in the upper levels.
         for &off in &offs {
             if level_of(&op, off) > 0 {
                 with_scope(&op, |s| delete(&op, s, off)).unwrap();
             }
         }
-        assert!(shrink_would_release(&op).unwrap());
-        let released = shrink(&op).unwrap();
+        assert!(shrink_one(&op).unwrap().is_some());
+        shrink(&op).unwrap();
         assert_eq!(op.active_levels().unwrap(), 1);
-        assert!(!shrink_would_release(&op).unwrap());
-        // Level 1 spans at least one 2 MiB chunk only for big tables; just
-        // check shrink reported monotonically.
-        let _ = released;
+        assert_eq!(shrink_one(&op).unwrap(), None);
         // Level-0 entries are still there.
         for &off in &offs {
             if level_of(&op, off) == 0 {
@@ -803,8 +790,8 @@ mod tests {
         let mut fresh = 1u64 << 40; // far beyond the user region: never a block
         let free_and_shrink = |op: &OpSession<'_>, off: u64, log: &mut Vec<String>, c: &mut Coverage| {
             log.push(format!("free {off}: {:?}", subheap::free_block(op, off)));
-            while shrink_would_release(op).unwrap() {
-                log.push(format!("shrink: {:?}", shrink_one(op)));
+            while let Some(bytes) = shrink_one(op).unwrap() {
+                log.push(format!("shrink: {bytes}"));
                 c.levels_retired += 1;
             }
         };

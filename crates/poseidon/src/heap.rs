@@ -703,7 +703,8 @@ impl PoseidonHeap {
     ///
     /// # Errors
     ///
-    /// Device errors.
+    /// [`PoseidonError::Corrupted`] if the micro log names another
+    /// sub-heap, or device errors.
     pub fn tx_abort(&self) -> Result<()> {
         self.tx_abort_inner().map_err(|e| self.heal_media_error(e, OpKind::Tx).0)
     }
@@ -722,30 +723,19 @@ impl PoseidonHeap {
                 return Err(e);
             }
         };
-        for ptr in crate::microlog::entries(&op, slot)? {
-            if ptr.subheap() == HUGE_SUBHEAP {
-                // A transactional huge allocation: free the extent through
-                // the huge region (lock order sub → huge is consistent —
-                // nothing takes them the other way round).
-                match hugeregion::free(&self.begin_huge()?, ptr.offset()) {
-                    Ok(_)
-                    | Err(PoseidonError::DoubleFree { .. })
-                    | Err(PoseidonError::InvalidFree { .. }) => continue,
-                    Err(e) => return Err(e),
-                }
-            }
-            match subheap::free_block(&op, ptr.offset()) {
-                Ok(outcome) => {
-                    if outcome.quarantined {
-                        self.health.blocks_quarantined.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                Err(PoseidonError::DoubleFree { .. }) | Err(PoseidonError::InvalidFree { .. }) => {}
-                Err(e) => return Err(e),
-            }
-        }
+        let mut reverted = RecoveryReport::default();
+        let result = recovery::revert_tx(
+            &op,
+            slot,
+            // Lock order sub → huge is consistent: nothing takes them the
+            // other way round.
+            |offset| hugeregion::free(&self.begin_huge()?, offset).map(|_| true),
+            &mut reverted,
+        );
+        // Blocks the revert quarantined before any error stay quarantined.
+        self.health.blocks_quarantined.fetch_add(reverted.blocks_quarantined, Ordering::Relaxed);
+        result?;
         self.ops.tx_aborts.fetch_add(1, Ordering::Relaxed);
-        crate::microlog::truncate(&op, slot)?;
         drop(op);
         self.release_tx_slot(sub, slot);
         Ok(())
@@ -1344,6 +1334,26 @@ mod tests {
         assert!(matches!(h.free(a), Err(PoseidonError::DoubleFree { .. })));
         // Abort with no open tx is a no-op.
         h.tx_abort().unwrap();
+    }
+
+    #[test]
+    fn tx_abort_refuses_a_foreign_micro_log_entry() {
+        // Recovery's rule holds on the abort path too: an entry naming
+        // another sub-heap is corruption, never a free of whatever block
+        // this sub-heap keeps at that offset.
+        let dev = Arc::new(PmemDevice::new(DeviceConfig::new(64 << 20)));
+        let config = HeapConfig::new().with_subheaps(2).without_protection().without_cache();
+        let h = PoseidonHeap::open(dev.clone(), config).unwrap();
+        let _pin = pmem::numa::CpuPinGuard::pin(0);
+        let live = h.alloc(64).unwrap();
+        let sub = h.tx_alloc(64, false).unwrap().subheap();
+        assert_eq!(sub, live.subheap());
+        // The sub-heap's first transaction holds micro-log slot 0.
+        let ctx = SubCtx { dev: &dev, layout: h.layout(), sub };
+        let foreign = NvmPtr::new(h.heap_id(), (sub + 1) % 2, live.offset());
+        dev.write_pod(ctx.micro_entry_off(0, 0), &foreign).unwrap();
+        assert!(matches!(h.tx_abort(), Err(PoseidonError::Corrupted(_))));
+        h.free(live).unwrap();
     }
 
     #[test]

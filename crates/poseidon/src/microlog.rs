@@ -6,7 +6,8 @@
 //! allocation also reverts its log entry. Committing truncates the slot
 //! with a single atomic count reset. On recovery, a non-empty slot means
 //! its transaction never committed: every logged address is freed,
-//! preventing a persistent leak. Slots make concurrent transactions on
+//! preventing a persistent leak — by `recovery::revert_tx`, the same
+//! revert `tx_abort` runs. Slots make concurrent transactions on
 //! one sub-heap independent: each commits or aborts only its own log.
 
 use crate::error::{PoseidonError, Result};
@@ -42,7 +43,7 @@ pub(crate) fn truncate(op: &OpSession<'_>, slot: usize) -> Result<()> {
     Ok(())
 }
 
-/// Reads all logged pointers of `slot` (for recovery/abort).
+/// Reads all logged pointers of `slot` (for `recovery::revert_tx`).
 pub(crate) fn entries(op: &OpSession<'_>, slot: usize) -> Result<Vec<NvmPtr>> {
     let n = count(op, slot)?;
     if n as usize > MICRO_LOG_CAPACITY {

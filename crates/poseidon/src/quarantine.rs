@@ -11,13 +11,14 @@
 //! claimed (conservation: every user byte is FREE, ALLOC, or
 //! QUARANTINED).
 //!
-//! Quarantine is applied at two points:
+//! One rule, [`release`], quarantines, at two points:
 //!
 //! * **Recovery** ([`isolate_poisoned_free_blocks`]) — after the logs of
 //!   a sub-heap replay cleanly, its free blocks are checked against the
 //!   device's scrub list and poisoned ones are withdrawn.
-//! * **Free** — `free_block` routes a block overlapping poison straight
-//!   to QUARANTINED instead of the free list (see `subheap.rs`).
+//! * **Return** — a slow-path free, a micro-log revert or a cache drain
+//!   routes a block overlapping poison straight to QUARANTINED instead
+//!   of the free list.
 //!
 //! Sub-heaps whose *metadata* is poisoned cannot be trusted at all and
 //! are quarantined wholesale by recovery (a volatile per-sub flag in the
@@ -27,9 +28,11 @@ use pmem::PoisonRange;
 
 use crate::buddy;
 use crate::error::Result;
+use crate::hashtable;
 use crate::layout::{ENTRY_SIZE, MAX_LEVELS};
-use crate::persist::{state, FLAG_CACHED};
+use crate::persist::{state, HashEntry, FLAG_CACHED};
 use crate::session::OpSession;
+use crate::undo::UndoScope;
 
 /// Whether any of `ranges` overlaps `[offset, offset + len)`.
 pub(crate) fn overlaps_any(ranges: &[PoisonRange], offset: u64, len: u64) -> bool {
@@ -38,7 +41,7 @@ pub(crate) fn overlaps_any(ranges: &[PoisonRange], offset: u64, len: u64) -> boo
 
 /// Scans every active hash-table level of `op`'s sub-heap and quarantines
 /// FREE blocks whose user bytes overlap a poisoned range: each is
-/// unlinked from its buddy list and rewritten as [`state::QUARANTINED`],
+/// unlinked from its buddy list and handed to [`release`],
 /// one undo scope per block (so a crash mid-scan leaves a consistent heap
 /// and a re-run finishes the job). Returns `(blocks, bytes)` quarantined.
 ///
@@ -72,17 +75,38 @@ pub(crate) fn isolate_poisoned_free_blocks(op: &OpSession<'_>, poison: &[PoisonR
             }
             let mut scope = op.undo()?;
             buddy::unlink(op, &mut scope, rec_off, &rec)?;
-            let mut updated = rec;
-            updated.state = state::QUARANTINED;
-            updated.next_free = 0;
-            updated.prev_free = 0;
-            crate::hashtable::write_entry(&mut scope, rec_off, &updated)?;
+            let (quarantined, size) = release(op, &mut scope, rec_off, rec)?;
             scope.commit()?;
-            blocks += 1;
-            bytes += rec.size;
+            blocks += quarantined;
+            bytes += size;
         }
     }
     Ok((blocks, bytes))
+}
+
+/// The release rule, the one place that decides FREE or QUARANTINED
+/// for a sub-heap record that is off every free list: a block whose
+/// user bytes overlap poisoned media goes to [`state::QUARANTINED`] with
+/// cleared links, any other goes `FREE`, uncached, on its class's tail.
+/// Runs inside the caller's scope. Returns the `(blocks, bytes)`
+/// quarantined: `(1, size)` or `(0, 0)`.
+pub(crate) fn release(
+    op: &OpSession<'_>,
+    scope: &mut UndoScope<'_>,
+    rec_off: u64,
+    mut rec: HashEntry,
+) -> Result<(u64, u64)> {
+    rec.flags &= !FLAG_CACHED;
+    if op.ctx.dev.is_poisoned(op.ctx.user_base() + rec.offset, rec.size) {
+        rec.state = state::QUARANTINED;
+        rec.next_free = 0;
+        rec.prev_free = 0;
+        hashtable::write_entry(scope, rec_off, &rec)?;
+        return Ok((1, rec.size));
+    }
+    rec.state = state::FREE;
+    buddy::push_tail(op, scope, rec_off, &mut rec)?;
+    Ok((0, 0))
 }
 
 #[cfg(test)]

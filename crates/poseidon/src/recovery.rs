@@ -211,55 +211,19 @@ fn recover_sub(op: &OpSession<'_>, huge_ok: bool, report: &mut RecoveryReport) -
         report.subheap_undos_replayed += 1;
     }
     // Free every address an uncommitted transaction logged (§4.5) —
-    // any non-empty slot belongs to a transaction that never
-    // committed.
+    // any non-empty slot belongs to a transaction that never committed.
+    // When the huge region is quarantined a huge extent is leaked (stays
+    // marked allocated, and the slot truncation drops the entry) rather
+    // than risking a stale free after `pfsck --repair` rebuilds the table.
+    let hctx = HugeCtx { dev: op.ctx.dev, layout: op.ctx.layout };
+    let free_huge = |offset: u64| -> Result<bool> {
+        if !huge_ok {
+            return Ok(false);
+        }
+        hugeregion::free(&OpSession::unguarded(hctx)?, offset).map(|_| true)
+    };
     for slot in microlog::all_slots() {
-        let pending = microlog::entries(op, slot)?;
-        if pending.is_empty() {
-            continue;
-        }
-        for ptr in pending {
-            if ptr.subheap() == HUGE_SUBHEAP && op.ctx.layout.huge_data_size() > 0 {
-                // A huge extent allocated by the uncommitted transaction:
-                // revert it through the huge region. When that region is
-                // quarantined the extent is leaked (stays marked
-                // allocated, and the slot truncation below drops the
-                // entry) rather than risking a stale free after `pfsck
-                // --repair` rebuilds the table.
-                if huge_ok {
-                    let hctx = HugeCtx { dev: op.ctx.dev, layout: op.ctx.layout };
-                    let hop = OpSession::unguarded(hctx)?;
-                    match hugeregion::free(&hop, ptr.offset()) {
-                        Ok(_) => report.tx_allocations_reverted += 1,
-                        // Same idempotence rule as below: an earlier,
-                        // interrupted recovery may already have freed it.
-                        Err(PoseidonError::DoubleFree { .. }) | Err(PoseidonError::InvalidFree { .. }) => {}
-                        Err(e) => return Err(e),
-                    }
-                }
-                continue;
-            }
-            if ptr.subheap() != op.ctx.sub {
-                return Err(PoseidonError::Corrupted("micro-log entry for a foreign sub-heap"));
-            }
-            match subheap::free_block(op, ptr.offset()) {
-                Ok(outcome) => {
-                    report.tx_allocations_reverted += 1;
-                    // A reverted allocation overlapping poison goes
-                    // straight to quarantine; fold it into the same
-                    // report fields the free-block scan feeds.
-                    if outcome.quarantined {
-                        report.blocks_quarantined += 1;
-                        report.bytes_quarantined += outcome.size;
-                    }
-                }
-                // Replay idempotence: a crash during a previous
-                // recovery may have freed this one already.
-                Err(PoseidonError::DoubleFree { .. }) | Err(PoseidonError::InvalidFree { .. }) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        microlog::truncate(op, slot)?;
+        revert_tx(op, slot, free_huge, report)?;
     }
     // The transient cache did not survive the restart: relink every
     // record it had withdrawn (FREE + FLAG_CACHED) before the poison scan
@@ -267,4 +231,46 @@ fn recover_sub(op: &OpSession<'_>, huge_ok: bool, report: &mut RecoveryReport) -
     // quarantined like any other free block.
     report.cached_blocks_reclaimed += subheap::reclaim_cached(op)?;
     Ok(())
+}
+
+/// The one micro-log revert, run by recovery and by
+/// [`tx_abort`](crate::PoseidonHeap::tx_abort): frees every block logged
+/// in `slot` through [`subheap::free_block`] and hands each huge extent
+/// to `free_huge` (which says whether it freed one), skips entries an
+/// interrupted earlier revert already freed, and truncates a non-empty
+/// slot. Tallies into `report`'s reverted and quarantine fields.
+///
+/// # Errors
+///
+/// [`PoseidonError::Corrupted`] for an entry naming another sub-heap,
+/// or device errors.
+pub(crate) fn revert_tx(
+    op: &OpSession<'_>,
+    slot: usize,
+    free_huge: impl Fn(u64) -> Result<bool>,
+    report: &mut RecoveryReport,
+) -> Result<()> {
+    let pending = microlog::entries(op, slot)?;
+    if pending.is_empty() {
+        return Ok(());
+    }
+    for ptr in pending {
+        let freed = if ptr.subheap() == HUGE_SUBHEAP && op.ctx.layout.huge_data_size() > 0 {
+            free_huge(ptr.offset())
+        } else if ptr.subheap() != op.ctx.sub {
+            return Err(PoseidonError::Corrupted("micro-log entry for a foreign sub-heap"));
+        } else {
+            subheap::free_block(op, ptr.offset()).map(|(blocks, bytes)| {
+                report.blocks_quarantined += blocks;
+                report.bytes_quarantined += bytes;
+                true
+            })
+        };
+        match freed {
+            Ok(true) => report.tx_allocations_reverted += 1,
+            Ok(false) | Err(PoseidonError::DoubleFree { .. }) | Err(PoseidonError::InvalidFree { .. }) => {}
+            Err(e) => return Err(e),
+        }
+    }
+    microlog::truncate(op, slot)
 }

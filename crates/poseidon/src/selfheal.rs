@@ -217,18 +217,14 @@ impl PoseidonHeap {
             return Ok((0, 0));
         }
         let op = self.begin_op(sub)?;
-        let mut drained_quarantined = 0u64;
-        if let Some(cache) = self.cache() {
-            let victims = cache.evict_resident(sub);
-            if !victims.is_empty() {
-                drained_quarantined = crate::subheap::drain_blocks(&op, &victims)?;
-                cache.clear(sub, &victims);
-            }
-        }
+        let (drained, drained_bytes) = match self.cache() {
+            Some(cache) => self.drain_resident(&op, cache, &cache.evict_resident(sub))?,
+            None => (0, 0),
+        };
         let (blocks, bytes) = quarantine::isolate_poisoned_free_blocks(&op, &poison)?;
         drop(op);
-        self.health.blocks_quarantined.fetch_add(blocks + drained_quarantined, Ordering::Relaxed);
-        Ok((blocks + drained_quarantined, bytes))
+        self.health.blocks_quarantined.fetch_add(blocks, Ordering::Relaxed);
+        Ok((blocks + drained, bytes + drained_bytes))
     }
 
     /// Quarantines every free huge extent overlapping poisoned data pages.

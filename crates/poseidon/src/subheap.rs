@@ -7,6 +7,13 @@
 //! All mutation goes through the caller's [`OpSession`] — the session
 //! owns the sub-heap lock, the MPK write guard, and the *single* mapped
 //! metadata view every word access goes through.
+//!
+//! Each block transition has one implementation here: [`carve`] takes a
+//! block off the free lists for both the slow path ([`alloc_block`]) and
+//! the cache refill ([`refill_blocks`]); [`free_block`] and
+//! [`drain_blocks`] hand returned records to the release rule
+//! ([`quarantine::release`]); and [`commit_when_full`] is the batching
+//! loop of [`drain_blocks`], [`publish_blocks`] and [`reclaim_cached`].
 
 use crate::buddy;
 use crate::defrag;
@@ -14,6 +21,7 @@ use crate::error::{PoseidonError, Result};
 use crate::hashtable;
 use crate::layout::{class_size, MIN_BLOCK, NUM_CLASSES, SH_UNDO_OFF};
 use crate::persist::{state, HashEntry, SubheapHeader, FLAG_CACHED, SUBHEAP_MAGIC};
+use crate::quarantine;
 use crate::session::OpSession;
 use crate::undo::UndoScope;
 
@@ -110,9 +118,10 @@ pub(crate) fn alloc_block(op: &OpSession<'_>, class: usize, micro: Option<(u64, 
     Err(PoseidonError::TableFull)
 }
 
-/// One allocation attempt: pops the head of `from`, splits down to
-/// `want`, marks the final block allocated. Any failure (including
-/// hash-table exhaustion mid-split) rolls the scope back.
+/// One allocation attempt: carves a `want` block out of the head of
+/// `from`, stamps it `ALLOC` and, for a transaction, logs it — all in one
+/// scope. Any failure (including hash-table exhaustion mid-split) rolls
+/// the scope back.
 fn try_alloc(
     op: &OpSession<'_>,
     from: usize,
@@ -121,28 +130,9 @@ fn try_alloc(
     micro: Option<(u64, usize)>,
 ) -> Result<u64> {
     let mut scope = op.undo()?;
-    let head_off = buddy::head(op, from)?;
-    if head_off == 0 {
-        return Err(PoseidonError::Corrupted("free list emptied under the sub-heap lock"));
-    }
-    let mut rec = op.entry(head_off)?;
-    buddy::unlink(op, &mut scope, head_off, &rec)?;
-    let mut class = from;
-    while class > want {
-        class -= 1;
-        let half = class_size(class);
-        // The upper half becomes a new free block; the lower half
-        // continues splitting.
-        let mut upper =
-            HashEntry { offset: rec.offset + half, size: half, state: state::FREE, ..Default::default() };
-        let upper_off = hashtable::insert(op, &mut scope, upper, allow_activate)?;
-        buddy::push_tail(op, &mut scope, upper_off, &mut upper)?;
-        rec.size = half;
-    }
+    let (rec_off, mut rec) = carve(op, &mut scope, from, want, allow_activate)?;
     rec.state = state::ALLOC;
-    rec.next_free = 0;
-    rec.prev_free = 0;
-    hashtable::write_entry(&mut scope, head_off, &rec)?;
+    hashtable::write_entry(&mut scope, rec_off, &rec)?;
     if let Some((heap_id, slot)) = micro {
         let ptr = crate::nvmptr::NvmPtr::new(heap_id, op.ctx.sub, rec.offset);
         crate::microlog::append(op, &mut scope, slot, ptr)?;
@@ -163,12 +153,14 @@ enum RefillAttempt {
 
 /// Withdraws up to `want` blocks of buddy class `class` from the
 /// persistent free lists into the transient cache, all under **one**
-/// two-fence commit: each block is unlinked from its list (splitting
+/// two-fence commit: each block is carved from its list (splitting
 /// larger blocks as needed) and its record stamped `FREE | FLAG_CACHED`
-/// with cleared links. Returns the user-region offsets withdrawn —
-/// possibly fewer than `want` (free-space or undo-log pressure), possibly
-/// none (the caller then falls back to the uncached slow path, which can
-/// also defragment and activate levels).
+/// with cleared links — withdrawn from its free list but still free on
+/// media. Returns the user-region offsets withdrawn — possibly fewer than
+/// `want` (free-space or undo-log pressure), possibly none (the caller
+/// then falls back to the uncached slow path, which can also defragment
+/// and activate levels). Unlike [`alloc_block`], a refill never
+/// activates a level mid-batch.
 pub(crate) fn refill_blocks(op: &OpSession<'_>, class: usize, want: usize) -> Result<Vec<u64>> {
     debug_assert!(class < NUM_CLASSES);
     let mut target = want;
@@ -197,8 +189,12 @@ fn try_refill(op: &OpSession<'_>, class: usize, want: usize) -> Result<RefillAtt
         if !scope.has_room_for(estimate) {
             break;
         }
-        match carve_cached(op, &mut scope, from, class) {
-            Ok(offset) => offsets.push(offset),
+        match carve(op, &mut scope, from, class, false) {
+            Ok((rec_off, mut rec)) => {
+                rec.flags |= FLAG_CACHED;
+                hashtable::write_entry(&mut scope, rec_off, &rec)?;
+                offsets.push(rec.offset);
+            }
             Err(PoseidonError::TableFull) => {
                 // Mid-split failure: the scope holds half a carve. Roll
                 // everything back and redo only the carves that are known
@@ -213,10 +209,19 @@ fn try_refill(op: &OpSession<'_>, class: usize, want: usize) -> Result<RefillAtt
     Ok(RefillAttempt::Done(offsets))
 }
 
-/// Pops the head of class `from`, splits down to `want`, and stamps the
-/// final block `FREE | FLAG_CACHED` with cleared links — withdrawn from
-/// its free list but still free on media. Runs inside the caller's scope.
-fn carve_cached(op: &OpSession<'_>, scope: &mut UndoScope<'_>, from: usize, want: usize) -> Result<u64> {
+/// The carve both the slow path and the cache refill run inside the
+/// caller's scope: pops the head of class `from`, unlinks it, and splits
+/// it down to class `want`, each upper half becoming a new free block
+/// (whose insert may activate a table level only if `allow_activate`).
+/// Returns the final block's record slot and its record with cleared
+/// links, for the caller to stamp and write.
+fn carve(
+    op: &OpSession<'_>,
+    scope: &mut UndoScope<'_>,
+    from: usize,
+    want: usize,
+    allow_activate: bool,
+) -> Result<(u64, HashEntry)> {
     let head_off = buddy::head(op, from)?;
     if head_off == 0 {
         return Err(PoseidonError::Corrupted("free list emptied under the sub-heap lock"));
@@ -227,17 +232,17 @@ fn carve_cached(op: &OpSession<'_>, scope: &mut UndoScope<'_>, from: usize, want
     while class > want {
         class -= 1;
         let half = class_size(class);
+        // The upper half becomes a new free block; the lower half
+        // continues splitting.
         let mut upper =
             HashEntry { offset: rec.offset + half, size: half, state: state::FREE, ..Default::default() };
-        let upper_off = hashtable::insert(op, scope, upper, false)?;
+        let upper_off = hashtable::insert(op, scope, upper, allow_activate)?;
         buddy::push_tail(op, scope, upper_off, &mut upper)?;
         rec.size = half;
     }
-    rec.flags |= FLAG_CACHED;
     rec.next_free = 0;
     rec.prev_free = 0;
-    hashtable::write_entry(scope, head_off, &rec)?;
-    Ok(rec.offset)
+    Ok((head_off, rec))
 }
 
 /// Looks up the record of a cache-managed block and validates its
@@ -253,33 +258,42 @@ fn cached_record(op: &OpSession<'_>, offset: u64) -> Result<(u64, HashEntry)> {
     Ok((rec_off, rec))
 }
 
-/// Returns cache-resident blocks (user-region `offsets`) to their
-/// persistent free lists: clears `FLAG_CACHED` and relinks each record,
-/// batching as many as fit per two-fence commit. Blocks whose user bytes
-/// picked up media poison while cached are quarantined instead, exactly
-/// like a slow-path free; the count of such blocks is returned.
-pub(crate) fn drain_blocks(op: &OpSession<'_>, offsets: &[u64]) -> Result<u64> {
-    let mut quarantined = 0u64;
+/// The commit-when-full loop of the batched record passes: runs `step`
+/// on each item inside one undo scope, committing and reopening the
+/// scope whenever the next step might not fit (`room` logged bytes), and
+/// commits the last scope.
+fn commit_when_full<T>(
+    op: &OpSession<'_>,
+    items: impl IntoIterator<Item = T>,
+    room: u64,
+    mut step: impl FnMut(&mut UndoScope<'_>, T) -> Result<()>,
+) -> Result<()> {
     let mut scope = op.undo()?;
-    for &offset in offsets {
-        if !scope.has_room_for(6 * 96) {
+    for item in items {
+        if !scope.has_room_for(room) {
             scope.commit()?;
             scope = op.undo()?;
         }
-        let (rec_off, mut rec) = cached_record(op, offset)?;
-        rec.flags &= !FLAG_CACHED;
-        if op.ctx.dev.is_poisoned(op.ctx.user_base() + rec.offset, rec.size) {
-            rec.state = state::QUARANTINED;
-            rec.next_free = 0;
-            rec.prev_free = 0;
-            hashtable::write_entry(&mut scope, rec_off, &rec)?;
-            quarantined += 1;
-        } else {
-            buddy::push_tail(op, &mut scope, rec_off, &mut rec)?;
-        }
+        step(&mut scope, item)?;
     }
-    scope.commit()?;
-    Ok(quarantined)
+    scope.commit()
+}
+
+/// Returns cache-resident blocks (user-region `offsets`) to the
+/// persistent sub-heap under [`quarantine::release`] — relinked on their
+/// free lists, or quarantined if their user bytes picked up media poison
+/// while cached, exactly like a slow-path free — batching as many as fit
+/// per two-fence commit. Returns the `(blocks, bytes)` quarantined.
+pub(crate) fn drain_blocks(op: &OpSession<'_>, offsets: &[u64]) -> Result<(u64, u64)> {
+    let (mut blocks, mut bytes) = (0, 0);
+    commit_when_full(op, offsets, 6 * 96, |scope, &offset| {
+        let (rec_off, rec) = cached_record(op, offset)?;
+        let (quarantined, size) = quarantine::release(op, scope, rec_off, rec)?;
+        blocks += quarantined;
+        bytes += size;
+        Ok(())
+    })?;
+    Ok((blocks, bytes))
 }
 
 /// Persistently publishes cache-managed blocks (user-region `offsets`) as
@@ -287,21 +301,14 @@ pub(crate) fn drain_blocks(op: &OpSession<'_>, offsets: &[u64]) -> Result<u64> {
 /// when the application makes cached allocations reachable (`set_root`)
 /// or on clean close. Batches as many as fit per two-fence commit.
 pub(crate) fn publish_blocks(op: &OpSession<'_>, offsets: &[u64]) -> Result<()> {
-    let mut scope = op.undo()?;
-    for &offset in offsets {
-        if !scope.has_room_for(2 * 96) {
-            scope.commit()?;
-            scope = op.undo()?;
-        }
+    commit_when_full(op, offsets, 2 * 96, |scope, &offset| {
         let (rec_off, mut rec) = cached_record(op, offset)?;
         rec.state = state::ALLOC;
         rec.flags &= !FLAG_CACHED;
         rec.next_free = 0;
         rec.prev_free = 0;
-        hashtable::write_entry(&mut scope, rec_off, &rec)?;
-    }
-    scope.commit()?;
-    Ok(())
+        hashtable::write_entry(scope, rec_off, &rec)
+    })
 }
 
 /// Load-time reconciliation: relinks every record the transient cache had
@@ -310,54 +317,39 @@ pub(crate) fn publish_blocks(op: &OpSession<'_>, offsets: &[u64]) -> Result<()> 
 /// again — cached allocations that were never published evaporate, which
 /// is the documented crash contract. Idempotent: a crash mid-pass leaves
 /// a strict subset flagged and the next load finishes the job. Returns
-/// the number of blocks relinked.
+/// the number of blocks relinked. No poison check here: recovery's
+/// isolation pass runs right after and withdraws any poisoned ones.
 pub(crate) fn reclaim_cached(op: &OpSession<'_>) -> Result<u64> {
     let active = (op.active_levels()? as usize).min(crate::layout::MAX_LEVELS);
-    let mut reclaimed = 0u64;
-    let mut scope = op.undo()?;
+    let mut flagged = Vec::new();
     for level in 0..active {
         let base = op.ctx.layout.level_base(op.ctx.sub, level);
         for i in 0..op.ctx.layout.level_capacity(level) {
             let rec_off = base + i * crate::layout::ENTRY_SIZE;
-            let mut rec = op.entry(rec_off)?;
-            if rec.state != state::FREE || rec.flags & FLAG_CACHED == 0 {
-                continue;
+            let rec = op.entry(rec_off)?;
+            if rec.state == state::FREE && rec.flags & FLAG_CACHED != 0 {
+                flagged.push((rec_off, rec));
             }
-            if !scope.has_room_for(6 * 96) {
-                scope.commit()?;
-                scope = op.undo()?;
-            }
-            rec.flags &= !FLAG_CACHED;
-            buddy::push_tail(op, &mut scope, rec_off, &mut rec)?;
-            reclaimed += 1;
         }
     }
-    scope.commit()?;
+    let reclaimed = flagged.len() as u64;
+    commit_when_full(op, flagged, 6 * 96, |scope, (rec_off, mut rec)| {
+        rec.flags &= !FLAG_CACHED;
+        buddy::push_tail(op, scope, rec_off, &mut rec)
+    })?;
     Ok(reclaimed)
-}
-
-/// What [`free_block`] did with the block, so callers can keep the
-/// heap-level quarantine accounting balanced (the hash-table record is
-/// the durable truth; the [`crate::selfheal`] counters are volatile and
-/// must be bumped by whoever drove the free).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct FreeOutcome {
-    /// The freed (or quarantined) block's size in bytes.
-    pub size: u64,
-    /// True when the block was routed to quarantine instead of its
-    /// free list because its user bytes overlap poisoned media.
-    pub quarantined: bool,
 }
 
 /// Frees the block at user-region offset `offset`, validating the request
 /// against the hash table first (§4.7): unknown offsets are invalid
 /// frees, already-free blocks are double frees — both rejected without
-/// touching metadata. A block whose user bytes overlap a poisoned line is
-/// quarantined instead of returned to its free list, so the media error
-/// can never be handed to a future allocation. Returns the freed block's
-/// size and whether it was quarantined.
-pub(crate) fn free_block(op: &OpSession<'_>, offset: u64) -> Result<FreeOutcome> {
-    let Some((rec_off, mut rec)) = hashtable::lookup(op, offset)? else {
+/// touching metadata. The block then goes where [`quarantine::release`]
+/// sends it: its free list, or quarantine if its user bytes overlap a
+/// poisoned line, so the media error can never be handed to a future
+/// allocation. Returns the `(blocks, bytes)` quarantined; the caller
+/// keeps the volatile health ledger in step with them.
+pub(crate) fn free_block(op: &OpSession<'_>, offset: u64) -> Result<(u64, u64)> {
+    let Some((rec_off, rec)) = hashtable::lookup(op, offset)? else {
         return Err(PoseidonError::InvalidFree { offset });
     };
     match rec.state {
@@ -366,18 +358,9 @@ pub(crate) fn free_block(op: &OpSession<'_>, offset: u64) -> Result<FreeOutcome>
         _ => return Err(PoseidonError::InvalidFree { offset }),
     }
     let mut scope = op.undo()?;
-    let quarantined = op.ctx.dev.is_poisoned(op.ctx.user_base() + rec.offset, rec.size);
-    if quarantined {
-        rec.state = state::QUARANTINED;
-        rec.next_free = 0;
-        rec.prev_free = 0;
-        hashtable::write_entry(&mut scope, rec_off, &rec)?;
-    } else {
-        rec.state = state::FREE;
-        buddy::push_tail(op, &mut scope, rec_off, &mut rec)?;
-    }
+    let quarantined = quarantine::release(op, &mut scope, rec_off, rec)?;
     scope.commit()?;
-    Ok(FreeOutcome { size: rec.size, quarantined })
+    Ok(quarantined)
 }
 
 /// A consistency report produced by the heap audit
@@ -636,7 +619,7 @@ mod tests {
         let mid = audit(&op).unwrap();
         assert_eq!(mid.alloc_bytes, 128);
         assert_eq!(mid.free_bytes + 128, before.free_bytes);
-        assert_eq!(free_block(&op, off).unwrap().size, 128);
+        assert_eq!(free_block(&op, off).unwrap(), (0, 0));
         let after = audit(&op).unwrap();
         assert_eq!(after.alloc_bytes, 0);
         assert_eq!(after.free_bytes, before.free_bytes);
@@ -707,7 +690,7 @@ mod tests {
         dev.poison(op.ctx.user_base() + off, 1).unwrap();
         // The free "succeeds" — the block leaves the allocated population —
         // but lands in quarantine, not on a free list.
-        assert_eq!(free_block(&op, off).unwrap().size, size);
+        assert_eq!(free_block(&op, off).unwrap(), (1, size));
         assert!(matches!(free_block(&op, off), Err(PoseidonError::InvalidFree { .. })));
         let report = audit(&op).unwrap();
         assert_eq!(report.quarantined_blocks, 1);
@@ -788,7 +771,7 @@ mod tests {
         }
 
         // Drain restores the exact pre-refill audit.
-        assert_eq!(drain_blocks(&op, &offsets).unwrap(), 0);
+        assert_eq!(drain_blocks(&op, &offsets).unwrap(), (0, 0));
         let after = audit(&op).unwrap();
         assert_eq!(after.free_bytes, before.free_bytes);
         let _ = size;
@@ -807,7 +790,7 @@ mod tests {
         assert_eq!(a.alloc_bytes, 4 * size);
         // Published blocks free (and double-free-check) like any other.
         for off in &offsets {
-            assert_eq!(free_block(&op, *off).unwrap().size, size);
+            assert_eq!(free_block(&op, *off).unwrap(), (0, 0));
         }
         assert!(matches!(free_block(&op, offsets[0]), Err(PoseidonError::DoubleFree { .. })));
         assert_eq!(audit(&op).unwrap().alloc_bytes, 0);
@@ -821,7 +804,7 @@ mod tests {
         let (class, size) = class_for_size(64).unwrap();
         let offsets = refill_blocks(&op, class, 2).unwrap();
         dev.poison(op.ctx.user_base() + offsets[0], 1).unwrap();
-        assert_eq!(drain_blocks(&op, &offsets).unwrap(), 1);
+        assert_eq!(drain_blocks(&op, &offsets).unwrap(), (1, size));
         let a = audit(&op).unwrap();
         assert_eq!(a.quarantined_blocks, 1);
         assert_eq!(a.quarantined_bytes, size);

@@ -111,4 +111,49 @@ cargo test --workspace -q maint
 echo "== perfbench smoke test"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml -q
 
+# Exact-counter gate: the benchmark's counter pass (fences, flushes,
+# validations, metadata maps, undo traffic, metadata lines, wrpkru, lock
+# acquisitions per fixed request stream) is host-independent and
+# identical on every run of a seed. Full scale, because tiny scale keeps
+# larson-spill inside the cache, away from the persistent paths. A field
+# above scripts/counter_baseline.txt fails the gate; a field below it is
+# printed with the new line, which the change that lowered it commits.
+echo "== perfbench exact-counter gate"
+span_dir=$(mktemp -d)
+trap 'rm -rf "$span_dir"' EXIT
+for workload in micro-256 larson-spill kv-soak; do
+    now=$(cargo run --release -q --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 1 --out "$span_dir" | grep '^counter pass:')
+    base=$(grep "^$workload counter pass:" scripts/counter_baseline.txt || true)
+    echo "$workload $now"
+    awk -v workload="$workload" -v now="$now" -v base="$base" '
+        # Fields are name=value; name=local+remoter splits in two.
+        function parse(line, out,   n, i, tok, kv, parts) {
+            n = split(line, tok, " ")
+            for (i = 1; i <= n; i++) {
+                if (split(tok[i], kv, "=") != 2) continue
+                if (split(kv[2], parts, "+") == 2) {
+                    sub(/r$/, "", parts[2])
+                    out[kv[1]] = parts[1]
+                    out[kv[1] "_remote"] = parts[2]
+                } else {
+                    out[kv[1]] = kv[2]
+                }
+            }
+        }
+        BEGIN {
+            if (base == "") { print workload ": no baseline line"; exit 1 }
+            parse(base, b)
+            parse(now, c)
+            bad = 0
+            for (k in b) {
+                if (!(k in c)) { print workload ": " k " missing"; bad = 1 }
+                else if (c[k] + 0 > b[k] + 0) { print workload ": " k " rose " b[k] " -> " c[k]; bad = 1 }
+                else if (c[k] + 0 < b[k] + 0) { print workload ": " k " fell " b[k] " -> " c[k] " (refresh the baseline)" }
+            }
+            for (k in c) if (!(k in b)) { print workload ": " k " has no baseline"; bad = 1 }
+            exit bad
+        }'
+done
+
 echo "CI gate passed."

@@ -108,7 +108,8 @@ fn free_of_poisoned_live_block_bumps_live_quarantine_counter() {
 /// Same ledger contract for the magazine-cache path: a block sitting in
 /// the transient cache when its line is poisoned gets quarantined when
 /// the cache drains it back to the persistent free lists, and that
-/// drain-time quarantine must also land in `blocks_quarantined_live`.
+/// drain-time quarantine must also land in `blocks_quarantined_live`,
+/// in the scrub step's byte tally, and in the cache's drain count.
 #[test]
 fn cache_drain_of_poisoned_block_bumps_live_quarantine_counter() {
     let dev = faulty_device();
@@ -118,16 +119,21 @@ fn cache_drain_of_poisoned_block_bumps_live_quarantine_counter() {
     heap.free(victim).unwrap(); // absorbed by the per-CPU magazine
     dev.poison(line_of(victim_raw), CACHE_LINE_SIZE).unwrap();
 
-    // Scrubbing the sub-heap evicts cache residents through
-    // `drain_blocks`, which routes the poisoned block to quarantine.
-    heap.scrub_step(usize::MAX).unwrap();
+    // Scrubbing the sub-heap evicts cache residents through the cache
+    // drain, which routes the poisoned block to quarantine.
+    let step = heap.scrub_step(usize::MAX).unwrap();
     assert_eq!(
         heap.health().blocks_quarantined_live,
         1,
         "drain-time quarantine must be counted exactly once"
     );
-    let quarantined: u64 = heap.audit().unwrap().iter().map(|(_, a)| a.quarantined_blocks).sum();
+    let audits = heap.audit().unwrap();
+    let quarantined: u64 = audits.iter().map(|(_, a)| a.quarantined_blocks).sum();
     assert_eq!(quarantined, 1);
+    let quarantined_bytes: u64 = audits.iter().map(|(_, a)| a.quarantined_bytes).sum();
+    assert_eq!(step.bytes_quarantined, quarantined_bytes, "the scrub step must report the drained bytes");
+    let cache = heap.contention_profile()[0].cache.expect("the heap runs its cache");
+    assert_eq!(cache.drains, 1, "the scrubber's drain must be counted");
 }
 
 #[test]
