@@ -35,9 +35,22 @@ impl PoseidonHeap {
         Err(PoseidonError::AllFailed { tried: n })
     }
 
+    /// The spill order both allocation paths walk for `class`: `home`,
+    /// `home + 1`, … mod n, skipping quarantined sub-heaps and any whose
+    /// full-class hint covers `class`. Two atomic loads per sub-heap
+    /// visited, no lock.
+    pub(crate) fn spill_order(&self, home: u16, class: usize) -> impl Iterator<Item = u16> + '_ {
+        let n = self.layout.num_subheaps();
+        (0..n).map(move |step| (home + step) % n).filter(move |&sub| {
+            let slot = &self.slots[sub as usize];
+            !slot.quarantined.load(Ordering::Acquire) && !slot.full_for(class)
+        })
+    }
+
     /// Allocates from a specific sub-heap through the full persistent
     /// path. `micro` optionally records the new block in a transaction's
-    /// micro log within the same undo scope.
+    /// micro log within the same undo scope. A `NoSpace` sets the
+    /// sub-heap's full-class hint; nothing else does.
     pub(crate) fn alloc_on(&self, sub: u16, size: u64, micro: Option<(u64, usize)>) -> Result<NvmPtr> {
         if self.slots[sub as usize].quarantined.load(Ordering::Acquire) {
             return Err(PoseidonError::SubheapQuarantined { subheap: sub });
@@ -56,7 +69,15 @@ impl PoseidonHeap {
         // Note: no table shrink here. Allocation only ever *adds*
         // records, so the top level cannot become empty on this path; the
         // shrink runs on free and in maintenance, where levels drain.
-        let offset = subheap::alloc_block(&op, class, micro)?;
+        let offset = match subheap::alloc_block(&op, class, micro) {
+            Err(e @ PoseidonError::NoSpace { .. }) => {
+                // Trigger-1 merging could not assemble the class. Noted
+                // under the lock, which orders it against every release.
+                self.slots[sub as usize].mark_full(class);
+                return Err(e);
+            }
+            result => result?,
+        };
         drop(op);
         self.ops.allocs.fetch_add(1, Ordering::Relaxed);
         Ok(NvmPtr::new(self.heap_id, sub, offset))
@@ -126,7 +147,8 @@ impl PoseidonHeap {
     /// undo-logged [`subheap::free_block`], whose record goes where the
     /// release rule ([`crate::quarantine::release`]) sends it — its
     /// class's free list, or quarantine when its bytes are poisoned —
-    /// then the table shrink. Coalescing is deferred — the free runs no
+    /// then the full-class hint is cleared and the table shrinks.
+    /// Coalescing is deferred — the free runs no
     /// merges; the maintenance engine and the alloc path's
     /// defragmentation pay that debt later (DESIGN.md §15).
     pub(crate) fn free_slow(&self, ptr: NvmPtr) -> Result<()> {
@@ -140,6 +162,7 @@ impl PoseidonHeap {
         let op = self.begin_op(sub)?;
         match subheap::free_block(&op, ptr.offset()) {
             Ok((quarantined, _)) => {
+                self.slots[sub as usize].clear_full();
                 // Frees drain table levels; shrink here (two view reads
                 // when the top level is still populated) so the alloc hot
                 // path never pays for it.

@@ -26,9 +26,16 @@
 //! single CAS on that byte — which also gives the fast path the same
 //! double-free protection the table gives the slow path.
 //!
+//! A miss at a home known full for the class (its full-class hint,
+//! DESIGN.md §17) is a cheap detour: the first sub-heap of the spill
+//! order the slow path also walks ([`PoseidonHeap::spill_order`]) serves
+//! it from its transfer pool, or refills into that pool — never into the
+//! CPU's magazine, which stays homed. Frees of spilled blocks park in the
+//! same pool.
+//!
 //! Blocks leave the cache through one drain
-//! ([`PoseidonHeap::drain_resident`]: overflow, eviction, close, scrub)
-//! and one publish (`settle_cache`: `set_root`, close).
+//! ([`PoseidonHeap::drain_resident`]: overflow, the last-resort eviction,
+//! close, scrub) and one publish (`settle_cache`: `set_root`, close).
 
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -287,24 +294,18 @@ impl HeapCache {
 
     /// The lock-free allocation fast path: pop the CPU's magazine (home
     /// sub-heap only), then the sub-heap's transfer pool. On success the
-    /// block's map byte flips to checked-out. `None` is a miss (counted);
-    /// the caller refills through the slow path.
+    /// block's map byte flips to checked-out and the hit is counted.
+    /// `None` is not counted: the caller may still find a spill pool, and
+    /// counts the miss with [`note_miss`](Self::note_miss) if it does not.
     pub(crate) fn try_alloc(&self, cpu: usize, sub: u16, home: bool, class: usize) -> Option<u64> {
         let sc = self.sub_cache(sub);
         let from_magazine =
             if home { self.with_homed_magazine(cpu, sub, |m| m.rounds[class].pop()).flatten() } else { None };
-        match from_magazine.or_else(|| sc.pools[class].pop()) {
-            Some(offset) => {
-                // We own the popped block exclusively; hand it out.
-                sc.map.granule_or_install(offset).store(CHECKED_OUT | class as u8, Ordering::Release);
-                sc.hits.fetch_add(1, Ordering::Relaxed);
-                Some(offset)
-            }
-            None => {
-                sc.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let offset = from_magazine.or_else(|| sc.pools[class].pop())?;
+        // We own the popped block exclusively; hand it out.
+        sc.map.granule_or_install(offset).store(CHECKED_OUT | class as u8, Ordering::Release);
+        sc.hits.fetch_add(1, Ordering::Relaxed);
+        Some(offset)
     }
 
     /// The lock-free free fast path: one CAS on the residency byte
@@ -542,6 +543,10 @@ impl HeapCache {
         }
     }
 
+    pub(crate) fn note_miss(&self, sub: u16) {
+        self.sub_cache(sub).misses.fetch_add(1, Ordering::Relaxed);
+    }
+
     pub(crate) fn note_refill(&self, sub: u16) {
         self.sub_cache(sub).refills.fetch_add(1, Ordering::Relaxed);
     }
@@ -560,9 +565,14 @@ impl HeapCache {
 /// [`PoseidonHeap::free`] try these first; `Ok(None)` / `Ok(false)` means
 /// "not handled — take the [`backend`](crate::backend) slow path".
 impl PoseidonHeap {
-    /// Fast-path allocation. A hit costs a few atomics; a miss withdraws
-    /// a magazine batch from the persistent free lists under one
-    /// two-fence commit, then serves from that.
+    /// Fast-path allocation. A hit costs a few atomics. A miss walks the
+    /// spill order ([`PoseidonHeap::spill_order`]) to the first sub-heap
+    /// that is not known full for the class: the home itself, or — when
+    /// the home's hint covers the class — the next one, whose transfer
+    /// pool serves first. Failing that, a magazine batch is withdrawn from
+    /// that sub-heap's persistent free lists under one two-fence commit;
+    /// only a home refill parks blocks in the CPU's magazine. Each call
+    /// counts exactly one hit or one miss.
     pub(crate) fn cached_alloc(&self, size: u64) -> Result<Option<NvmPtr>> {
         let Some(cache) = self.cache() else { return Ok(None) };
         if size == 0 || size > self.layout().max_alloc() {
@@ -579,22 +589,36 @@ impl PoseidonHeap {
             self.note_alloc();
             return Ok(Some(NvmPtr::new(self.heap_id(), sub, offset)));
         }
-        // Miss: refill through the undo-logged slow path — the whole
-        // batch under one commit, ~3 fences amortised over
-        // `MAGAZINE_SIZE` future hits.
-        self.ensure_subheap(sub)?;
-        let op = self.begin_op(sub)?;
+        // Miss. The first sub-heap of the spill order serves: the home,
+        // or past a home known full for the class, the next sub-heap's
+        // transfer pool, then a refill into it.
+        let Some(target) = self.spill_order(home, class).next() else {
+            cache.note_miss(sub);
+            return Ok(None);
+        };
+        if target != sub {
+            if let Some(offset) = cache.try_alloc(cpu, target, false, class) {
+                self.note_alloc();
+                return Ok(Some(NvmPtr::new(self.heap_id(), target, offset)));
+            }
+        }
+        cache.note_miss(sub);
+        // Refill through the undo-logged slow path — the whole batch
+        // under one commit, ~3 fences amortised over `MAGAZINE_SIZE`
+        // future hits.
+        self.ensure_subheap(target)?;
+        let op = self.begin_op(target)?;
         let offsets = subheap::refill_blocks(&op, class, MAGAZINE_SIZE)?;
         if offsets.is_empty() {
             return Ok(None); // free-space pressure: let the slow path defragment
         }
-        cache.note_refill(sub);
-        cache.admit(sub, class, &offsets);
-        let overflow = cache.stash(cpu, sub, sub == home, class, &offsets[1..]);
+        cache.note_refill(target);
+        cache.admit(target, class, &offsets);
+        let overflow = cache.stash(cpu, target, target == home, class, &offsets[1..]);
         self.drain_resident(&op, cache, &overflow)?;
         drop(op);
         self.note_alloc();
-        Ok(Some(NvmPtr::new(self.heap_id(), sub, offsets[0])))
+        Ok(Some(NvmPtr::new(self.heap_id(), target, offsets[0])))
     }
 
     /// Fast-path free. Returns `Ok(true)` when the cache absorbed the
@@ -625,10 +649,10 @@ impl PoseidonHeap {
 
     /// The one cache drain, inside the caller's session on the blocks'
     /// sub-heap: returns resident `blocks` to the persistent sub-heap
-    /// ([`subheap::drain_blocks`]), clears their residency bytes, counts
-    /// the batch, and credits quarantined blocks to the health ledger.
-    /// An empty batch touches nothing. Returns the `(blocks, bytes)`
-    /// quarantined.
+    /// ([`subheap::drain_blocks`]), clears its full-class hint and their
+    /// residency bytes, counts the batch, and credits quarantined blocks
+    /// to the health ledger. An empty batch touches nothing. Returns the
+    /// `(blocks, bytes)` quarantined.
     pub(crate) fn drain_resident(
         &self,
         op: &OpSession<'_>,
@@ -638,6 +662,9 @@ impl PoseidonHeap {
         if blocks.is_empty() {
             return Ok((0, 0));
         }
+        // Cleared first, under the lock: a failure part-way has still
+        // returned the batches it committed.
+        self.slots[op.ctx.sub as usize].clear_full();
         let quarantined = subheap::drain_blocks(op, blocks)?;
         cache.drained(op.ctx.sub, blocks);
         self.health.blocks_quarantined.fetch_add(quarantined.0, Ordering::Relaxed);
@@ -674,9 +701,10 @@ impl PoseidonHeap {
     }
 
     /// Drains every resident block of `sub` back to the persistent free
-    /// lists (the NoSpace last resort — the cache may be sitting on
-    /// exactly the capacity the slow path needs). Returns how many blocks
-    /// were returned.
+    /// lists (the NoSpace last resort, once no sub-heap in the spill
+    /// order can serve — the cache may be sitting on exactly the
+    /// capacity the slow path needs). Returns how many blocks were
+    /// returned.
     pub(crate) fn evict_subheap_cache(&self, sub: u16) -> Result<usize> {
         let Some(cache) = self.cache() else { return Ok(0) };
         let victims = cache.evict_resident(sub);

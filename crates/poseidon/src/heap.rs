@@ -2,7 +2,7 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;
 
 use mpk::{AccessRights, PkruGuard, ProtectionKey};
@@ -13,7 +13,7 @@ use crate::error::{OpKind, PoseidonError, Result};
 use crate::frontend::HeapCache;
 use crate::hashtable::RecordIndex;
 use crate::hugeregion::{self, HugeAudit, HUGE_SUBHEAP};
-use crate::layout::{HeapLayout, Region, MAX_SUBHEAPS};
+use crate::layout::{class_for_size, HeapLayout, Region, MAX_SUBHEAPS};
 use crate::nvmptr::NvmPtr;
 use crate::persist::{DirEntry, HugeCtx, SubCtx, SUPERBLOCK_MAGIC};
 use crate::recovery::{self, RecoveryReport};
@@ -87,6 +87,40 @@ pub(crate) struct SubSlot {
     pub(crate) quarantined: AtomicBool,
     /// Bitmap of micro-log slots claimed by open transactions.
     pub(crate) tx_slots: std::sync::atomic::AtomicU32,
+    /// The full-class hint: the smallest buddy class the slow path failed
+    /// to serve here after trigger-1 merging ([`NOT_FULL`] when none).
+    /// Every class at or above it is known unservable until a block
+    /// returns to the free lists, so the spill order skips this sub-heap
+    /// for them with one relaxed load. Set and cleared only under the
+    /// sub-heap lock; volatile, clear on every open. Relaxed throughout:
+    /// the hint publishes no data, and a reader acts on it only through
+    /// paths that synchronise on their own (the lock, or a pool's CAS).
+    full_class: AtomicU8,
+}
+
+/// [`SubSlot::full_class`] when no class is known unservable.
+const NOT_FULL: u8 = u8::MAX;
+
+impl SubSlot {
+    /// Whether the hint says this sub-heap cannot serve `class`.
+    pub(crate) fn full_for(&self, class: usize) -> bool {
+        class >= self.full_class.load(Ordering::Relaxed) as usize
+    }
+
+    /// Records that `class` failed after trigger-1 merging (caller holds
+    /// the sub-heap lock).
+    pub(crate) fn mark_full(&self, class: usize) {
+        self.full_class.fetch_min(class as u8, Ordering::Relaxed);
+    }
+
+    /// Clears the hint after a block returned to the free lists (caller
+    /// holds the sub-heap lock). A clear hint is only read: the slot's
+    /// line is read by every operation and must not bounce on every free.
+    pub(crate) fn clear_full(&self) {
+        if self.full_class.load(Ordering::Relaxed) != NOT_FULL {
+            self.full_class.store(NOT_FULL, Ordering::Relaxed);
+        }
+    }
 }
 
 /// What one successful [`PoseidonHeap::grow`] call changed.
@@ -330,6 +364,7 @@ impl PoseidonHeap {
                 created: AtomicBool::new(false),
                 quarantined: AtomicBool::new(false),
                 tx_slots: std::sync::atomic::AtomicU32::new(0),
+                full_class: AtomicU8::new(NOT_FULL),
             })
             .collect();
         // The cache is DRAM-only and rebuilt empty on every open — there
@@ -496,6 +531,14 @@ impl PoseidonHeap {
     /// [`HeapConfig::uncached`] for the durability contract of cached
     /// blocks.
     ///
+    /// A full home is a cheap detour. Both the cached and the slow path
+    /// walk one spill order — home, home+1, … mod n — that skips
+    /// quarantined sub-heaps and any whose volatile full-class hint says
+    /// the request's class failed there after merging (DESIGN.md §17).
+    /// Only when no sub-heap in that walk can serve does the slow path
+    /// hand every sub-heap's cached blocks back and retry, so `NoSpace`
+    /// still means the caches were emptied first.
+    ///
     /// # Errors
     ///
     /// [`PoseidonError::ZeroSize`], [`PoseidonError::TooLarge`],
@@ -529,45 +572,38 @@ impl PoseidonHeap {
             return Ok(ptr);
         }
         let home = self.healthy_sub(self.layout.subheap_for_cpu(numa::current_cpu()))?;
-        match self.alloc_with_eviction(home, size) {
-            Err(e @ PoseidonError::NoSpace { .. }) => {
-                // The home sub-heap is genuinely full: spill to the other
-                // sub-heaps in round-robin order. This is also how load
-                // reaches sub-heaps materialised by [`grow`](Self::grow)
-                // beyond the CPU count: a full old sub-heap spills into
-                // the fresh capacity instead of failing.
-                let n = self.layout.num_subheaps();
-                for i in 1..n {
-                    let sub = (home + i) % n;
-                    match self.alloc_with_eviction(sub, size) {
-                        Err(PoseidonError::NoSpace { .. } | PoseidonError::SubheapQuarantined { .. }) => {
-                            continue
-                        }
-                        other => return other,
-                    }
-                }
-                // Every sub-heap is full: pressure-feedback to the
-                // maintenance engine, mirroring the growth pressure flag.
-                self.note_space_pressure();
-                Err(e)
-            }
-            other => other,
+        if size == 0 || size > self.layout.max_alloc() {
+            // A zero size is refused, a huge one served by the huge
+            // region: neither has a buddy class to spill.
+            return self.alloc_on(home, size, None);
         }
-    }
-
-    /// One sub-heap's slow-path allocation, retried once after handing its
-    /// cached blocks back — the cache may be sitting on exactly the
-    /// withdrawn capacity this request needs.
-    fn alloc_with_eviction(&self, sub: u16, size: u64) -> Result<NvmPtr> {
-        match self.alloc_on(sub, size, None) {
-            Err(e @ PoseidonError::NoSpace { .. }) => {
-                if self.evict_subheap_cache(sub)? == 0 {
-                    return Err(e);
-                }
-                self.alloc_on(sub, size, None)
+        let (class, rounded) = class_for_size(size)?;
+        // The spill order, home first. This is also how load reaches
+        // sub-heaps materialised by [`grow`](Self::grow) beyond the CPU
+        // count: a full old sub-heap spills into the fresh capacity.
+        for sub in self.spill_order(home, class) {
+            match self.alloc_on(sub, size, None) {
+                Err(PoseidonError::NoSpace { .. } | PoseidonError::SubheapQuarantined { .. }) => continue,
+                other => return other,
             }
-            other => other,
         }
+        // The last resort, hints ignored: no sub-heap can serve from its
+        // free lists, but a cache may be sitting on exactly the withdrawn
+        // capacity this request needs. Hand each one back and retry.
+        let n = self.layout.num_subheaps();
+        for sub in (0..n).map(|step| (home + step) % n) {
+            if !self.sub_usable(sub) || self.evict_subheap_cache(sub)? == 0 {
+                continue;
+            }
+            match self.alloc_on(sub, size, None) {
+                Err(PoseidonError::NoSpace { .. } | PoseidonError::SubheapQuarantined { .. }) => continue,
+                other => return other,
+            }
+        }
+        // Every sub-heap is full: pressure-feedback to the maintenance
+        // engine, mirroring the growth pressure flag.
+        self.note_space_pressure();
+        Err(PoseidonError::NoSpace { requested: rounded })
     }
 
     fn claim_tx_slot(&self, sub: u16) -> Result<usize> {
@@ -732,8 +768,10 @@ impl PoseidonHeap {
             |offset| hugeregion::free(&self.begin_huge()?, offset).map(|_| true),
             &mut reverted,
         );
-        // Blocks the revert quarantined before any error stay quarantined.
+        // Blocks the revert quarantined before any error stay quarantined;
+        // the ones it freed before any error are back on the free lists.
         self.health.blocks_quarantined.fetch_add(reverted.blocks_quarantined, Ordering::Relaxed);
+        self.slots[sub as usize].clear_full();
         result?;
         self.ops.tx_aborts.fetch_add(1, Ordering::Relaxed);
         drop(op);

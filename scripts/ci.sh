@@ -42,8 +42,8 @@ cargo test -p poseidon -q huge
 # accurate quarantine accounting or a typed MediaError — never a panic.
 # After every power cycle the harness checks the undo ordering, the
 # sub-heap and extent-table audits and that the heap still serves; the
-# default arm also checks the cache-residency invariant (cache-held
-# blocks stay media-FREE).
+# default and full-home arms also check the cache-residency invariant
+# (cache-held blocks stay media-FREE).
 # One row per sweep: iters, seed, flags, and why the row exists.
 crashfuzz_rows=(
     "50 314159 --tx"                # crash points over small, huge, cached, tx and ptx ops
@@ -56,6 +56,7 @@ crashfuzz_rows=(
     "50 314159 --maint"             # crashes at maintenance commit points, then convergence
     "40 271828 --maint --poison"    # maintenance with media errors interleaved
     "40 161803 --maint --grow"      # maintenance beside growth: the superblock's re-driven rollback
+    "100 314159 --full-home"        # a full home: spill refills, spill-pool drains, last-resort eviction
 )
 for row in "${crashfuzz_rows[@]}"; do
     read -r iters seed flags <<<"$row"

@@ -41,12 +41,20 @@
 //! the recovered heap must retire every remaining mergeable pair.
 //! Composes with `--poison` and `--grow`.
 //!
+//! With `--full-home`, every case first fills sub-heap 0 from CPU 0 (a
+//! greedy power-of-two descent) and loads its cache, so the armed
+//! workload runs on a full home: the crash lands in the cached spill's refill into the next
+//! sub-heap's transfer pool, in frees into that pool and the drains when
+//! it overflows, and — on one-sub-heap draws — in the last-resort cache
+//! eviction. The cache-residency invariant is checked as in the default
+//! arm.
+//!
 //! Each arm is its op weights plus its own checks: the ops the arms share
 //! are one helper each, and every crash arm ends in the same power cycle
 //! ([`power_cycle`], then [`still_serving`]).
 //!
 //! ```text
-//! crashfuzz [--iters N] [--seed S] [--tx] [--poison] [--poison-live] [--grow] [--maint]
+//! crashfuzz [--iters N] [--seed S] [--tx] [--poison] [--poison-live] [--grow] [--maint] [--full-home]
 //! ```
 
 use std::process::ExitCode;
@@ -78,6 +86,7 @@ fn main() -> ExitCode {
     let mut poison_live = false;
     let mut with_grow = false;
     let mut with_maint = false;
+    let mut full_home = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -88,11 +97,12 @@ fn main() -> ExitCode {
             "--poison-live" => poison_live = true,
             "--grow" => with_grow = true,
             "--maint" => with_maint = true,
+            "--full-home" => full_home = true,
             other => {
                 eprintln!("crashfuzz: unknown argument {other}");
                 eprintln!(
                     "usage: crashfuzz [--iters N] [--seed S] [--tx] [--poison] [--poison-live] \
-                     [--grow] [--maint]"
+                     [--grow] [--maint] [--full-home]"
                 );
                 return ExitCode::from(2);
             }
@@ -100,7 +110,7 @@ fn main() -> ExitCode {
     }
     println!(
         "crashfuzz: {iters} iterations, seed {seed}, tx={with_tx}, poison={with_poison}, \
-         live={poison_live}, grow={with_grow}, maint={with_maint}"
+         live={poison_live}, grow={with_grow}, maint={with_maint}, full_home={full_home}"
     );
     let mut rng = Rng(seed | 1);
     let mut media_failures = 0u64;
@@ -112,6 +122,8 @@ fn main() -> ExitCode {
             run_maint_case(case_seed, with_poison, with_grow)
         } else if with_grow {
             run_grow_case(case_seed, with_poison)
+        } else if full_home {
+            run_full_home_case(case_seed)
         } else {
             run_case(case_seed, with_tx, with_poison)
         };
@@ -142,6 +154,8 @@ fn main() -> ExitCode {
             "crashfuzz: all {iters} grow cases recovered to a consistent epoch chain \
              ({media_failures} ended in a typed media error)"
         );
+    } else if full_home {
+        println!("crashfuzz: all {iters} full-home cases recovered cleanly");
     } else if with_poison {
         println!(
             "crashfuzz: all {iters} cases handled cleanly ({media_failures} ended in a typed media error)"
@@ -415,6 +429,27 @@ fn still_serving(dev: &PmemDevice, r: &Recovered, with_poison: bool) -> Result<(
         }
         Err(e) => Err(format!("post-recovery alloc: {e}")),
     }
+}
+
+/// The cache-residency invariant, checked after a power cycle: a block the
+/// DRAM cache held at the crash instant (`cache_withdrawn`, taken just
+/// before it) must be media-FREE — it can never resurface as a live
+/// allocation, because the cached path issues no persistent stores.
+/// `block_size` succeeds only for ALLOC records (the reloaded heap's cache
+/// starts empty), so success here means the invariant broke.
+fn check_cache_residency(r: &Recovered, heap_id: u64, cache_withdrawn: &[(u16, u64)]) -> Result<(), String> {
+    for &(sub, offset) in cache_withdrawn {
+        if r.frozen.contains(&sub) {
+            continue; // wholesale quarantine froze the sub-heap's records as-is
+        }
+        if let Ok(size) = r.heap.block_size(NvmPtr::new(heap_id, sub, offset)) {
+            return Err(format!(
+                "cache-withdrawn block (sub {sub}, offset {offset:#x}) survived the \
+                 crash as a live {size}-byte allocation"
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// One `--poison-live` case: poison fires repeatedly *during* live
@@ -721,6 +756,88 @@ fn run_maint_case(case_seed: u64, with_poison: bool, with_grow: bool) -> Result<
     Ok(CaseOutcome::Recovered)
 }
 
+/// Allocates `size`-byte blocks into `held` until one spills out of
+/// sub-heap 0 (that block is freed again at once, so the next sub-heap
+/// keeps its room) or fails.
+fn fill_with(heap: &PoseidonHeap, size: u64, held: &mut Vec<NvmPtr>) -> Result<(), String> {
+    loop {
+        match heap.alloc(size) {
+            Ok(p) if p.subheap() == 0 => held.push(p),
+            Ok(p) => return heap.free(p).map_err(|e| format!("fill free: {e}")),
+            Err(PoseidonError::NoSpace { .. }) => return Ok(()),
+            Err(e) => return Err(format!("fill alloc of {size}: {e}")),
+        }
+    }
+}
+
+/// Fills sub-heap 0 from CPU 0 by a greedy power-of-two descent, largest
+/// size first, and leaves its cache loaded: a 256 KiB reserve taken
+/// before the descent comes back afterwards as cached 4 KiB blocks, freed
+/// into CPU 0's magazine and the home's pool, where only an eviction
+/// reaches them. Returns the blocks that stay allocated in sub-heap 0.
+fn fill_home(heap: &PoseidonHeap) -> Result<Vec<NvmPtr>, String> {
+    pmem::numa::set_current_cpu(0);
+    let reserve = heap.alloc(256 << 10).map_err(|e| format!("fill reserve: {e}"))?;
+    let mut held = Vec::new();
+    let mut size = heap.layout().max_alloc();
+    while size >= poseidon::MIN_BLOCK {
+        fill_with(heap, size, &mut held)?;
+        size /= 2;
+    }
+    heap.free(reserve).map_err(|e| format!("fill free: {e}"))?;
+    let mut cached = Vec::new();
+    fill_with(heap, 4096, &mut cached)?;
+    for p in cached {
+        heap.free(p).map_err(|e| format!("fill free: {e}"))?;
+    }
+    Ok(held)
+}
+
+/// A burst of same-size cached allocations, then their frees: on a full
+/// home the burst refills the next sub-heap's transfer pool, and the
+/// frees overflow that pool into drains.
+fn spill_burst(heap: &PoseidonHeap, rng: &mut Rng) -> Result<(), Stop> {
+    let size = 1 + rng.below(4096);
+    let mut burst = Vec::new();
+    for _ in 0..rng.below(300) + 1 {
+        keep("burst alloc", heap.alloc(size), &mut burst)?;
+    }
+    burst.into_iter().try_for_each(|p| free(heap, p))
+}
+
+/// One `--full-home` case: sub-heap 0 is filled before the crash is armed,
+/// then small, burst and churn traffic from CPU 0 runs on the full home
+/// until the power cut. After recovery the cache-residency invariant must
+/// hold and the heap must still serve.
+fn run_full_home_case(case_seed: u64) -> Result<CaseOutcome, String> {
+    let mut rng = Rng(case_seed | 1);
+    let dev = Arc::new(PmemDevice::new(DeviceConfig::new(64 << 20)));
+    let heap = Arc::new(
+        PoseidonHeap::create(dev.clone(), HeapConfig::new().with_subheaps(1 + rng.below(3) as u16))
+            .map_err(|e| format!("create: {e}"))?,
+    );
+    let mut live = fill_home(&heap)?;
+
+    // The armed workload runs some 10k-160k mutation events: spread the
+    // crash over all of it.
+    dev.arm_crash_after(rng.below(60_000));
+    until_cut((0..rng.below(80) + 10).try_for_each(|_| match rng.below(10) {
+        0..=3 => small_alloc(&heap, &mut rng, &mut live),
+        4..=5 => random_free(&heap, &mut rng, &mut live),
+        6..=8 => spill_burst(&heap, &mut rng),
+        _ => cached_churn(&heap, &mut rng),
+    }))?;
+    let heap_id = heap.heap_id();
+    let cache_withdrawn = heap.cache_snapshot();
+
+    let Some(r) = power_cycle(&dev, heap, &mut rng, false, HeapConfig::new())? else {
+        return Err("typed media failure without --poison".into());
+    };
+    check_cache_residency(&r, heap_id, &cache_withdrawn)?;
+    still_serving(&dev, &r, false)?;
+    Ok(CaseOutcome::Recovered)
+}
+
 fn run_case(case_seed: u64, with_tx: bool, with_poison: bool) -> Result<CaseOutcome, String> {
     let mut rng = Rng(case_seed | 1);
     let dev = Arc::new(PmemDevice::new(DeviceConfig::new(64 << 20).with_media_faults(with_poison)));
@@ -814,23 +931,7 @@ fn run_case(case_seed: u64, with_tx: bool, with_poison: bool) -> Result<CaseOutc
         return Err("media damage reported without --poison".into());
     }
 
-    // Cache-residency invariant, checked after every power cycle: a block
-    // the DRAM cache held at the crash instant must be media-FREE — it can
-    // never resurface as a live allocation, because the cached path issues
-    // no persistent stores. `block_size` succeeds only for ALLOC records
-    // (the reloaded heap's cache starts empty), so success here means the
-    // invariant broke.
-    for &(sub, offset) in &cache_withdrawn {
-        if r.frozen.contains(&sub) {
-            continue; // wholesale quarantine froze the sub-heap's records as-is
-        }
-        if let Ok(size) = r.heap.block_size(NvmPtr::new(heap_id, sub, offset)) {
-            return Err(format!(
-                "cache-withdrawn block (sub {sub}, offset {offset:#x}) survived the \
-                 crash as a live {size}-byte allocation"
-            ));
-        }
-    }
+    check_cache_residency(&r, heap_id, &cache_withdrawn)?;
 
     if with_tx && !r.heap.root().map_err(|e| format!("root: {e}"))?.is_null() {
         match PtxPool::open(r.heap.clone()) {

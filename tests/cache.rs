@@ -3,12 +3,15 @@
 //! acceptance bar (a warm cached pair costs zero fences, zero lock
 //! acquisitions, zero device traffic), the durability contract
 //! (publish-on-`set_root`, publish-and-drain on clean close, evaporation
-//! plus reclamation across a crash), and the bounded-cache degradations.
+//! plus reclamation across a crash), the bounded-cache degradations, and
+//! the full-home detour (the full-class hint, the cached spill and the
+//! last-resort eviction).
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
-use pmem::{CrashMode, DeviceConfig, PmemDevice};
-use poseidon::{HeapConfig, PoseidonError, PoseidonHeap};
+use pmem::{CrashMode, DeviceConfig, NumaTopology, PmemDevice};
+use poseidon::{HeapConfig, NvmPtr, PoseidonError, PoseidonHeap};
 
 fn fresh(bytes: u64) -> Arc<PmemDevice> {
     Arc::new(PmemDevice::new(DeviceConfig::new(bytes)))
@@ -241,4 +244,147 @@ fn nospace_retry_evicts_the_cache_instead_of_failing() {
     let big = heap.alloc(heap.layout().max_alloc()).unwrap();
     heap.free(big).unwrap();
     heap.audit().unwrap();
+}
+
+/// A cached heap of two sub-heaps on the bench device, driven from CPU 0
+/// (home: sub-heap 0).
+fn two_subheaps() -> PoseidonHeap {
+    let dev = Arc::new(PmemDevice::new(DeviceConfig::bench(64 << 20).with_topology(NumaTopology::new(1, 2))));
+    let heap = PoseidonHeap::create(dev, HeapConfig::new().with_subheaps(2)).unwrap();
+    pmem::numa::set_current_cpu(0);
+    heap
+}
+
+/// Allocates `size`-byte blocks until one spills out of the full home into
+/// sub-heap 1; returns every block, the spilled one last.
+fn fill_home(heap: &PoseidonHeap, size: u64) -> Vec<NvmPtr> {
+    let mut held = Vec::new();
+    loop {
+        let p = heap.alloc(size).unwrap();
+        held.push(p);
+        if p.subheap() == 1 {
+            return held;
+        }
+        assert!(held.len() < 1 << 20, "sub-heap 0 never filled");
+    }
+}
+
+fn lock_acquisitions(heap: &PoseidonHeap, sub: usize) -> u64 {
+    heap.contention_profile()[sub].acquisitions
+}
+
+#[test]
+fn a_full_home_is_skipped_without_taking_its_lock() {
+    // 256 KiB blocks bypass the cache: every request takes the slow path,
+    // whose spill order skips the home on its full-class hint.
+    let heap = two_subheaps();
+    fill_home(&heap, 256 << 10);
+    heap.reset_contention();
+    for _ in 0..16 {
+        assert_eq!(heap.alloc(256 << 10).unwrap().subheap(), 1, "a spill left sub-heap 1");
+    }
+    assert_eq!(lock_acquisitions(&heap, 0), 0, "the full home's lock was taken");
+}
+
+#[test]
+fn a_full_home_spills_cached_allocations_through_the_next_pool() {
+    // 256 B blocks are cached: a miss at the full home is served from
+    // sub-heap 1's transfer pool, refilled a magazine batch at a time.
+    let heap = two_subheaps();
+    fill_home(&heap, 256);
+    heap.reset_contention();
+    let spilled: Vec<_> = (0..256).map(|_| heap.alloc(256).unwrap()).collect();
+    assert!(spilled.iter().all(|p| p.subheap() == 1), "a spill left sub-heap 1");
+    assert_eq!(lock_acquisitions(&heap, 0), 0, "the full home's lock was taken");
+    let spill_locks = lock_acquisitions(&heap, 1);
+    assert!(spill_locks <= 32, "256 spilled allocations took sub-heap 1's lock {spill_locks} times");
+
+    // The frees park in the spill pool and drain in batches.
+    heap.reset_contention();
+    for p in spilled {
+        heap.free(p).unwrap();
+    }
+    let free_locks = lock_acquisitions(&heap, 1);
+    assert!(free_locks <= 8, "256 spilled frees took sub-heap 1's lock {free_locks} times");
+    heap.audit().unwrap();
+}
+
+#[test]
+fn every_release_path_clears_the_full_class_hint() {
+    // Slow free: an uncacheable block returns to the home's free lists.
+    let heap = two_subheaps();
+    let held = fill_home(&heap, 256 << 10);
+    assert_eq!(heap.alloc(256 << 10).unwrap().subheap(), 1, "the home is not known full");
+    heap.free(held[0]).unwrap();
+    assert_eq!(heap.alloc(256 << 10).unwrap().subheap(), 0, "a slow free left the hint set");
+
+    // Cache drain: CPU 1 frees the home's cached blocks into sub-heap 0's
+    // transfer pool (128 slots) until it overflows and drains, leaving
+    // CPU 0's magazine and the pool empty. (A few fill blocks took the
+    // slow path when the hash table grew a level; their frees would be
+    // slow frees, so they are left alone.)
+    let heap = two_subheaps();
+    let held = fill_home(&heap, 256);
+    assert_eq!(heap.alloc(256).unwrap().subheap(), 1, "the home is not known full");
+    let cached: HashSet<(u16, u64)> = heap.cache_snapshot().into_iter().collect();
+    heap.reset_contention();
+    pmem::numa::set_current_cpu(1);
+    for &p in held.iter().filter(|p| cached.contains(&(0, p.offset()))).take(129) {
+        heap.free(p).unwrap();
+    }
+    pmem::numa::set_current_cpu(0);
+    let stats = heap.contention_profile()[0].cache.unwrap();
+    assert_eq!((stats.hits, stats.drains), (129, 1), "129 cached frees should drain the pool once");
+    assert_eq!(heap.alloc(256).unwrap().subheap(), 0, "a cache drain left the hint set");
+
+    // tx_abort: the open transaction's block returns to the home.
+    let heap = two_subheaps();
+    assert_eq!(heap.tx_alloc(256 << 10, false).unwrap().subheap(), 0);
+    fill_home(&heap, 256 << 10);
+    assert_eq!(heap.alloc(256 << 10).unwrap().subheap(), 1, "the home is not known full");
+    heap.tx_abort().unwrap();
+    assert_eq!(heap.alloc(256 << 10).unwrap().subheap(), 0, "tx_abort left the hint set");
+}
+
+#[test]
+fn nospace_retry_evicts_every_cache_when_no_subheap_can_serve() {
+    // The two-sub-heap twin of the eviction test above: fill both
+    // sub-heaps, free everything (loading both caches), then ask for one
+    // maximal block. Both sub-heaps fail from their free lists, so the
+    // last resort hands every cache back and the retry succeeds.
+    let heap = two_subheaps();
+    let mut held = Vec::new();
+    while let Ok(p) = heap.alloc(4096) {
+        held.push(p);
+    }
+    assert!(held.iter().any(|p| p.subheap() == 1), "the home never spilled");
+    for p in held {
+        heap.free(p).unwrap();
+    }
+    let cached = heap.cache_snapshot();
+    for sub in 0..2 {
+        assert!(cached.iter().any(|&(s, _)| s == sub), "sub-heap {sub}'s cache is empty");
+    }
+    let big = heap.alloc(heap.layout().max_alloc()).unwrap();
+    heap.free(big).unwrap();
+    let audits = heap.audit().unwrap();
+    assert_eq!(audits.iter().map(|(_, a)| a.alloc_bytes).sum::<u64>(), 0);
+    assert_eq!(audits.iter().map(|(_, a)| a.free_bytes).sum::<u64>(), 2 * heap.layout().user_size);
+}
+
+#[test]
+fn every_cached_allocation_counts_one_hit_or_one_miss() {
+    // Spilled allocations included: a home miss served from sub-heap 1's
+    // pool is one hit there, a refill one miss at the home.
+    let heap = two_subheaps();
+    fill_home(&heap, 256);
+    heap.reset_contention();
+    for _ in 0..256 {
+        heap.alloc(256).unwrap();
+    }
+    let stats: Vec<_> = heap.contention_profile().iter().filter_map(|p| p.cache).collect();
+    let hits: u64 = stats.iter().map(|s| s.hits).sum();
+    let misses: u64 = stats.iter().map(|s| s.misses).sum();
+    assert_eq!(hits + misses, 256, "{hits} hits and {misses} misses for 256 allocations");
+    assert!(hits >= 224, "spill-pool pops should count as hits: {hits} of 256");
 }

@@ -208,6 +208,91 @@ fn lock_profile_shows_no_cross_subheap_serialisation() {
 }
 
 #[test]
+fn full_homes_spill_concurrently_without_clashing_owners() {
+    // Two threads on three sub-heaps. Each fills 1.25x its home with
+    // 8-512 B blocks, so both homes fill and spill: CPU 0 into sub-heap 1
+    // (CPU 1's home) and on, CPU 1 into sub-heap 2 and on. Then both
+    // churn with cross-thread frees, so the cached spill, its pool drains
+    // and the hint's set and clear race each other.
+    const THREADS: usize = 2;
+    const ROUNDS: u64 = 4000;
+    let dev =
+        Arc::new(PmemDevice::new(DeviceConfig::bench(32 << 20).with_topology(NumaTopology::new(1, THREADS))));
+    let heap = Arc::new(PoseidonHeap::create(dev.clone(), HeapConfig::new().with_subheaps(3)).unwrap());
+    let fill_bytes = heap.layout().user_size / 4 * 5;
+    let exchange: Vec<Mutex<Vec<(NvmPtr, u64)>>> = (0..THREADS).map(|_| Mutex::new(Vec::new())).collect();
+    let tags = AtomicU64::new(0);
+    let spilled = AtomicU64::new(0);
+
+    platform::thread::scope(|scope| {
+        for thread in 0..THREADS {
+            let (heap, dev, exchange, tags, spilled) =
+                (heap.clone(), dev.clone(), &exchange, &tags, &spilled);
+            scope.spawn(move || {
+                pmem::numa::set_current_cpu(thread);
+                let mut rng = Xorshift::new(thread as u64 * 104_729 + 17);
+                // Allocates and stamps a unique owner tag; returns the
+                // bytes the block occupies.
+                let alloc = |rng: &mut Xorshift, mine: &mut Vec<(NvmPtr, u64)>| -> u64 {
+                    let size = 8 + rng.below(505);
+                    let p =
+                        heap.alloc(size).unwrap_or_else(|e| panic!("thread {thread}: alloc({size}): {e}"));
+                    let tag = tags.fetch_add(1, Ordering::Relaxed) + 1;
+                    dev.write_pod(heap.raw_offset(p).unwrap(), &tag).unwrap();
+                    if p.subheap() as usize != thread {
+                        spilled.fetch_add(1, Ordering::Relaxed);
+                    }
+                    mine.push((p, tag));
+                    poseidon::class_for_size(size).unwrap().1
+                };
+                let verify_free = |(p, tag): (NvmPtr, u64)| {
+                    let stored: u64 = dev.read_pod(heap.raw_offset(p).unwrap()).unwrap();
+                    assert_eq!(stored, tag, "two owners held one block");
+                    heap.free(p).unwrap();
+                };
+                let mut mine: Vec<(NvmPtr, u64)> = Vec::new();
+                let mut live = 0;
+                while live < fill_bytes {
+                    live += alloc(&mut rng, &mut mine);
+                }
+                // Churn at a steady live set: every round frees one block
+                // (its own, or one the other thread handed over) and
+                // allocates one.
+                for _ in 0..ROUNDS {
+                    let index = rng.below(mine.len() as u64) as usize;
+                    let victim = mine.swap_remove(index);
+                    match rng.below(4) {
+                        0 => exchange[(thread + 1) % THREADS].lock().push(victim),
+                        1 => {
+                            let donated = exchange[thread].lock().pop();
+                            verify_free(donated.unwrap_or(victim));
+                            if donated.is_some() {
+                                mine.push(victim);
+                            }
+                        }
+                        _ => verify_free(victim),
+                    }
+                    alloc(&mut rng, &mut mine);
+                }
+                for block in mine {
+                    verify_free(block);
+                }
+            });
+        }
+    });
+
+    for slot in &exchange {
+        for (p, _) in slot.lock().drain(..) {
+            heap.free(p).unwrap();
+        }
+    }
+    assert!(spilled.load(Ordering::Relaxed) > 0, "no allocation spilled out of a full home");
+    for (sub, audit) in heap.audit().unwrap() {
+        assert_eq!(audit.alloc_bytes, 0, "sub-heap {sub} leaked under concurrent spills");
+    }
+}
+
+#[test]
 fn tx_isolation_between_threads() {
     // Two threads run interleaved transactions on the same sub-heap; the
     // per-thread micro-log pinning must keep their commits independent.
