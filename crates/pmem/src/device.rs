@@ -7,12 +7,13 @@ use std::sync::{Arc, Mutex};
 use mpk::{AccessKind, MpkDomain, ProtectionKey};
 
 use crate::batch::FlushBatch;
-use crate::cache::{splitmix64, CacheModel, CrashMode, CACHE_LINE_SIZE};
+use crate::cache::{splitmix64, CacheModel, CrashMode, FenceDomain, CACHE_LINE_SIZE};
 use crate::cost::CostModel;
 use crate::error::PmemError;
 use crate::numa::{current_cpu, NumaTopology};
 use crate::pod::Pod;
 use crate::poison::{PoisonRange, PoisonSet};
+use crate::slots;
 use crate::stats::{DeviceStats, StatsSnapshot};
 use crate::store::ChunkStore;
 use crate::view::MetaView;
@@ -302,8 +303,21 @@ impl PmemDevice {
         &self.store
     }
 
-    pub(crate) fn cache_ref(&self) -> Option<&CacheModel> {
-        self.cache.as_ref()
+    /// Captures the pre-images of the lines a store to `[offset, offset +
+    /// len)` is about to overwrite, voiding their pending flushes (on a
+    /// crash-tracked device).
+    #[inline]
+    pub(crate) fn before_store(&self, offset: u64, len: u64) {
+        if let Some(cache) = &self.cache {
+            cache.before_write(offset, len, |line_off, line_buf| {
+                // Clamp to capacity: the last line of an unaligned capacity
+                // may extend past it; the out-of-range tail stays zero.
+                let end = (line_off + line_buf.len() as u64).min(self.capacity());
+                if line_off < end {
+                    self.store.read(line_off, &mut line_buf[..(end - line_off) as usize]);
+                }
+            });
+        }
     }
 
     pub(crate) fn stats_ref(&self) -> &DeviceStats {
@@ -490,16 +504,7 @@ impl PmemDevice {
         if buf.is_empty() {
             return Ok(());
         }
-        if let Some(cache) = &self.cache {
-            cache.before_write(offset, buf.len() as u64, |line_off, line_buf| {
-                // Clamp to capacity: the last line of an unaligned capacity
-                // may extend past it; the out-of-range tail stays zero.
-                let end = (line_off + line_buf.len() as u64).min(self.capacity());
-                if line_off < end {
-                    self.store.read(line_off, &mut line_buf[..(end - line_off) as usize]);
-                }
-            });
-        }
+        self.before_store(offset, buf.len() as u64);
         self.store.write(offset, buf);
         self.poison_event(offset, buf.len() as u64);
         self.stats.record_write(
@@ -563,14 +568,7 @@ impl PmemDevice {
         // A read-modify-write loads the line first, so poison faults it.
         self.check_poison(offset, 8)?;
         self.mutation_event()?;
-        if let Some(cache) = &self.cache {
-            cache.before_write(offset, 8, |line_off, line_buf| {
-                let end = (line_off + line_buf.len() as u64).min(self.capacity());
-                if line_off < end {
-                    self.store.read(line_off, &mut line_buf[..(end - line_off) as usize]);
-                }
-            });
-        }
+        self.before_store(offset, 8);
         let previous = self.store.fetch_update_u64(offset, f);
         self.poison_event(offset, 8);
         self.stats.record_write(8, 1, self.is_remote(offset));
@@ -578,7 +576,7 @@ impl PmemDevice {
     }
 
     /// Flushes the cache lines covering `[offset, offset + len)` (`clwb`).
-    /// Not durable until the next [`sfence`](Self::sfence).
+    /// Not durable until the calling thread's next [`sfence`](Self::sfence).
     ///
     /// # Errors
     ///
@@ -590,33 +588,47 @@ impl PmemDevice {
         self.check_range(offset, len)?;
         self.check_poison(offset, len)?;
         self.mutation_event()?;
-        let lines = match &self.cache {
-            Some(cache) => {
-                cache.clwb(offset, len);
-                Self::lines(offset, len)
+        self.with_fence_domain(|domain| {
+            if let Some(domain) = domain {
+                domain.clwb(offset, len);
             }
-            None => Self::lines(offset, len),
-        };
-        self.stats.record_clwb(lines);
+        });
+        self.stats.record_clwb(Self::lines(offset, len));
         Ok(())
     }
 
-    /// Commits all pending flushes (`sfence`); flushed lines are durable
-    /// afterwards.
+    /// Commits the flushes the calling thread issued since its last fence
+    /// (`sfence`); those lines are durable afterwards. Lines other threads
+    /// flushed stay pending until one of *their* fences, as on hardware,
+    /// where flushes are ordered per thread.
     ///
     /// # Errors
     ///
     /// [`PmemError::Crashed`].
     pub fn sfence(&self) -> Result<(), PmemError> {
         self.mutation_event()?;
-        if let Some(cache) = &self.cache {
-            cache.sfence();
-        }
+        self.with_fence_domain(|domain| {
+            if let Some(domain) = domain {
+                domain.sfence();
+            }
+        });
         self.stats.record_sfence();
         Ok(())
     }
 
-    /// `clwb` + `sfence`: makes `[offset, offset + len)` durable.
+    /// Runs `f` on the calling thread's fence domain, or on `None` when
+    /// the device tracks no crash state.
+    #[inline]
+    pub(crate) fn with_fence_domain<R>(&self, f: impl FnOnce(Option<&mut FenceDomain<'_>>) -> R) -> R {
+        match &self.cache {
+            Some(cache) => f(Some(&mut cache.domain(slots::current()))),
+            None => f(None),
+        }
+    }
+
+    /// `clwb` + `sfence` on the calling thread: makes `[offset, offset +
+    /// len)` durable, along with every other line the thread flushed
+    /// since its last fence.
     ///
     /// # Errors
     ///
@@ -643,16 +655,19 @@ impl PmemDevice {
             return Ok(());
         }
         self.stats.record_validation();
-        for &line in batch.lines() {
-            let offset = line * CACHE_LINE_SIZE;
-            let len = CACHE_LINE_SIZE.min(self.capacity().saturating_sub(offset));
-            self.check_range(offset, len.max(1))?;
-            self.check_poison(offset, len)?;
-            self.mutation_event()?;
-            if let Some(cache) = &self.cache {
-                cache.clwb(offset, len);
-            }
-        }
+        self.with_fence_domain(|mut domain| {
+            batch.lines().iter().try_for_each(|&line| -> Result<(), PmemError> {
+                let offset = line * CACHE_LINE_SIZE;
+                let len = CACHE_LINE_SIZE.min(self.capacity().saturating_sub(offset));
+                self.check_range(offset, len.max(1))?;
+                self.check_poison(offset, len)?;
+                self.mutation_event()?;
+                if let Some(domain) = &mut domain {
+                    domain.clwb(offset, len);
+                }
+                Ok(())
+            })
+        })?;
         self.stats.record_clwb(batch.line_count() as u64);
         Ok(())
     }
@@ -874,8 +889,9 @@ impl PmemDevice {
     }
 
     /// Applies a power failure: every store that was not durable is
-    /// reverted per `mode` (see [`CrashMode`]), tracking state is cleared,
-    /// and the device is usable again (as if power returned). `seed` makes
+    /// reverted per `mode` (see [`CrashMode`]), tracking state (every
+    /// thread's pending flushes included) is cleared, and the device is
+    /// usable again (as if power returned). `seed` makes
     /// [`CrashMode::Adversarial`] deterministic.
     ///
     /// A no-op revert when crash tracking is disabled (the device still
@@ -1071,6 +1087,65 @@ mod tests {
         dev.simulate_crash(CrashMode::Strict, 0);
         assert_eq!(dev.read_pod::<u8>(0).unwrap(), 1);
         assert_eq!(dev.read_pod::<u8>(64).unwrap(), 0);
+    }
+
+    #[test]
+    fn a_fence_commits_only_its_own_threads_flushes() {
+        let dev = device();
+        let flushed = std::sync::Barrier::new(2);
+        let crashed = std::sync::Barrier::new(2);
+        let pending = std::thread::scope(|s| {
+            // B flushes a line and stays alive, unfenced, across the crash.
+            s.spawn(|| {
+                dev.write(64, &[2; 64]).unwrap();
+                dev.clwb(64, 64).unwrap();
+                flushed.wait();
+                crashed.wait();
+            });
+            flushed.wait();
+            dev.write(0, &[1; 64]).unwrap();
+            dev.persist(0, 64).unwrap();
+            let pending = dev.unpersisted_lines();
+            dev.simulate_crash(CrashMode::Strict, 0);
+            crashed.wait();
+            pending
+        });
+        assert_eq!(pending, 1, "A's fence left B's line pending");
+        assert_eq!(dev.read_pod::<u8>(0).unwrap(), 1);
+        assert_eq!(dev.read_pod::<u8>(64).unwrap(), 0, "B's flushed, unfenced line reverted");
+    }
+
+    #[test]
+    fn a_persist_from_a_thread_local_destructor_is_durable() {
+        /// Persists line 0 from its destructor, which runs after the
+        /// thread's slot is released (it is registered before the thread's
+        /// first device call, and destructors run in reverse).
+        struct PersistOnExit(Option<Arc<PmemDevice>>);
+        impl Drop for PersistOnExit {
+            fn drop(&mut self) {
+                if let Some(dev) = self.0.take() {
+                    dev.write(0, &[1; 64]).unwrap();
+                    dev.persist(0, 64).unwrap();
+                }
+            }
+        }
+        thread_local! {
+            static ON_EXIT: std::cell::RefCell<PersistOnExit> =
+                const { std::cell::RefCell::new(PersistOnExit(None)) };
+        }
+        let dev = Arc::new(device());
+        let on_exit = Arc::clone(&dev);
+        std::thread::spawn(move || {
+            ON_EXIT.with(|cell| cell.borrow_mut().0 = Some(Arc::clone(&on_exit)));
+            on_exit.write(64, &[2; 64]).unwrap();
+            on_exit.persist(64, 64).unwrap();
+        })
+        .join()
+        .unwrap();
+        assert_eq!(dev.unpersisted_lines(), 0);
+        dev.simulate_crash(CrashMode::Strict, 0);
+        assert_eq!(dev.read_pod::<u8>(0).unwrap(), 1, "persisted in the destructor");
+        assert_eq!(dev.read_pod::<u8>(64).unwrap(), 2);
     }
 
     #[test]

@@ -8,12 +8,14 @@
 //! to a persistent allocator:
 //!
 //! * **Explicit cache semantics** — stores land in a modelled CPU cache;
-//!   only lines that were `clwb`-flushed *and* `sfence`-fenced are
-//!   guaranteed to be on media. [`PmemDevice::simulate_crash`] reverts
-//!   everything else (or, in [`CrashMode::Adversarial`], an arbitrary
-//!   subset, modelling spontaneous cache eviction), which makes torn and
-//!   unflushed states *testable* — something real hardware cannot offer
-//!   deterministically.
+//!   only lines that were `clwb`-flushed *and* then fenced by an `sfence`
+//!   of the thread that flushed them are guaranteed to be on media: like
+//!   Px86 hardware, a fence commits only its own thread's flushes, and a
+//!   store voids every pending flush of its line.
+//!   [`PmemDevice::simulate_crash`] reverts everything else (or, in
+//!   [`CrashMode::Adversarial`], an arbitrary subset, modelling
+//!   spontaneous cache eviction), which makes torn and unflushed states
+//!   *testable* — something real hardware cannot offer deterministically.
 //! * **MPK page protection** — every page can be tagged with an
 //!   [`mpk::ProtectionKey`]; loads and stores consult the executing
 //!   thread's simulated `PKRU` and fail with
@@ -25,6 +27,8 @@
 //! * **Sparse capacity and hole punching** — backing memory materialises on
 //!   first write and can be returned with [`PmemDevice::punch_hole`]
 //!   (the `fallocate` analogue Poseidon uses to shrink unused metadata).
+//!   A crash-tracked store locks only the shard of its 64 KiB granule,
+//!   and a flush or fence only the calling thread's own fence domain.
 //! * **Crash-point injection** — [`PmemDevice::arm_crash_after`] makes the
 //!   device fail after the *n*-th mutation event, so property tests can
 //!   crash an allocator at every edge of an operation.
@@ -78,6 +82,7 @@ mod error;
 pub mod numa;
 mod pod;
 mod poison;
+mod slots;
 mod stats;
 mod store;
 mod view;

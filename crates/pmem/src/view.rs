@@ -21,7 +21,10 @@
 //!   one relaxed atomic load on a healthy device);
 //! * chunk-store locking stays per access — a session may legitimately
 //!   punch holes in its own range (hash-level activation and shrink), so
-//!   the view never caches chunk pointers or holds chunk locks.
+//!   the view never caches chunk pointers or holds chunk locks;
+//! * flushes and fences go to the calling thread's fence domain at the
+//!   time of the call, never to one captured at map time, so a view's
+//!   `sfence` commits exactly what its thread flushed.
 //!
 //! Traffic counters (read/write ops, bytes, local/remote lines, flushes,
 //! fences) accumulate in plain cells owned by the view and are flushed
@@ -166,14 +169,7 @@ impl<'d> MetaView<'d> {
         if buf.is_empty() {
             return Ok(());
         }
-        if let Some(cache) = self.dev.cache_ref() {
-            cache.before_write(offset, len, |line_off, line_buf| {
-                let end = (line_off + line_buf.len() as u64).min(self.dev.capacity());
-                if line_off < end {
-                    self.dev.store_ref().read(line_off, &mut line_buf[..(end - line_off) as usize]);
-                }
-            });
-        }
+        self.dev.before_store(offset, len);
         self.dev.store_ref().write(offset, buf);
         self.dev.poison_event(offset, len);
         self.write_ops.set(self.write_ops.get() + 1);
@@ -206,28 +202,37 @@ impl<'d> MetaView<'d> {
         self.check_local(offset, len)?;
         self.dev.check_poison(offset, len)?;
         self.dev.mutation_event()?;
-        if let Some(cache) = self.dev.cache_ref() {
-            cache.clwb(offset, len);
-        }
+        self.dev.with_fence_domain(|domain| {
+            if let Some(domain) = domain {
+                domain.clwb(offset, len);
+            }
+        });
         self.clwb_count.set(self.clwb_count.get() + PmemDevice::lines(offset, len));
         Ok(())
     }
 
-    /// Commits pending flushes (`sfence`).
+    /// Commits the flushes the calling thread issued since its last fence
+    /// (`sfence`), through this view or any other path to the device.
+    /// Flushes issued by other threads stay pending until their own
+    /// fences (see [`PmemDevice::sfence`]).
     ///
     /// # Errors
     ///
     /// [`PmemError::Crashed`].
     pub fn sfence(&self) -> Result<(), PmemError> {
         self.dev.mutation_event()?;
-        if let Some(cache) = self.dev.cache_ref() {
-            cache.sfence();
-        }
+        self.dev.with_fence_domain(|domain| {
+            if let Some(domain) = domain {
+                domain.sfence();
+            }
+        });
         self.sfence_count.set(self.sfence_count.get() + 1);
         Ok(())
     }
 
-    /// `clwb` + `sfence`.
+    /// `clwb` + `sfence` on the calling thread: makes the range durable,
+    /// along with every other line the thread flushed since its last
+    /// fence.
     ///
     /// # Errors
     ///
@@ -250,16 +255,19 @@ impl<'d> MetaView<'d> {
     /// [`PmemError::OutOfBounds`], [`PmemError::Crashed`], or
     /// [`PmemError::Uncorrectable`] if a noted line is poisoned.
     pub fn flush_batch(&self, batch: &crate::FlushBatch) -> Result<(), PmemError> {
-        for &line in batch.lines() {
-            let offset = line * crate::CACHE_LINE_SIZE;
-            let len = crate::CACHE_LINE_SIZE.min(self.end.saturating_sub(offset));
-            self.check_local(offset, len.max(1))?;
-            self.dev.check_poison(offset, len)?;
-            self.dev.mutation_event()?;
-            if let Some(cache) = self.dev.cache_ref() {
-                cache.clwb(offset, len);
-            }
-        }
+        self.dev.with_fence_domain(|mut domain| {
+            batch.lines().iter().try_for_each(|&line| -> Result<(), PmemError> {
+                let offset = line * crate::CACHE_LINE_SIZE;
+                let len = crate::CACHE_LINE_SIZE.min(self.end.saturating_sub(offset));
+                self.check_local(offset, len.max(1))?;
+                self.dev.check_poison(offset, len)?;
+                self.dev.mutation_event()?;
+                if let Some(domain) = &mut domain {
+                    domain.clwb(offset, len);
+                }
+                Ok(())
+            })
+        })?;
         self.clwb_count.set(self.clwb_count.get() + batch.line_count() as u64);
         Ok(())
     }

@@ -42,8 +42,9 @@ cargo test -p poseidon -q huge
 # accurate quarantine accounting or a typed MediaError — never a panic.
 # After every power cycle the harness checks the undo ordering, the
 # sub-heap and extent-table audits and that the heap still serves; the
-# default and full-home arms also check the cache-residency invariant
-# (cache-held blocks stay media-FREE).
+# default, full-home and threads arms also check the cache-residency
+# invariant (cache-held blocks stay media-FREE). The threads arm's
+# interleaving is not fixed by its seed, only each worker's op stream.
 # One row per sweep: iters, seed, flags, and why the row exists.
 crashfuzz_rows=(
     "50 314159 --tx"                # crash points over small, huge, cached, tx and ptx ops
@@ -57,6 +58,7 @@ crashfuzz_rows=(
     "40 271828 --maint --poison"    # maintenance with media errors interleaved
     "40 161803 --maint --grow"      # maintenance beside growth: the superblock's re-driven rollback
     "100 314159 --full-home"        # a full home: spill refills, spill-pool drains, last-resort eviction
+    "200 314159 --threads 2"        # two workers in flight at the cut: per-thread fences, cross-thread frees
 )
 for row in "${crashfuzz_rows[@]}"; do
     read -r iters seed flags <<<"$row"

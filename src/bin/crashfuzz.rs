@@ -49,16 +49,27 @@
 //! eviction. The cache-residency invariant is checked as in the default
 //! arm.
 //!
+//! With `--threads 2`, two workers, each on its own CPU id, run the
+//! default arm's op mix against one heap and free each other's
+//! allocations through per-worker hand-off lists. The power cut is armed
+//! once both workers are past a few warm-up ops, and both run until it
+//! lands, so it lands with both in flight: each thread's flushes and
+//! fences are its own, and recovery must hold under every interleaving. The case seed fixes each worker's op stream but not the
+//! interleaving, so a failure names the seed and the case, and a rerun
+//! may need several tries to hit it again. The case ends in the default
+//! arm's power cycle and checks. Composes with `--poison`.
+//!
 //! Each arm is its op weights plus its own checks: the ops the arms share
 //! are one helper each, and every crash arm ends in the same power cycle
 //! ([`power_cycle`], then [`still_serving`]).
 //!
 //! ```text
 //! crashfuzz [--iters N] [--seed S] [--tx] [--poison] [--poison-live] [--grow] [--maint] [--full-home]
+//!           [--threads 2]
 //! ```
 
 use std::process::ExitCode;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier, Mutex};
 
 use pmem::{CrashMode, DeviceConfig, PmemDevice};
 use poseidon::{HeapConfig, HugeAudit, NvmPtr, PoseidonError, PoseidonHeap, RecoveryReport, SubheapAudit};
@@ -87,6 +98,7 @@ fn main() -> ExitCode {
     let mut with_grow = false;
     let mut with_maint = false;
     let mut full_home = false;
+    let mut with_threads = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -98,19 +110,16 @@ fn main() -> ExitCode {
             "--grow" => with_grow = true,
             "--maint" => with_maint = true,
             "--full-home" => full_home = true,
-            other => {
-                eprintln!("crashfuzz: unknown argument {other}");
-                eprintln!(
-                    "usage: crashfuzz [--iters N] [--seed S] [--tx] [--poison] [--poison-live] \
-                     [--grow] [--maint] [--full-home]"
-                );
-                return ExitCode::from(2);
-            }
+            "--threads" => match args.next().as_deref() {
+                Some("2") => with_threads = true,
+                _ => return usage("--threads takes the worker count 2"),
+            },
+            other => return usage(&format!("unknown argument {other}")),
         }
     }
     println!(
         "crashfuzz: {iters} iterations, seed {seed}, tx={with_tx}, poison={with_poison}, \
-         live={poison_live}, grow={with_grow}, maint={with_maint}, full_home={full_home}"
+         live={poison_live}, grow={with_grow}, maint={with_maint}, full_home={full_home}, threads={with_threads}"
     );
     let mut rng = Rng(seed | 1);
     let mut media_failures = 0u64;
@@ -124,6 +133,8 @@ fn main() -> ExitCode {
             run_grow_case(case_seed, with_poison)
         } else if full_home {
             run_full_home_case(case_seed)
+        } else if with_threads {
+            run_threads_case(case_seed, with_poison)
         } else {
             run_case(case_seed, with_tx, with_poison)
         };
@@ -156,6 +167,11 @@ fn main() -> ExitCode {
         );
     } else if full_home {
         println!("crashfuzz: all {iters} full-home cases recovered cleanly");
+    } else if with_threads {
+        println!(
+            "crashfuzz: all {iters} two-worker cases recovered cleanly \
+             ({media_failures} ended in a typed media error)"
+        );
     } else if with_poison {
         println!(
             "crashfuzz: all {iters} cases handled cleanly ({media_failures} ended in a typed media error)"
@@ -164,6 +180,15 @@ fn main() -> ExitCode {
         println!("crashfuzz: all {iters} cases recovered cleanly");
     }
     ExitCode::SUCCESS
+}
+
+fn usage(why: &str) -> ExitCode {
+    eprintln!("crashfuzz: {why}");
+    eprintln!(
+        "usage: crashfuzz [--iters N] [--seed S] [--tx] [--poison] [--poison-live] \
+         [--grow] [--maint] [--full-home] [--threads 2]"
+    );
+    ExitCode::from(2)
 }
 
 /// How a fuzz case ended: full recovery, or a *typed* media-error failure
@@ -900,11 +925,32 @@ fn run_case(case_seed: u64, with_tx: bool, with_poison: bool) -> Result<CaseOutc
     let Some(r) = power_cycle(&dev, heap, &mut rng, with_poison, HeapConfig::new())? else {
         return Ok(CaseOutcome::TypedMediaFailure);
     };
+    check_recovery_books(&dev, &r, with_poison)?;
+    check_cache_residency(&r, heap_id, &cache_withdrawn)?;
 
-    // Quarantine accounting must line up: the recovery report's wholesale
-    // count matches the frozen sub-heap set, and the audit sees at least
-    // the block quarantine recovery claims (frees before the crash may
-    // have quarantined more) — in the huge region too.
+    if with_tx && !r.heap.root().map_err(|e| format!("root: {e}"))?.is_null() {
+        match PtxPool::open(r.heap.clone()) {
+            Ok(pool) => {
+                let _ = pool.recovery_report();
+            }
+            // The root object's own lines may be the poisoned ones.
+            Err(PtxError::Heap(
+                PoseidonError::MediaError { .. } | PoseidonError::SubheapQuarantined { .. },
+            )) if with_poison => {}
+            Err(e) => return Err(format!("ptx open: {e}")),
+        }
+    }
+
+    still_serving(&dev, &r, with_poison)?;
+    Ok(CaseOutcome::Recovered)
+}
+
+/// The default arm's recovery bookkeeping: the recovery report's
+/// wholesale quarantine count matches the frozen sub-heap set, the audits
+/// see at least the block quarantine recovery claims (frees before the
+/// crash may have quarantined more) — in the huge region too — and
+/// without `--poison` no media damage is reported at all.
+fn check_recovery_books(dev: &PmemDevice, r: &Recovered, with_poison: bool) -> Result<(), String> {
     if r.recovery.subheaps_quarantined as usize != r.frozen.len() {
         return Err(format!(
             "recovery reports {} wholesale-quarantined sub-heaps but {} are frozen",
@@ -930,22 +976,105 @@ fn run_case(case_seed: u64, with_tx: bool, with_poison: bool) -> Result<CaseOutc
     if !with_poison && (r.recovery.media_damage_detected() || dev.poisoned_lines() > 0) {
         return Err("media damage reported without --poison".into());
     }
+    Ok(())
+}
 
-    check_cache_residency(&r, heap_id, &cache_withdrawn)?;
-
-    if with_tx && !r.heap.root().map_err(|e| format!("root: {e}"))?.is_null() {
-        match PtxPool::open(r.heap.clone()) {
-            Ok(pool) => {
-                let _ = pool.recovery_report();
-            }
-            // The root object's own lines may be the poisoned ones.
-            Err(PtxError::Heap(
-                PoseidonError::MediaError { .. } | PoseidonError::SubheapQuarantined { .. },
-            )) if with_poison => {}
-            Err(e) => return Err(format!("ptx open: {e}")),
+/// One worker of a `--threads` case: the default arm's op mix from its
+/// own seed, with the ptx slot replaced by a cross-thread hand-off — one
+/// of its allocations goes to the next worker's mailbox, and everything
+/// in its own mailbox (allocated by the previous worker) is freed here.
+/// Runs `WARM_OPS` ops, meets the other workers and the arming thread at
+/// `warmed`, then runs until the power cut (or `WORKER_OPS` more ops).
+fn worker(
+    heap: &PoseidonHeap,
+    mailboxes: &[Mutex<Vec<NvmPtr>>],
+    me: usize,
+    seed: u64,
+    warmed: &Barrier,
+) -> Result<(), Stop> {
+    const WARM_OPS: u64 = 3;
+    const WORKER_OPS: u64 = 5_000;
+    let mut rng = Rng(seed | 1);
+    let max_alloc = heap.layout().max_alloc();
+    let mut live: Vec<NvmPtr> = Vec::new();
+    let mut op = |rng: &mut Rng| match rng.below(11) {
+        0..=4 => small_alloc(heap, rng, &mut live),
+        5..=6 => random_free(heap, rng, &mut live),
+        7 => {
+            let commit = rng.below(2) == 0;
+            let size =
+                if rng.below(6) == 0 { max_alloc + 1 + rng.below(1 << 20) } else { 1 + rng.below(512) };
+            tx_alloc(heap, &mut live, size, commit)
         }
-    }
+        8 => huge_alloc(heap, rng, &mut live, 4 << 20),
+        9 => cached_churn(heap, rng),
+        _ => {
+            if !live.is_empty() {
+                let handed = live.swap_remove(rng.below(live.len() as u64) as usize);
+                mailboxes[(me + 1) % mailboxes.len()].lock().expect("mailbox").push(handed);
+            }
+            let received = std::mem::take(&mut *mailboxes[me].lock().expect("mailbox"));
+            received.into_iter().try_for_each(|p| free(heap, p))
+        }
+    };
+    let warm = (0..WARM_OPS).try_for_each(|_| op(&mut rng));
+    warmed.wait();
+    warm?;
+    (0..WORKER_OPS).try_for_each(|_| op(&mut rng))
+}
 
+/// Workers of a `--threads` case.
+const WORKERS: usize = 2;
+
+/// One `--threads` case: two workers on CPUs 0 and 1 run until the power
+/// cut, armed once both are past their warm-up ops; then the default
+/// arm's power cycle and checks.
+fn run_threads_case(case_seed: u64, with_poison: bool) -> Result<CaseOutcome, String> {
+    let mut rng = Rng(case_seed | 1);
+    let dev = Arc::new(PmemDevice::new(DeviceConfig::new(64 << 20).with_media_faults(with_poison)));
+    let heap = Arc::new(
+        PoseidonHeap::create(dev.clone(), HeapConfig::new().with_subheaps(1 + rng.below(3) as u16))
+            .map_err(|e| format!("create: {e}"))?,
+    );
+    let seeds: [u64; WORKERS] = std::array::from_fn(|_| rng.next());
+    let mailboxes: [Mutex<Vec<NvmPtr>>; WORKERS] = std::array::from_fn(|_| Mutex::new(Vec::new()));
+    let warmed = Barrier::new(WORKERS + 1);
+    let outcomes: Vec<Result<(), Stop>> = std::thread::scope(|s| {
+        let workers: Vec<_> = seeds
+            .iter()
+            .enumerate()
+            .map(|(cpu, &seed)| {
+                let (heap, mailboxes, warmed) = (&heap, &mailboxes, &warmed);
+                s.spawn(move || {
+                    pmem::numa::set_current_cpu(cpu);
+                    worker(heap, mailboxes, cpu, seed, warmed)
+                })
+            })
+            .collect();
+        // Armed once both workers are past their warm-up and running
+        // again. An op averages some 70 mutation events, so the cut lands
+        // a few dozen ops in, with both workers in flight.
+        warmed.wait();
+        dev.arm_crash_after(rng.below(4_000));
+        if with_poison {
+            dev.arm_poison_after(1 + rng.below(3_000), rng.next());
+        }
+        workers
+            .into_iter()
+            .map(|w| w.join().unwrap_or_else(|_| Err(Stop::Fail("worker panicked".into()))))
+            .collect()
+    });
+    for outcome in outcomes {
+        until_cut(outcome)?;
+    }
+    let heap_id = heap.heap_id();
+    let cache_withdrawn = heap.cache_snapshot();
+
+    let Some(r) = power_cycle(&dev, heap, &mut rng, with_poison, HeapConfig::new())? else {
+        return Ok(CaseOutcome::TypedMediaFailure);
+    };
+    check_recovery_books(&dev, &r, with_poison)?;
+    check_cache_residency(&r, heap_id, &cache_withdrawn)?;
     still_serving(&dev, &r, with_poison)?;
     Ok(CaseOutcome::Recovered)
 }
