@@ -13,18 +13,30 @@
 //!
 //! The batch holds line *numbers*, not data — noting a range never
 //! touches the device, so it cannot fail and costs nothing until the
-//! flush is issued.
+//! flush is issued. Noting a line costs O(1) however large the batch:
+//! a single operation notes a handful of lines, but a batched one (a
+//! cache refill or drain under one undo commit) notes hundreds.
 
-use crate::cache::CACHE_LINE_SIZE;
+use std::collections::HashSet;
+use std::hash::BuildHasherDefault;
+
+use crate::cache::{LineHasher, CACHE_LINE_SIZE};
+
+/// Batches up to this many lines dedupe by scanning the line list; a
+/// larger batch also keeps the lines in a set. Small batches, the common
+/// case, so allocate nothing beyond the list.
+const SCAN_MAX: usize = 16;
 
 /// A deduplicated set of cache lines pending `clwb`. See the
 /// [module docs](self).
 #[derive(Debug, Default, Clone)]
 pub struct FlushBatch {
-    /// Line numbers (device offset / [`CACHE_LINE_SIZE`]), deduplicated.
-    /// Operations touch a handful of lines, so a linear-scan `Vec` beats
-    /// a hash set and keeps flush order deterministic (insertion order).
+    /// Line numbers (device offset / [`CACHE_LINE_SIZE`]), deduplicated,
+    /// in first-noted order: the order a flush issues them.
     lines: Vec<u64>,
+    /// The same lines as a set, filled once `lines` outgrows
+    /// [`SCAN_MAX`] (empty until then).
+    seen: HashSet<u64, BuildHasherDefault<LineHasher>>,
 }
 
 impl FlushBatch {
@@ -42,11 +54,28 @@ impl FlushBatch {
         }
         let first = offset / CACHE_LINE_SIZE;
         let last = (offset + len - 1) / CACHE_LINE_SIZE;
+        if self.lines.is_empty() {
+            // One range's lines are distinct: nothing to dedupe yet.
+            self.lines.extend(first..=last);
+            return;
+        }
         for line in first..=last {
-            if !self.lines.contains(&line) {
+            if self.is_new(line) {
                 self.lines.push(line);
             }
         }
+    }
+
+    /// Whether `line` is not noted yet; past [`SCAN_MAX`] lines, also
+    /// records it in the set (first filling the set from the list).
+    fn is_new(&mut self, line: u64) -> bool {
+        if self.lines.len() < SCAN_MAX {
+            return !self.lines.contains(&line);
+        }
+        if self.seen.is_empty() {
+            self.seen.extend(&self.lines);
+        }
+        self.seen.insert(line)
     }
 
     /// Whether no lines are pending.
@@ -62,6 +91,7 @@ impl FlushBatch {
     /// Forgets all pending lines (the batch can be reused).
     pub fn clear(&mut self) {
         self.lines.clear();
+        self.seen.clear();
     }
 
     /// The pending line numbers, in insertion order.
@@ -92,6 +122,37 @@ mod tests {
         batch.note(128, 0);
         assert!(batch.is_empty());
         assert_eq!(batch.line_count(), 0);
+    }
+
+    #[test]
+    fn large_batches_dedupe_and_keep_first_noted_order() {
+        // Past the scan threshold the set takes over: the line order and
+        // the dedupe must read exactly as they do below it.
+        let mut batch = FlushBatch::new();
+        let order: Vec<u64> = (0..200u64).map(|i| (i * 37) % 101).collect();
+        let mut expected = Vec::new();
+        for &line in &order {
+            batch.note(line * CACHE_LINE_SIZE + 8, 16);
+            batch.note(line * CACHE_LINE_SIZE, 1); // same line again
+            if !expected.contains(&line) {
+                expected.push(line);
+            }
+        }
+        assert_eq!(batch.lines(), expected.as_slice());
+        assert_eq!(batch.line_count(), 101);
+        // One range spanning lines both noted and new.
+        batch.note(99 * CACHE_LINE_SIZE, 4 * CACHE_LINE_SIZE);
+        expected.extend([101, 102]);
+        assert_eq!(batch.lines(), expected.as_slice());
+        // A cleared batch forgets the set too, also when its first range
+        // alone passes the threshold.
+        batch.clear();
+        batch.note(5 * CACHE_LINE_SIZE, 40 * CACHE_LINE_SIZE);
+        batch.note(60 * CACHE_LINE_SIZE, 1);
+        batch.note(44 * CACHE_LINE_SIZE, 1);
+        batch.note(0, 1);
+        let expected: Vec<u64> = (5..45).chain([60, 0]).collect();
+        assert_eq!(batch.lines(), expected.as_slice());
     }
 
     #[test]

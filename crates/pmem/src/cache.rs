@@ -81,9 +81,11 @@ struct LineState {
     version: u64,
 }
 
-/// Multiplicative hashing of line numbers: one multiply per key.
-#[derive(Default)]
-struct LineHasher(u64);
+/// Multiplicative hashing of line numbers: one multiply per key. For
+/// maps and sets keyed by line number (or any other `u64` whose low
+/// bits vary), where SipHash's DoS resistance buys nothing.
+#[derive(Debug, Default)]
+pub struct LineHasher(u64);
 
 impl Hasher for LineHasher {
     fn write(&mut self, bytes: &[u8]) {

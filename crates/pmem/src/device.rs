@@ -1181,6 +1181,16 @@ mod tests {
     }
 
     #[test]
+    fn punching_non_resident_edges_materialises_nothing() {
+        // 4 MiB from 4 MiB + 4 KiB: both edges are partial chunks, and on
+        // a fresh device neither is resident, so both already read as
+        // zeros and stay unmaterialised.
+        let dev = PmemDevice::new(DeviceConfig::small_test());
+        assert_eq!(dev.punch_hole((4 << 20) + 4096, 4 << 20).unwrap(), 0);
+        assert_eq!(dev.resident_bytes(), 0);
+    }
+
+    #[test]
     fn numa_accounting_distinguishes_local_and_remote() {
         let config = DeviceConfig::small_test().with_topology(NumaTopology::new(2, 8));
         let dev = PmemDevice::new(config);

@@ -88,7 +88,7 @@ mod store;
 mod view;
 
 pub use batch::FlushBatch;
-pub use cache::{CrashMode, CACHE_LINE_SIZE};
+pub use cache::{CrashMode, LineHasher, CACHE_LINE_SIZE};
 pub use contention::{CacheStats, LockProfile, TrackedMutex};
 pub use cost::CostModel;
 pub use device::{DeviceConfig, PmemDevice, PAGE_SIZE};

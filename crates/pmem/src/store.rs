@@ -154,11 +154,10 @@ impl ChunkStore {
         let first_full = offset.next_multiple_of(CHUNK_SIZE);
         let last_full = (end / CHUNK_SIZE * CHUNK_SIZE).max(first_full);
         if offset < first_full.min(end) {
-            let head = (first_full.min(end) - offset) as usize;
-            self.write(offset, &vec![0u8; head]);
+            self.zero_resident(offset, first_full.min(end) - offset);
         }
         if last_full < end && last_full >= offset.max(first_full) {
-            self.write(last_full, &vec![0u8; (end - last_full) as usize]);
+            self.zero_resident(last_full, end - last_full);
         }
         let mut chunk = first_full;
         while chunk + CHUNK_SIZE <= end {
@@ -173,6 +172,16 @@ impl ChunkStore {
             chunk += CHUNK_SIZE;
         }
         released
+    }
+
+    /// Zero-fills `[offset, offset + len)`, which lies within one chunk,
+    /// if that chunk is resident. A chunk that is not already reads as
+    /// zeros, so it stays unmaterialised.
+    fn zero_resident(&self, offset: u64, len: u64) {
+        let Some(slot) = self.slot((offset / CHUNK_SIZE) as usize) else { return };
+        if let Some(chunk) = slot.read().as_deref() {
+            chunk_zero(&chunk.words, (offset % CHUNK_SIZE) as usize, len as usize);
+        }
     }
 
     /// Invokes `f(chunk_index, bytes)` for every resident chunk, with the
@@ -249,6 +258,22 @@ fn chunk_write(words: &[AtomicU64], start: usize, buf: &[u8]) {
     }
 }
 
+/// Zeroes bytes `[start, start + len)` of a chunk.
+fn chunk_zero(words: &[AtomicU64], start: usize, len: usize) {
+    let mut pos = start;
+    let end = start + len;
+    while pos < end {
+        let in_word = pos % 8;
+        let take = (8 - in_word).min(end - pos);
+        if take == 8 {
+            words[pos / 8].store(0, Ordering::Relaxed);
+        } else {
+            rmw_bytes(&words[pos / 8], in_word, &[0; 8][..take]);
+        }
+        pos += take;
+    }
+}
+
 /// Atomically replaces bytes `[byte_off, byte_off + bytes.len())` of a word
 /// without disturbing its other bytes.
 fn rmw_bytes(word: &AtomicU64, byte_off: usize, bytes: &[u8]) {
@@ -319,6 +344,19 @@ mod tests {
         assert_eq!(b, [1]); // untouched prefix
         store.read(2 * CHUNK_SIZE, &mut b);
         assert_eq!(b, [1]); // untouched suffix
+    }
+
+    #[test]
+    fn punch_zeroes_resident_edges_in_place() {
+        // Both edges resident: zeroed, unaligned bytes included, and the
+        // bytes around the range kept.
+        let store = ChunkStore::new(4 * CHUNK_SIZE);
+        store.write(CHUNK_SIZE - 3, &[7u8; 16]);
+        store.punch(CHUNK_SIZE - 1, 10);
+        let mut b = [0u8; 16];
+        store.read(CHUNK_SIZE - 3, &mut b);
+        assert_eq!(b, [7, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 7, 7, 7, 7]);
+        assert_eq!(store.resident_bytes(), 2 * CHUNK_SIZE);
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!   construction ([`pmem::PmemDevice::map_meta`]),
 //! * the staged-write overlay of the operation's open [`UndoScope`]
 //!   (reads through the session observe the operation's own
-//!   not-yet-issued stores — see `undo`'s module docs),
+//!   not-yet-issued stores, at one lookup per line read once the scope
+//!   has staged more than a few writes — see `undo`'s module docs),
 //! * and, when built by the heap's entry points, the region lock guard
 //!   and the PKRU write guard. A sub-heap lock guards the sub-heap's DRAM
 //!   [`RecordIndex`], so only a session holding the lock reaches it; a
@@ -30,9 +31,9 @@
 //! [`OpSession::undo`] opens the operation's [`UndoScope`] on the view —
 //! the same writer the superblock drives on the raw device — so an
 //! operation interrupted by a crash is recovered by the ordinary
-//! device-backed [`undo::replay`] on the next load. Dropping a scope
-//! without committing rolls back immediately, so an early `?` return
-//! leaves the heap untouched.
+//! device-backed [`undo::replay`](crate::undo::replay) on the next load.
+//! Dropping a scope without committing rolls back immediately, so an
+//! early `?` return leaves the heap untouched.
 
 use std::cell::RefCell;
 
@@ -44,7 +45,7 @@ use crate::error::Result;
 use crate::hashtable::RecordIndex;
 use crate::layout::HUGE_META_SIZE;
 use crate::persist::{ExtentRecord, HashEntry, HugeCtx, SubCtx};
-use crate::undo::{self, StagedWrites, UndoArea, UndoScope};
+use crate::undo::{StagedWrites, UndoArea, UndoScope};
 
 /// What a session needs from its region context: the device, the
 /// metadata range to map, the undo-log area, and what the region lock
@@ -138,7 +139,7 @@ impl<'a, C: MetaRegion<'a>> OpSession<'a, C> {
         pkru: Option<PkruGuard<'a>>,
     ) -> Result<OpSession<'a, C>> {
         let view = ctx.dev().map_meta(base, len, kind)?;
-        Ok(OpSession { ctx, view, staged: RefCell::new(Vec::new()), lock, _pkru: pkru })
+        Ok(OpSession { ctx, view, staged: RefCell::default(), lock, _pkru: pkru })
     }
 
     /// A write session owning the region lock guard and (when metadata
@@ -178,7 +179,7 @@ impl<'a, C: MetaRegion<'a>> OpSession<'a, C> {
     /// with the open scope's staged writes.
     pub fn read(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
         self.view.read(offset, buf)?;
-        undo::overlay_patch(&self.staged.borrow(), offset, buf);
+        self.staged.borrow().patch(offset, buf);
         Ok(())
     }
 
@@ -256,6 +257,7 @@ mod tests {
     use super::*;
     use crate::error::PoseidonError;
     use crate::layout::HeapLayout;
+    use crate::undo;
     use pmem::{CrashMode, DeviceConfig, TrackedMutex};
 
     fn setup() -> (PmemDevice, HeapLayout) {

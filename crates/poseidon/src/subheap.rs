@@ -568,9 +568,9 @@ pub(crate) fn audit(op: &OpSession<'_>) -> Result<SubheapAudit> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::{class_for_size, HeapLayout};
+    use crate::layout::{class_for_size, HeapLayout, ENTRY_SIZE, SH_TABLE_OFF};
     use crate::persist::SubCtx;
-    use pmem::{DeviceConfig, PmemDevice};
+    use pmem::{CrashMode, DeviceConfig, PmemDevice, CACHE_LINE_SIZE};
 
     fn setup() -> (PmemDevice, HeapLayout) {
         let layout = HeapLayout::compute(64 << 20, 2).unwrap();
@@ -824,6 +824,176 @@ mod tests {
         assert_eq!(unique.len(), offsets.len());
         drain_blocks(&op, &offsets).unwrap();
         audit(&op).unwrap();
+    }
+
+    /// Allocates and frees `n` blocks of class `class` on the slow path,
+    /// which activates table levels as it needs them: the refills after
+    /// it (which never activate one) then have room for their records,
+    /// and the class's free list holds `n` blocks.
+    fn grow_table(op: &OpSession<'_>, class: usize, n: usize) {
+        let blocks: Vec<u64> = (0..n).map(|_| alloc_block(op, class, None).unwrap()).collect();
+        for off in blocks {
+            free_block(op, off).unwrap();
+        }
+    }
+
+    /// Withdraws at least `n` blocks of class `class` into the cache,
+    /// 32 a refill.
+    fn cached_blocks(op: &OpSession<'_>, class: usize, n: usize) -> Vec<u64> {
+        let mut offsets = Vec::new();
+        while offsets.len() < n {
+            let batch = refill_blocks(op, class, 32).unwrap();
+            assert!(!batch.is_empty(), "refill withdrew nothing");
+            offsets.extend(batch);
+        }
+        offsets
+    }
+
+    #[test]
+    fn a_drain_logs_each_record_once() {
+        // Each drained block rewrites its own record, the previous tail's
+        // record and the class's tail field; all but the first block's
+        // last two are bytes the scope has logged already.
+        let (dev, layout) = setup();
+        let op = op_for(&dev, &layout);
+        create(&op, 0).unwrap();
+        let (class, _) = class_for_size(64).unwrap();
+        grow_table(&op, class, 160);
+        let offsets = cached_blocks(&op, class, 129);
+        drop(op);
+        let before = dev.stats();
+        drain_blocks(&op_for(&dev, &layout), &offsets).unwrap();
+        let after = dev.stats();
+        assert_eq!(after.sfence_count - before.sfence_count, 3, "the drain took more than one scope");
+        let entries = after.undo_entries - before.undo_entries;
+        let n = offsets.len() as u64;
+        assert!(entries <= n + 4, "{entries} entries for {n} drained blocks");
+    }
+
+    /// Sub-heap 0's metadata image — its header, logs and active table
+    /// levels (the inactive levels are punched holes) — with the undo log
+    /// (the area and the generation field) zeroed: the log's bytes are
+    /// the one part a recovered scope leaves different from both its pre-
+    /// and its post-image.
+    fn meta_image(ctx: SubCtx<'_>) -> Vec<u8> {
+        let base = ctx.meta_base();
+        let active: u64 = ctx.dev.read_pod(ctx.active_levels_off()).unwrap();
+        let len = SH_TABLE_OFF + ctx.layout.c0 * ((1 << active) - 1) * ENTRY_SIZE;
+        let mut image = vec![0u8; len as usize];
+        ctx.dev.read(base, &mut image).unwrap();
+        let area = ctx.undo_area();
+        image[(area.base - base) as usize..(area.base + area.size - base) as usize].fill(0);
+        let gen = (area.gen_field - base) as usize;
+        image[gen..gen + 8].fill(0);
+        image
+    }
+
+    /// Cuts `scope`, one refill or drain on sub-heap 0 that returns the
+    /// blocks the cache holds after it, at every one of its mutation
+    /// events: once in Strict mode and once under each of 8 Adversarial
+    /// seeds. After each cut, the undo replay `load` runs on the sub-heap
+    /// must leave its metadata equal to the pre- or the post-scope image
+    /// byte for byte (log bytes aside), and the audit must balance with
+    /// the cache holding `cached_before` or the scope's blocks. Returns
+    /// the number of events.
+    fn cut_at_every_event(
+        dev: &PmemDevice,
+        layout: &HeapLayout,
+        cached_before: &[u64],
+        scope: impl Fn(&OpSession<'_>) -> Result<Vec<u64>>,
+    ) -> u64 {
+        let ctx = SubCtx { dev, layout, sub: 0 };
+        let audited = |cached: &[u64]| {
+            let resident: std::collections::HashSet<u64> = cached.iter().copied().collect();
+            audit_with(&op_for(dev, layout), |off| {
+                if resident.contains(&off) {
+                    CacheResidency::Resident
+                } else {
+                    CacheResidency::None
+                }
+            })
+        };
+        let free = audited(cached_before).unwrap().free_bytes;
+        let pre = meta_image(ctx);
+        let fences = dev.stats().sfence_count;
+        let cached_after = scope(&op_for(dev, layout)).unwrap();
+        assert_eq!(dev.stats().sfence_count - fences, 3, "more than one scope");
+        let post = meta_image(ctx);
+        assert_eq!(audited(&cached_after).unwrap().free_bytes, free);
+        // Writing the changed lines' pre-image back (and persisting it)
+        // restores the pre-scope state.
+        let line = CACHE_LINE_SIZE as usize;
+        let changed: Vec<usize> =
+            (0..pre.len()).step_by(line).filter(|&at| pre[at..at + line] != post[at..at + line]).collect();
+        let restore_pre = || {
+            for &at in &changed {
+                dev.write(ctx.meta_base() + at as u64, &pre[at..at + line]).unwrap();
+                dev.persist(ctx.meta_base() + at as u64, CACHE_LINE_SIZE).unwrap();
+            }
+        };
+        restore_pre();
+        let modes: Vec<(CrashMode, u64)> = std::iter::once((CrashMode::Strict, 0))
+            .chain((0..8).map(|seed| (CrashMode::Adversarial, seed)))
+            .collect();
+        for cut in 0.. {
+            for &(mode, seed) in &modes {
+                dev.arm_crash_after(cut);
+                if let Ok(cached) = scope(&op_for(dev, layout)) {
+                    // Every event ran before the cut.
+                    dev.disarm_crash();
+                    assert_eq!((meta_image(ctx), cached), (post, cached_after));
+                    restore_pre();
+                    return cut;
+                }
+                dev.simulate_crash(mode, seed);
+                crate::undo::replay(dev, ctx.undo_area()).unwrap();
+                let now = meta_image(ctx);
+                let at = format!("cut {cut} ({mode:?}, seed {seed})");
+                let cached = if now == pre {
+                    cached_before
+                } else if now == post {
+                    &cached_after
+                } else {
+                    panic!("{at}: metadata matches neither image");
+                };
+                let audit = audited(cached).unwrap_or_else(|e| panic!("{at}: {e}"));
+                assert_eq!(audit.free_bytes, free, "{at}");
+                if now == post {
+                    restore_pre();
+                }
+            }
+        }
+        unreachable!()
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "some 11k cut runs: run it in release, as scripts/ci.sh does")]
+    fn refill_and_drain_recover_to_one_image_at_every_cut() {
+        // A small sub-heap: one 32-block refill that splits larger blocks
+        // (128 B, a class the slow-path churn leaves about empty), then
+        // one 129-block drain (a full transfer pool's worth).
+        let layout = HeapLayout::compute(8 << 20, 1).unwrap();
+        let dev = PmemDevice::new(DeviceConfig::new(8 << 20));
+        let op = op_for(&dev, &layout);
+        create(&op, 0).unwrap();
+        let (small, _) = class_for_size(64).unwrap();
+        grow_table(&op, small, 600);
+        drop(op);
+
+        let (split, _) = class_for_size(128).unwrap();
+        let events = cut_at_every_event(&dev, &layout, &[], |op| {
+            let refilled = refill_blocks(op, split, 32)?;
+            assert_eq!(refilled.len(), 32);
+            Ok(refilled)
+        });
+        assert!(events > 100, "refill cut at only {events} events");
+
+        let cached = cached_blocks(&op_for(&dev, &layout), small, 129);
+        let events = cut_at_every_event(&dev, &layout, &cached, |op| {
+            drain_blocks(op, &cached)?;
+            Ok(Vec::new())
+        });
+        assert!(events > 300, "drain cut at only {events} events");
     }
 
     #[test]

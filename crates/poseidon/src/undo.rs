@@ -16,16 +16,16 @@
 //! plus two more at commit, i.e. *N* + 2 serialising fences for an
 //! *N*-entry operation. The batched protocol pays a constant number:
 //!
-//! 1. While the operation runs, entries are written (they land in the
-//!    modelled CPU cache) and their lines collected in a deduplicating
-//!    [`FlushBatch`]; the target mutations are staged in DRAM and **not
-//!    issued** to the device at all. Reads made by the operation are
-//!    patched through the staged-write overlay so it observes its own
-//!    stores.
-//! 2. At commit, the entry batch is flushed and **fence #1** issued:
-//!    every entry is durable before the first target store is issued.
+//! 1. While the operation runs, entries are appended to the log (they
+//!    land in the modelled CPU cache); the target mutations are staged in
+//!    DRAM ([`StagedWrites`]) and **not issued** to the device at all.
+//!    Reads made by the operation are patched through the staged-write
+//!    overlay so it observes its own stores.
+//! 2. At commit, the log's used prefix is flushed and **fence #1**
+//!    issued: every entry is durable before the first target store is
+//!    issued.
 //! 3. The staged mutations are applied in order, their lines collected
-//!    in a second deduplicating batch, flushed, and **fence #2** issued.
+//!    in a deduplicating [`FlushBatch`], flushed, and **fence #2** issued.
 //! 4. The generation bump (one 8-byte persisted store, fence #3) is the
 //!    commit point, exactly as before.
 //!
@@ -39,6 +39,29 @@
 //! ever issued, let alone persisted. Conversely, an operation that
 //! stages nothing commits with **zero** fences — read-only operations
 //! are barrier-free.
+//!
+//! # Linear-time scopes
+//!
+//! A cache refill or drain withdraws or returns a whole magazine of
+//! blocks under one scope (§5.2), so one scope may stage hundreds of
+//! writes, most of them to the same few list heads, counters and
+//! records. Every step of the scope costs O(1) in the writes staged
+//! before it:
+//!
+//! * **Indexed overlay.** A scope past a few writes keeps a per-line
+//!   image of its staged bytes and a byte mask: a read costs one lookup
+//!   per line it covers, not a scan of every staged write. The writes
+//!   themselves stay in order in one arena, so commit issues exactly the
+//!   stores the operation made, in the order it made them.
+//! * **Each byte logged once.** A write whose every byte already has an
+//!   entry in this scope stages without appending one. Replay runs newest
+//!   first, so each byte ends on the value of the oldest entry covering it
+//!   — the true pre-op value — and a later entry for the same bytes never
+//!   decides a restored value. The entries a scope does append are the
+//!   same ones as before, so the format, [`replay`] and recovery are
+//!   unchanged.
+//! * **Linear flush batches.** [`FlushBatch`] dedupes a line in O(1) and
+//!   keeps first-noted order, so the `clwb` sequence is unchanged.
 //!
 //! The log is invalidated in O(1) by bumping a persistent **generation
 //! counter** rather than rewinding a tail: each entry is stamped with the
@@ -65,8 +88,10 @@
 //! the recovery path, and it runs on exactly the states a view refuses.
 
 use std::cell::RefCell;
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
-use pmem::{FlushBatch, MetaView, PmemDevice, PmemError};
+use pmem::{FlushBatch, LineHasher, MetaView, PmemDevice, PmemError, CACHE_LINE_SIZE};
 
 use crate::error::{PoseidonError, Result};
 use crate::hashtable::RecordIndex;
@@ -101,9 +126,155 @@ pub(crate) fn checksum(gen: u64, target: u64, len: u64, old: &[u8]) -> u64 {
     hash | 1
 }
 
-/// Target mutations staged in DRAM until commit: `(target, new bytes)`
-/// in issue order.
-pub(crate) type StagedWrites = Vec<(u64, Vec<u8>)>;
+/// Scopes staging up to this many writes patch reads by scanning the
+/// write list; a larger scope also keeps the per-line image. Single
+/// allocator operations stay below it and never build the map.
+const LIST_SCAN_MAX: usize = 16;
+
+/// One cache line's staged bytes: their newest staged value and which
+/// of the line's bytes are staged (bit `i` for byte `i`).
+#[derive(Debug, Clone, Copy)]
+struct StagedLine {
+    bytes: [u8; CACHE_LINE_SIZE as usize],
+    mask: u64,
+}
+
+/// The target mutations of the open scope, staged in DRAM until commit.
+///
+/// Every staged write keeps its bytes, in staging order, in one arena, so
+/// [`UndoScope::commit`] issues exactly the stores the operation made in
+/// the order it made them. A scope that stages more than
+/// [`LIST_SCAN_MAX`] writes also keeps a per-line image of their combined
+/// effect, so a read costs one lookup per line it covers instead of a
+/// scan of every staged write. Since every staged byte was logged by the
+/// same scope (see [`UndoScope::log_and_write`]), the staged bytes are
+/// also the scope's logged bytes.
+#[derive(Debug, Default)]
+pub(crate) struct StagedWrites {
+    /// The bytes of every staged write, back to back in staging order.
+    arena: Vec<u8>,
+    /// `(target, len)` of every staged write in staging order; write
+    /// `i`'s bytes follow write `i - 1`'s in `arena`.
+    writes: Vec<(u64, usize)>,
+    /// Line number → that line's staged bytes, once `writes` outgrows
+    /// [`LIST_SCAN_MAX`]. Boxed: sessions sit in the stack frames of the
+    /// heap's entry points, cached fast path included.
+    lines: Option<Box<LineImages>>,
+}
+
+type LineImages = HashMap<u64, StagedLine, BuildHasherDefault<LineHasher>>;
+
+/// The bytes of `[start, end)` that fall in line `line`, as a mask over
+/// the line's bytes.
+fn line_mask(line: u64, start: u64, end: u64) -> u64 {
+    let base = line * CACHE_LINE_SIZE;
+    let from = start.max(base);
+    let to = end.min(base + CACHE_LINE_SIZE);
+    if from >= to {
+        return 0;
+    }
+    let bits = to - from;
+    let ones = if bits == 64 { u64::MAX } else { (1 << bits) - 1 };
+    ones << (from - base)
+}
+
+/// The lines covering `[start, end)`.
+fn lines_of(start: u64, end: u64) -> std::ops::Range<u64> {
+    start / CACHE_LINE_SIZE..end.div_ceil(CACHE_LINE_SIZE)
+}
+
+/// Overlays one staged write on a per-line image.
+fn overlay(lines: &mut LineImages, target: u64, bytes: &[u8]) {
+    let end = target + bytes.len() as u64;
+    for line in lines_of(target, end) {
+        let staged =
+            lines.entry(line).or_insert(StagedLine { bytes: [0; CACHE_LINE_SIZE as usize], mask: 0 });
+        let base = line * CACHE_LINE_SIZE;
+        let (from, to) = (target.max(base), end.min(base + CACHE_LINE_SIZE));
+        staged.bytes[(from - base) as usize..(to - base) as usize]
+            .copy_from_slice(&bytes[(from - target) as usize..(to - target) as usize]);
+        staged.mask |= line_mask(line, target, end);
+    }
+}
+
+impl StagedWrites {
+    /// Whether nothing is staged.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.writes.is_empty()
+    }
+
+    /// Every staged write, `(target, bytes)` in staging order.
+    fn iter(&self) -> impl Iterator<Item = (u64, &[u8])> {
+        self.writes.iter().scan(0, |start, &(target, len)| {
+            let bytes = &self.arena[*start..*start + len];
+            *start += len;
+            Some((target, bytes))
+        })
+    }
+
+    /// Stages `bytes` for `target`, after everything staged so far.
+    fn stage(&mut self, target: u64, bytes: &[u8]) {
+        self.arena.extend_from_slice(bytes);
+        self.writes.push((target, bytes.len()));
+        if let Some(lines) = self.lines.as_deref_mut() {
+            overlay(lines, target, bytes);
+        } else if self.writes.len() > LIST_SCAN_MAX {
+            let mut lines = LineImages::default();
+            for (target, bytes) in self.iter() {
+                overlay(&mut lines, target, bytes);
+            }
+            self.lines = Some(Box::new(lines));
+        }
+    }
+
+    /// Patches `buf` (covering `[offset, offset + buf.len())`) with the
+    /// staged bytes it overlaps — the newest staged value of each — so
+    /// readers see the operation's own not-yet-issued stores.
+    pub(crate) fn patch(&self, offset: u64, buf: &mut [u8]) {
+        let end = offset + buf.len() as u64;
+        let Some(lines) = self.lines.as_deref() else {
+            for (target, bytes) in self.iter() {
+                let start = target.max(offset);
+                let stop = (target + bytes.len() as u64).min(end);
+                if start < stop {
+                    buf[(start - offset) as usize..(stop - offset) as usize]
+                        .copy_from_slice(&bytes[(start - target) as usize..(stop - target) as usize]);
+                }
+            }
+            return;
+        };
+        for line in lines_of(offset, end) {
+            let Some(staged) = lines.get(&line) else { continue };
+            let base = line * CACHE_LINE_SIZE;
+            let mut mask = staged.mask & line_mask(line, offset, end);
+            while mask != 0 {
+                let i = mask.trailing_zeros() as u64;
+                buf[(base + i - offset) as usize] = staged.bytes[i as usize];
+                mask &= mask - 1;
+            }
+        }
+    }
+
+    /// Whether every byte of `[target, target + len)` is staged.
+    fn covers(&self, target: u64, len: u64) -> bool {
+        let end = target + len;
+        lines_of(target, end).all(|line| {
+            let want = line_mask(line, target, end);
+            let have = match self.lines.as_deref() {
+                Some(lines) => lines.get(&line).map_or(0, |staged| staged.mask),
+                None => self.writes.iter().fold(0, |have, &(t, n)| have | line_mask(line, t, t + n as u64)),
+            };
+            have & want == want
+        })
+    }
+
+    /// Drops everything staged, keeping the write buffers for reuse.
+    fn clear(&mut self) {
+        self.arena.clear();
+        self.writes.clear();
+        self.lines = None;
+    }
+}
 
 /// The word-access surface the log writer needs from its backing store —
 /// implemented by the raw [`PmemDevice`] and by [`MetaView`] (which
@@ -171,21 +342,6 @@ impl LogAccess for MetaView<'_> {
     }
 }
 
-/// Patches `buf` (covering `[offset, offset + buf.len())`) with every
-/// staged write that intersects it, in staging order — so readers see
-/// the operation's own not-yet-issued stores.
-pub(crate) fn overlay_patch(staged: &[(u64, Vec<u8>)], offset: u64, buf: &mut [u8]) {
-    let len = buf.len() as u64;
-    for (target, bytes) in staged {
-        let start = (*target).max(offset);
-        let end = (target + bytes.len() as u64).min(offset + len);
-        if start < end {
-            buf[(start - offset) as usize..(end - offset) as usize]
-                .copy_from_slice(&bytes[(start - target) as usize..(end - target) as usize]);
-        }
-    }
-}
-
 /// An open undo scope: logs each metadata mutation before staging it,
 /// and commits with the two-fence protocol of the [module docs](self).
 /// Every mutation goes through [`log_and_write`](Self::log_and_write);
@@ -194,8 +350,8 @@ pub(crate) fn overlay_patch(staged: &[(u64, Vec<u8>)], offset: u64, buf: &mut [u
 /// `A` is the access path ([`LogAccess`]): a session's [`MetaView`] by
 /// default, the raw [`PmemDevice`] for the superblock. The staged target
 /// writes live in a cell the caller owns, so the caller's reads can
-/// patch them over the device ([`overlay_patch`]) while the scope is
-/// open.
+/// patch them over the device ([`StagedWrites::patch`]) while the scope
+/// is open.
 ///
 /// Exactly one scope may be open per area at a time — the caller's
 /// sub-heap, huge-region or superblock lock guarantees this. Dropping a
@@ -211,8 +367,6 @@ pub(crate) struct UndoScope<'s, A: LogAccess = MetaView<'s>> {
     gen: u64,
     /// Bytes of the log area used so far this operation.
     tail: u64,
-    /// Lines of the entries written so far, pending fence #1.
-    entry_batch: FlushBatch,
     /// Whether the scope committed or aborted: a scope dropped
     /// unfinished rolls back.
     finished: bool,
@@ -260,17 +414,7 @@ impl<'s, A: LogAccess> UndoScope<'s, A> {
                 return Err(PoseidonError::Corrupted("undo log non-empty at operation start"));
             }
         }
-        Ok(UndoScope {
-            acc,
-            staged,
-            area,
-            gen,
-            tail: 0,
-            entry_batch: FlushBatch::new(),
-            finished: false,
-            buffer: Vec::new(),
-            index,
-        })
+        Ok(UndoScope { acc, staged, area, gen, tail: 0, finished: false, buffer: Vec::new(), index })
     }
 
     /// Whether one more entry logging `len` target bytes still fits in
@@ -281,42 +425,52 @@ impl<'s, A: LogAccess> UndoScope<'s, A> {
         self.tail + ENTRY_HEADER + len.next_multiple_of(8) <= self.area.size
     }
 
-    /// Appends an entry logging the current (overlay-visible) content of
-    /// `[target, target + new.len())` and stages `new` for application
-    /// at commit. The entry write lands in cache now; nothing touches
-    /// the target until [`commit`](Self::commit).
+    /// Stages `new` for application at commit, first appending an entry
+    /// that logs the current (overlay-visible) content of
+    /// `[target, target + new.len())` — unless every one of those bytes
+    /// already has an entry in this scope. Newest-first replay restores
+    /// each byte from the oldest entry covering it, so a second entry
+    /// for the same bytes would never decide a restored value. The entry
+    /// write lands in cache now; nothing touches the target until
+    /// [`commit`](Self::commit).
     ///
     /// # Errors
     ///
     /// [`PoseidonError::Corrupted`] if the log area overflows, or a
     /// device error.
     pub fn log_and_write(&mut self, target: u64, new: &[u8]) -> Result<()> {
-        let len = new.len() as u64;
-        let entry_len = ENTRY_HEADER + len.next_multiple_of(8);
+        let mut staged = self.staged.borrow_mut();
+        if !staged.covers(target, new.len() as u64) {
+            self.append_entry(&staged, target, new.len())?;
+        }
+        staged.stage(target, new);
+        Ok(())
+    }
+
+    /// Appends the entry logging `[target, target + len)` as `staged`
+    /// shows it.
+    fn append_entry(&mut self, staged: &StagedWrites, target: u64, len: usize) -> Result<()> {
+        let entry_len = ENTRY_HEADER + (len as u64).next_multiple_of(8);
         if self.tail + entry_len > self.area.size {
             return Err(PoseidonError::Corrupted("undo log overflow"));
         }
-        let mut staged = self.staged.borrow_mut();
         let header = ENTRY_HEADER as usize;
         self.buffer.clear();
         self.buffer.resize(entry_len as usize, 0);
-        // The old image is read through the staged-write overlay: entry
-        // i's pre-image reflects staged writes 0..i, so reverse replay
-        // still lands every byte on the value of the *first* entry that
-        // covers it — the true pre-op state.
-        self.acc.read(target, &mut self.buffer[header..header + new.len()])?;
-        overlay_patch(&staged, target, &mut self.buffer[header..header + new.len()]);
-        let sum = checksum(self.gen, target, len, &self.buffer[header..]);
+        // The old image is read through the staged-write overlay: bytes an
+        // earlier entry of this scope logged carry their staged value, so
+        // reverse replay still lands every byte on the value of the
+        // *first* entry that covers it — the true pre-op state.
+        self.acc.read(target, &mut self.buffer[header..header + len])?;
+        staged.patch(target, &mut self.buffer[header..header + len]);
+        let sum = checksum(self.gen, target, len as u64, &self.buffer[header..]);
         self.buffer[0..8].copy_from_slice(&self.gen.to_le_bytes());
         self.buffer[8..16].copy_from_slice(&target.to_le_bytes());
-        self.buffer[16..24].copy_from_slice(&len.to_le_bytes());
+        self.buffer[16..24].copy_from_slice(&(len as u64).to_le_bytes());
         self.buffer[24..32].copy_from_slice(&sum.to_le_bytes());
-        let entry_off = self.area.base + self.tail;
-        self.acc.write(entry_off, &self.buffer)?;
-        self.entry_batch.note(entry_off, entry_len);
-        self.acc.record_undo_append(len.div_ceil(8));
+        self.acc.write(self.area.base + self.tail, &self.buffer)?;
+        self.acc.record_undo_append((len as u64).div_ceil(8));
         self.tail += entry_len;
-        staged.push((target, new.to_vec()));
         Ok(())
     }
 
@@ -330,38 +484,41 @@ impl<'s, A: LogAccess> UndoScope<'s, A> {
     }
 
     /// The two-fence commit described in the [module docs](self): fence
-    /// the log entries, issue + fence the staged stores (lines deduped),
-    /// bump the generation. A scope that staged nothing returns without
-    /// touching the device — zero flushes, zero fences.
+    /// the log's used prefix, issue + fence the staged stores (lines
+    /// deduped), bump the generation. A scope that logged nothing staged
+    /// nothing either and returns without touching the device — zero
+    /// flushes, zero fences.
     ///
     /// # Errors
     ///
     /// Device errors only; the dropped scope then rolls back.
     pub fn commit(mut self) -> Result<()> {
         let mut staged = self.staged.borrow_mut();
-        if self.tail == 0 && staged.is_empty() {
+        if self.tail == 0 {
+            staged.clear();
             self.finished = true;
             return Ok(());
         }
         // Fence #1: every log entry durable before any target store is
         // *issued* (required under adversarial eviction, see module docs).
-        self.acc.flush_batch(&self.entry_batch)?;
+        // The entries fill the log from its base, so their lines are the
+        // used prefix's, in order.
+        let mut batch = FlushBatch::new();
+        batch.note(self.area.base, self.tail);
+        self.acc.flush_batch(&batch)?;
         self.acc.sfence()?;
         // Apply the staged mutations in order, deduplicating their lines.
-        let mut targets = FlushBatch::new();
+        batch.clear();
         for (target, bytes) in staged.iter() {
-            self.acc.write(*target, bytes)?;
-            targets.note(*target, bytes.len() as u64);
+            self.acc.write(target, bytes)?;
+            batch.note(target, bytes.len() as u64);
         }
         staged.clear();
         // Fence #2: targets durable.
-        self.acc.flush_batch(&targets)?;
+        self.acc.flush_batch(&batch)?;
         self.acc.sfence()?;
         // Fence #3: invalidate the log — the commit point.
-        if self.tail > 0 {
-            bump_generation(self.acc, self.area, self.gen)?;
-        }
-        self.entry_batch.clear();
+        bump_generation(self.acc, self.area, self.gen)?;
         self.finished = true;
         Ok(())
     }
@@ -378,7 +535,6 @@ impl<'s, A: LogAccess> UndoScope<'s, A> {
         self.drop_index();
         self.finished = true;
         self.staged.borrow_mut().clear();
-        self.entry_batch.clear();
         if self.tail > 0 {
             apply_undo(self.acc, self.area, self.gen)?;
         }
@@ -536,7 +692,7 @@ mod tests {
     /// staged-write overlay.
     fn read_staged<A: LogAccess>(acc: &A, staged: &RefCell<StagedWrites>, offset: u64) -> u64 {
         let mut word: u64 = acc.read_pod(offset).unwrap();
-        overlay_patch(&staged.borrow(), offset, word.as_bytes_mut());
+        staged.borrow().patch(offset, word.as_bytes_mut());
         word
     }
 
@@ -619,22 +775,107 @@ mod tests {
 
     #[test]
     fn abort_restores_the_first_pre_image() {
-        // The overlay feeds entry pre-images: logging target→2 then
-        // target→3 must record old values 1 and 2 (not 1 and 1), and the
-        // abort restores them newest first, ending on the true pre-op 1.
+        // Logging target→2 then target→3 appends one entry (old value 1):
+        // the second write's bytes are already logged. A wider write over
+        // them appends an entry whose overlapped bytes log their staged
+        // value 3, and the newest-first abort still ends every byte on
+        // its true pre-op value.
         fn case<A: LogAccess>(dev: &PmemDevice, acc: &A, area: UndoArea) {
             let target = 64 * 1024;
             dev.write_pod(target, &1u64).unwrap();
-            dev.persist(target, 8).unwrap();
+            dev.write_pod(target + 8, &4u64).unwrap();
+            dev.persist(target, 16).unwrap();
             let staged = RefCell::default();
             let mut s = begin(acc, &staged, area).unwrap();
             s.log_and_write_pod(target, &2u64).unwrap();
             assert_eq!(read_staged(acc, &staged, target), 2);
             s.log_and_write_pod(target, &3u64).unwrap();
             assert_eq!(read_staged(acc, &staged, target), 3);
+            assert_eq!(s.tail, ENTRY_HEADER + 8, "a rewrite of logged bytes appended an entry");
+            let wide: Vec<u8> = [5u64, 6].iter().flat_map(|w| w.to_le_bytes()).collect();
+            s.log_and_write(target, &wide).unwrap();
+            assert_eq!(s.tail, 2 * ENTRY_HEADER + 24);
             s.abort().unwrap();
             assert_eq!(read_staged(acc, &staged, target), 1);
+            assert_eq!(read_staged(acc, &staged, target + 8), 4);
             assert!(!replay(dev, area).unwrap());
+        }
+        on_both_paths!(case);
+    }
+
+    #[test]
+    fn indexed_overlay_matches_an_in_order_reference() {
+        // Seeded random overlapping writes and reads over 16 lines, 60
+        // writes a scope: well past the list scan, so most reads and
+        // pre-images come from the per-line image. A naive reference
+        // replays every staged write in order over the media bytes, and
+        // appends an entry exactly when some target byte is not yet
+        // logged; reads, the log chain and the committed or aborted
+        // media must all match it.
+        const BASE: u64 = 64 * 1024;
+        const SPAN: usize = 1024;
+        fn case<A: LogAccess>(dev: &PmemDevice, acc: &A, area: UndoArea) {
+            let mut rng = platform::rng::Rng::new(0x0DD_5EED);
+            let mut media = vec![0u8; SPAN];
+            rng.fill(&mut media);
+            dev.write(BASE, &media).unwrap();
+            dev.persist(BASE, SPAN as u64).unwrap();
+            for round in 0..8 {
+                let staged = RefCell::default();
+                let mut scope = begin(acc, &staged, area).unwrap();
+                let gen = scope.gen;
+                let mut writes: Vec<(usize, Vec<u8>)> = Vec::new();
+                let mut logged = vec![false; SPAN];
+                let mut entries: Vec<(u64, Vec<u8>)> = Vec::new();
+                let naive = |writes: &[(usize, Vec<u8>)], at: usize, len: usize| {
+                    let mut out = media[at..at + len].to_vec();
+                    for (target, bytes) in writes {
+                        for (i, &b) in bytes.iter().enumerate() {
+                            if (at..at + len).contains(&(target + i)) {
+                                out[target + i - at] = b;
+                            }
+                        }
+                    }
+                    out
+                };
+                for _ in 0..60 {
+                    let len = 1 + rng.below(100) as usize;
+                    let at = rng.below((SPAN - len) as u64) as usize;
+                    let mut bytes = vec![0u8; len];
+                    rng.fill(&mut bytes);
+                    if logged[at..at + len].contains(&false) {
+                        entries.push((BASE + at as u64, naive(&writes, at, len)));
+                        logged[at..at + len].fill(true);
+                    }
+                    scope.log_and_write(BASE + at as u64, &bytes).unwrap();
+                    writes.push((at, bytes));
+                    for _ in 0..3 {
+                        let len = 1 + rng.below(150) as usize;
+                        let at = rng.below((SPAN - len) as u64) as usize;
+                        let mut buf = vec![0u8; len];
+                        acc.read(BASE + at as u64, &mut buf).unwrap();
+                        staged.borrow().patch(BASE + at as u64, &mut buf);
+                        assert_eq!(buf, naive(&writes, at, len), "round {round}: read {at}+{len}");
+                    }
+                }
+                let mut pos = 0;
+                for (i, (target, old)) in entries.iter().enumerate() {
+                    let (t, _, logged_old, entry_len) =
+                        read_entry(acc, area, gen, pos).unwrap().expect("entry missing");
+                    assert_eq!((t, &logged_old), (*target, old), "round {round}: entry {i}");
+                    pos += entry_len;
+                }
+                assert_eq!(pos, scope.tail, "round {round}: entries beyond the reference's");
+                if round % 2 == 0 {
+                    scope.commit().unwrap();
+                    media = naive(&writes, 0, SPAN);
+                } else {
+                    scope.abort().unwrap();
+                }
+                let mut now = vec![0u8; SPAN];
+                dev.read(BASE, &mut now).unwrap();
+                assert_eq!(now, media, "round {round}: media after the scope");
+            }
         }
         on_both_paths!(case);
     }
@@ -646,8 +887,9 @@ mod tests {
             let mut s = begin(acc, &staged, area).unwrap();
             let big = vec![0u8; 4096];
             let mut wrote = 0u64;
+            // Distinct targets: a range already logged appends nothing.
             let err = loop {
-                match s.log_and_write(64 * 1024, &big) {
+                match s.log_and_write(64 * 1024 + wrote * 4096, &big) {
                     Ok(()) => wrote += 1,
                     Err(e) => break e,
                 }
@@ -731,11 +973,14 @@ mod tests {
         s.commit().unwrap();
         dev.simulate_crash(CrashMode::Strict, 0);
         assert_eq!(dev.read_pod::<u64>(target).unwrap(), 3);
-        // Now interrupt a fresh double-update during target application.
+        // Now interrupt a fresh double-update during target application:
+        // one entry (the second write's bytes are logged already), its
+        // clwb, fence #1, the first staged store — the crash lands on the
+        // second.
         let mut s = begin(&dev, &staged, area).unwrap();
         s.log_and_write_pod(target, &4u64).unwrap();
         s.log_and_write_pod(target, &5u64).unwrap();
-        dev.arm_crash_after(6); // entry writes ×2, clwb ×2, fence, write
+        dev.arm_crash_after(4);
         assert!(s.commit().is_err());
         dev.simulate_crash(CrashMode::Strict, 0);
         replay(&dev, area).unwrap();

@@ -36,10 +36,19 @@ cargo test --workspace -q
 echo "== cargo test -p poseidon huge (huge-region module)"
 cargo test -p poseidon -q huge
 
+# The batched undo scopes' exhaustive crash check: one 32-block cache
+# refill and one 129-block drain, cut at every mutation event in Strict
+# mode and under 8 Adversarial seeds (some 11k cut runs), each recovered
+# to the pre- or post-scope metadata image byte for byte. Unoptimised
+# builds skip it (minutes there, seconds here).
+echo "== cargo test --release -p poseidon every_cut (exhaustive scope crash points)"
+cargo test --release -q -p poseidon every_cut
+
 # Fuzzers gate merges too, with fixed seeds for determinism: every case
-# injects a crash at a random mutation event (or, under --poison-live,
-# poison while the heap serves) and must end in a clean recovery with
-# accurate quarantine accounting or a typed MediaError — never a panic.
+# injects a crash at a random mutation event anywhere in its workload
+# (or, under --poison-live, poison while the heap serves) and must end in
+# a clean recovery with accurate quarantine accounting or a typed
+# MediaError — never a panic.
 # After every power cycle the harness checks the undo ordering, the
 # sub-heap and extent-table audits and that the heap still serves; the
 # default, full-home and threads arms also check the cache-residency

@@ -5,9 +5,11 @@
 //! bursts, huge-path (extent allocator) alloc/free, transactional
 //! allocation both below and beyond the sub-heap cap, plus optional
 //! `ptx` transactions — injects a device crash at a random mutation
-//! event, in strict or adversarial mode, recovers, and audits every
-//! structural invariant, including the huge region's extent-table
-//! tiling and the cache-residency invariant (every block the DRAM
+//! event anywhere in its ops (the cut is drawn below the case's op count
+//! times the arm's measured mean of events per op), in strict or
+//! adversarial mode, recovers, and audits every structural invariant,
+//! including the huge region's extent-table tiling and the
+//! cache-residency invariant (every block the DRAM
 //! cache held at the crash must still be media-FREE after recovery).
 //! With `--poison`, uncorrectable media errors are armed alongside the
 //! crash point: every case must then end in either a successful load
@@ -608,7 +610,8 @@ fn run_grow_case(case_seed: u64, with_poison: bool) -> Result<CaseOutcome, Strin
             .map_err(|e| format!("create: {e}"))?,
     );
 
-    dev.arm_crash_after(rng.below(600));
+    let ops = rng.below(100) + 20;
+    dev.arm_crash_after(rng.below(ops * GROW_EVENTS_PER_OP));
     if with_poison {
         dev.arm_poison_after(1 + rng.below(400), rng.next());
     }
@@ -616,7 +619,7 @@ fn run_grow_case(case_seed: u64, with_poison: bool) -> Result<CaseOutcome, Strin
     // must survive the power cycle verbatim.
     let mut grows_ok = 0usize;
     let mut live: Vec<NvmPtr> = Vec::new();
-    until_cut((0..rng.below(100) + 20).try_for_each(|_| match rng.below(12) {
+    until_cut((0..ops).try_for_each(|_| match rng.below(12) {
         0..=4 => small_alloc(&heap, &mut rng, &mut live),
         5..=6 => random_free(&heap, &mut rng, &mut live),
         7..=8 => huge_alloc(&heap, &mut rng, &mut live, 4 << 20),
@@ -717,11 +720,13 @@ fn run_maint_case(case_seed: u64, with_poison: bool, with_grow: bool) -> Result<
         }
     }
 
-    dev.arm_crash_after(rng.below(400));
+    let ops = rng.below(120) + 30;
+    let per_op = if uncached { MAINT_UNCACHED_EVENTS_PER_OP } else { MAINT_CACHED_EVENTS_PER_OP };
+    dev.arm_crash_after(rng.below(ops * per_op));
     if with_poison {
         dev.arm_poison_after(1 + rng.below(300), rng.next());
     }
-    until_cut((0..rng.below(120) + 30).try_for_each(|_| match rng.below(10) {
+    until_cut((0..ops).try_for_each(|_| match rng.below(10) {
         // Maintenance dominates the armed window so the crash lands at a
         // unit commit point more often than not.
         0..=4 => tolerate("maint_step", heap.maint_step(1 + rng.below(4) as usize), with_poison),
@@ -863,6 +868,22 @@ fn run_full_home_case(case_seed: u64) -> Result<CaseOutcome, String> {
     Ok(CaseOutcome::Recovered)
 }
 
+/// Mean device mutation events (stores, flushes, fences, punches) one op
+/// of the default arm's mix issues. Each crash arm draws its cut below
+/// its op count times its mean, so the cut can land in any op of the case,
+/// not only its first few. Measured by counting every mutation event of
+/// the armed ops, with no cut armed, over the `50 314159 --tx` and
+/// `50 161803` rows (4,921 ops: 56.4 and 52.7 events an op).
+const EVENTS_PER_OP: u64 = 55;
+/// [`EVENTS_PER_OP`] for the `--grow` arm's mix, measured the same way
+/// over the `50 314159 --grow` row (3,673 ops: 106.1 events an op).
+const GROW_EVENTS_PER_OP: u64 = 105;
+/// [`EVENTS_PER_OP`] for the `--maint` arm's mix on a cached heap and on
+/// an uncached one, measured the same way over the `50 314159 --maint`
+/// row (2,258 ops: 166.0 events an op; 2,367 ops: 10.1).
+const MAINT_CACHED_EVENTS_PER_OP: u64 = 165;
+const MAINT_UNCACHED_EVENTS_PER_OP: u64 = 10;
+
 fn run_case(case_seed: u64, with_tx: bool, with_poison: bool) -> Result<CaseOutcome, String> {
     let mut rng = Rng(case_seed | 1);
     let dev = Arc::new(PmemDevice::new(DeviceConfig::new(64 << 20).with_media_faults(with_poison)));
@@ -873,15 +894,17 @@ fn run_case(case_seed: u64, with_tx: bool, with_poison: bool) -> Result<CaseOutc
     let pool =
         if with_tx { Some(PtxPool::create(heap.clone()).map_err(|e| format!("pool: {e}"))?) } else { None };
 
-    // Random workload with a random crash point, and (under --poison) a
-    // random media-fault point that poisons recently written lines.
+    // Random workload with a random crash point anywhere in it, and
+    // (under --poison) a random media-fault point that poisons recently
+    // written lines.
     let max_alloc = heap.layout().max_alloc();
-    dev.arm_crash_after(rng.below(500));
+    let ops = rng.below(80) + 10;
+    dev.arm_crash_after(rng.below(ops * EVENTS_PER_OP));
     if with_poison {
         dev.arm_poison_after(1 + rng.below(400), rng.next());
     }
     let mut live: Vec<NvmPtr> = Vec::new();
-    until_cut((0..rng.below(80) + 10).try_for_each(|_| match rng.below(11) {
+    until_cut((0..ops).try_for_each(|_| match rng.below(11) {
         0..=4 => small_alloc(&heap, &mut rng, &mut live),
         5..=6 => random_free(&heap, &mut rng, &mut live),
         7 => {
