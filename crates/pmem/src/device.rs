@@ -770,8 +770,12 @@ impl PmemDevice {
 
     /// Returns the pages covering `[offset, offset + len)` to the sparse
     /// store (the `fallocate` hole-punch analogue): fully covered 2 MiB
-    /// backing chunks are dematerialised and the rest is zeroed. The hole
-    /// is durable immediately, like the syscall. Returns released bytes.
+    /// backing chunks are zeroed and stop counting as resident, and the
+    /// rest is zeroed. The hole is durable immediately, like the syscall.
+    /// Returns released bytes.
+    ///
+    /// The caller must own the range: a read or store racing the punch of
+    /// the same chunk is not ordered against it.
     ///
     /// # Errors
     ///

@@ -17,6 +17,10 @@ use std::cell::Cell;
 pub struct NumaTopology {
     sockets: usize,
     cpus: usize,
+    /// `ceil(2^32 / cpus_per_socket)`: the CPU-to-node mapping as a
+    /// fixed-point reciprocal, so [`node_of_cpu`](Self::node_of_cpu) —
+    /// run on every device access — multiplies instead of dividing.
+    node_scale: u64,
 }
 
 impl NumaTopology {
@@ -28,7 +32,8 @@ impl NumaTopology {
     pub fn new(sockets: usize, cpus: usize) -> NumaTopology {
         assert!(sockets > 0 && cpus > 0, "topology must have at least one socket and CPU");
         assert!(cpus >= sockets, "need at least one CPU per socket");
-        NumaTopology { sockets, cpus }
+        let per_socket = cpus.div_ceil(sockets) as u64;
+        NumaTopology { sockets, cpus, node_scale: (1u64 << 32).div_ceil(per_socket) }
     }
 
     /// The paper's testbed shape: 2 sockets, 56 physical cores
@@ -59,9 +64,17 @@ impl NumaTopology {
     /// any usize is a valid logical CPU).
     #[inline]
     pub fn node_of_cpu(&self, cpu: usize) -> usize {
-        let cpu = cpu % self.cpus;
+        // Blocks of `per_socket = ceil(cpus / sockets)` CPUs, so a CPU
+        // below `cpus` is on node `cpu / per_socket` < `sockets`. For
+        // `cpu < 2^16`, `(cpu * ceil(2^32 / per_socket)) >> 32` is that
+        // quotient exactly when `per_socket <= 2^16` (Lemire, Kaser and
+        // Kurz, "Faster remainder by direct computation", Theorem 1) and
+        // is 0, as the quotient is, when `per_socket` is larger.
+        if cpu < self.cpus && cpu < 1 << 16 {
+            return ((cpu as u64 * self.node_scale) >> 32) as usize;
+        }
         let per_socket = self.cpus.div_ceil(self.sockets);
-        (cpu / per_socket).min(self.sockets - 1)
+        (cpu % self.cpus / per_socket).min(self.sockets - 1)
     }
 }
 
@@ -124,6 +137,22 @@ mod tests {
         assert_eq!(t.node_of_cpu(7), 1);
         // CPU ids wrap.
         assert_eq!(t.node_of_cpu(8), 0);
+    }
+
+    #[test]
+    fn node_of_cpu_matches_block_division() {
+        for sockets in 1..=9 {
+            for cpus in (sockets..=300).chain([1 << 12, (1 << 16) - 1, 1 << 16, 1 << 17]) {
+                let t = NumaTopology::new(sockets, cpus);
+                let per_socket = cpus.div_ceil(sockets);
+                let probes =
+                    (0..600).chain([cpus - 1, cpus, cpus + 1, 3 * cpus + 7, (1 << 16) + 5, usize::MAX]);
+                for cpu in probes {
+                    let expected = (cpu % cpus / per_socket).min(sockets - 1);
+                    assert_eq!(t.node_of_cpu(cpu), expected, "{sockets} sockets, {cpus} cpus, cpu {cpu}");
+                }
+            }
+        }
     }
 
     #[test]

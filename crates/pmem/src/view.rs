@@ -19,9 +19,9 @@
 //! * reads and flushes still consult the poison set, because a line can
 //!   turn uncorrectable *during* the session via injection (the check is
 //!   one relaxed atomic load on a healthy device);
-//! * chunk-store locking stays per access — a session may legitimately
-//!   punch holes in its own range (hash-level activation and shrink), so
-//!   the view never caches chunk pointers or holds chunk locks;
+//! * each access finds its chunk in the store itself (one acquire load,
+//!   no lock), so the view caches no chunk pointers; a session may punch
+//!   holes in its own range (hash-level activation and shrink);
 //! * flushes and fences go to the calling thread's fence domain at the
 //!   time of the call, never to one captured at map time, so a view's
 //!   `sfence` commits exactly what its thread flushed.

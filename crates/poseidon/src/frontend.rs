@@ -589,9 +589,24 @@ impl PoseidonHeap {
             self.note_alloc();
             return Ok(Some(NvmPtr::new(self.heap_id(), sub, offset)));
         }
-        // Miss. The first sub-heap of the spill order serves: the home,
-        // or past a home known full for the class, the next sub-heap's
-        // transfer pool, then a refill into it.
+        self.cached_alloc_miss(cache, cpu, home, sub, class)
+    }
+
+    /// [`cached_alloc`](Self::cached_alloc)'s miss path, kept out of line
+    /// so the refill's session never sits in the hit path's stack frame.
+    /// The first sub-heap of the spill order serves: the home, or past a
+    /// home known full for the class, the next sub-heap's transfer pool,
+    /// then a refill into it.
+    #[cold]
+    #[inline(never)]
+    fn cached_alloc_miss(
+        &self,
+        cache: &HeapCache,
+        cpu: usize,
+        home: u16,
+        sub: u16,
+        class: usize,
+    ) -> Result<Option<NvmPtr>> {
         let Some(target) = self.spill_order(home, class).next() else {
             cache.note_miss(sub);
             return Ok(None);

@@ -134,7 +134,8 @@ pub struct GrowReport {
     pub epoch: usize,
     /// Sub-heaps materialised by the new epoch.
     pub new_subheaps: u16,
-    /// Bytes added to the huge region's logical space.
+    /// Bytes added to the huge region's logical space (0 when the band's
+    /// bookkeeping failed and was left to the next open).
     pub huge_bytes_added: u64,
 }
 
@@ -1091,9 +1092,13 @@ impl PoseidonHeap {
     /// The commit is a single two-fence undo scope covering the epoch
     /// record and the header's epoch count: a crash at any instant leaves
     /// the pool either entirely on the old layout or entirely on the new
-    /// one. Completion work after the commit point (huge-band bookkeeping)
-    /// is idempotent and re-run by load-time recovery, so a torn grow
-    /// finishes itself on the next open.
+    /// one. Completion work after the commit point (huge-band bookkeeping,
+    /// the cache re-balance) is idempotent and re-run by load-time
+    /// recovery, so a torn grow finishes itself on the next open. Once
+    /// the commit point has passed the call returns `Ok`: a completion
+    /// that fails (a media error is contained like any operation's) is
+    /// left to the next open, and a band it did not extend reads as
+    /// `huge_bytes_added == 0`.
     ///
     /// New sub-heaps are created lazily on first allocation, exactly like
     /// the originals, so growing an almost-empty pool touches only
@@ -1105,10 +1110,10 @@ impl PoseidonHeap {
     ///
     /// [`PoseidonError::BadGeometry`] when `new_capacity` does not grow
     /// the pool (or the epoch chain / sub-heap directory is full), or
-    /// device errors — a failure before the commit leaves the heap on the
-    /// old layout.
+    /// device errors — an `Err` always means the heap stayed on the old
+    /// layout.
     pub fn grow(&self, new_capacity: u64) -> Result<GrowReport> {
-        let _sb = self.sb_lock.lock();
+        let sb = self.sb_lock.lock();
         let old_capacity = self.layout.capacity();
         let epoch = self.layout.plan_growth(new_capacity)?;
         // Extend the device first — durable immediately, like ftruncate
@@ -1131,18 +1136,30 @@ impl PoseidonHeap {
             let _guard = self.write_guard();
             superblock::commit_epoch(&self.dev, index, &epoch)?;
         }
-        // THE commit point has passed; everything below is completion
-        // that recovery re-runs idempotently after a crash.
+        // THE commit point has passed: the pool has grown. Everything
+        // below is completion that recovery re-runs idempotently after a
+        // crash, so a failure here only defers it to the next open.
         self.layout.push_epoch(epoch).expect("planned epoch extends the chain");
-        let mut huge_bytes_added = 0;
-        if epoch.huge_size > 0 && !self.huge_quarantined.load(Ordering::Acquire) {
-            let op = self.begin_huge()?;
-            huge_bytes_added = hugeregion::extend_to_layout(&op)?;
-        }
+        let extended = (epoch.huge_size > 0 && !self.huge_quarantined.load(Ordering::Acquire))
+            .then(|| self.begin_huge().and_then(|op| hugeregion::extend_to_layout(&op)));
         // Re-balance: hand cached blocks back so magazines re-home under
         // the enlarged CPU→sub-heap routing instead of serving stale
         // assignments.
-        self.drain_cache_for_rebalance()?;
+        let rebalanced = self.drain_cache_for_rebalance();
+        // Contain failures only after releasing the superblock lock:
+        // condemning a sub-heap persists its verdict under that lock.
+        drop(sb);
+        let mut huge_bytes_added = 0;
+        match extended {
+            Some(Ok(added)) => huge_bytes_added = added,
+            Some(Err(e)) => {
+                let _ = self.heal_media_error(e, OpKind::Alloc);
+            }
+            None => {}
+        }
+        if let Err(e) = rebalanced {
+            let _ = self.heal_media_error(e, OpKind::Free);
+        }
         Ok(GrowReport {
             old_capacity,
             new_capacity,

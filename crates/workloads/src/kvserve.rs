@@ -948,10 +948,19 @@ impl Soak {
             if self.config.maint_budget > 0 {
                 // Maintenance tick: the engine self-schedules off its
                 // trigger policy (pressure flag + fragmentation
-                // watermarks); a tick on a tidy heap is a no-op.
+                // watermarks); a tick on a tidy heap is a no-op. A tick
+                // commits at most its budget of operations and so merges
+                // at most that many buddy pairs under a sub-heap lock,
+                // never a whole defrag.
                 let guard = self.state.read();
-                if let Some(st) = guard.as_ref() {
-                    let _ = st.heap.maint_tick(self.config.maint_budget);
+                if let Some(Ok(Some(step))) =
+                    guard.as_ref().map(|st| st.heap.maint_tick(self.config.maint_budget))
+                {
+                    let budget = self.config.maint_budget as u64;
+                    assert!(
+                        step.work_units <= budget && step.merges <= budget,
+                        "maintenance tick overspent its budget of {budget}: {step:?}"
+                    );
                 }
             }
             while done >= next_edge || (finished && prev_ops < done) {

@@ -12,7 +12,9 @@
 //! cache-residency invariant (every block the DRAM
 //! cache held at the crash must still be media-FREE after recovery).
 //! With `--poison`, uncorrectable media errors are armed alongside the
-//! crash point: every case must then end in either a successful load
+//! crash point (the default, `--grow` and `--maint` arms draw it below
+//! the case's op count times the arm's measured mean of ranged stores
+//! per op): every case must then end in either a successful load
 //! whose quarantine accounting matches the audit (and whose fresh
 //! allocations never overlap a poisoned line), or a clean typed
 //! `MediaError` — never a panic, never silent reuse of poisoned blocks.
@@ -613,7 +615,7 @@ fn run_grow_case(case_seed: u64, with_poison: bool) -> Result<CaseOutcome, Strin
     let ops = rng.below(100) + 20;
     dev.arm_crash_after(rng.below(ops * GROW_EVENTS_PER_OP));
     if with_poison {
-        dev.arm_poison_after(1 + rng.below(400), rng.next());
+        dev.arm_poison_after(1 + rng.below(ops * GROW_STORES_PER_OP), rng.next());
     }
     // Growths that returned Ok: their epochs are durably committed and
     // must survive the power cycle verbatim.
@@ -721,10 +723,14 @@ fn run_maint_case(case_seed: u64, with_poison: bool, with_grow: bool) -> Result<
     }
 
     let ops = rng.below(120) + 30;
-    let per_op = if uncached { MAINT_UNCACHED_EVENTS_PER_OP } else { MAINT_CACHED_EVENTS_PER_OP };
-    dev.arm_crash_after(rng.below(ops * per_op));
+    let (events_per_op, stores_per_op) = if uncached {
+        (MAINT_UNCACHED_EVENTS_PER_OP, MAINT_UNCACHED_STORES_PER_OP)
+    } else {
+        (MAINT_CACHED_EVENTS_PER_OP, MAINT_CACHED_STORES_PER_OP)
+    };
+    dev.arm_crash_after(rng.below(ops * events_per_op));
     if with_poison {
-        dev.arm_poison_after(1 + rng.below(300), rng.next());
+        dev.arm_poison_after(1 + rng.below(ops * stores_per_op), rng.next());
     }
     until_cut((0..ops).try_for_each(|_| match rng.below(10) {
         // Maintenance dominates the armed window so the crash lands at a
@@ -883,6 +889,23 @@ const GROW_EVENTS_PER_OP: u64 = 105;
 /// row (2,258 ops: 166.0 events an op; 2,367 ops: 10.1).
 const MAINT_CACHED_EVENTS_PER_OP: u64 = 165;
 const MAINT_UNCACHED_EVENTS_PER_OP: u64 = 10;
+/// Mean ranged stores (writes and read-modify-writes, the events the
+/// device's poison countdown counts; flushes and fences do not) one op of
+/// the default arm's mix issues. Each arm armed with `--poison` draws its
+/// poison point below its op count times its mean, so the poison can land
+/// in any op of the case. Measured from the device's write-op counter
+/// across the armed ops, with neither a cut nor poison armed, over the
+/// `50 314159 --tx` and `50 161803` rows (4,921 ops: 36.6 and 35.5 stores
+/// an op).
+const STORES_PER_OP: u64 = 36;
+/// [`STORES_PER_OP`] for the `--grow` arm's mix, measured the same way
+/// over the `50 314159 --grow` row (3,673 ops: 60.5 stores an op).
+const GROW_STORES_PER_OP: u64 = 60;
+/// [`STORES_PER_OP`] for the `--maint` arm's mix on a cached heap and on
+/// an uncached one, measured the same way over the `50 314159 --maint`
+/// row (2,258 ops: 92.7 stores an op; 2,367 ops: 5.0).
+const MAINT_CACHED_STORES_PER_OP: u64 = 90;
+const MAINT_UNCACHED_STORES_PER_OP: u64 = 5;
 
 fn run_case(case_seed: u64, with_tx: bool, with_poison: bool) -> Result<CaseOutcome, String> {
     let mut rng = Rng(case_seed | 1);
@@ -901,7 +924,7 @@ fn run_case(case_seed: u64, with_tx: bool, with_poison: bool) -> Result<CaseOutc
     let ops = rng.below(80) + 10;
     dev.arm_crash_after(rng.below(ops * EVENTS_PER_OP));
     if with_poison {
-        dev.arm_poison_after(1 + rng.below(400), rng.next());
+        dev.arm_poison_after(1 + rng.below(ops * STORES_PER_OP), rng.next());
     }
     let mut live: Vec<NvmPtr> = Vec::new();
     until_cut((0..ops).try_for_each(|_| match rng.below(11) {

@@ -158,6 +158,33 @@ fn degenerate_growths_are_rejected() {
     assert_eq!(heap.layout().capacity(), 64 * MIB);
 }
 
+/// Once the epoch commit has passed, `grow` reports the growth even if
+/// its completion fails: media errors in the huge band's bookkeeping and
+/// in the cache re-balance are contained (the huge region quarantined,
+/// the sub-heap whose cached blocks could not drain condemned) and the
+/// rest is left to the next open, so an `Err` from `grow` always means
+/// the pool did not grow.
+#[test]
+fn a_media_error_after_the_epoch_commit_still_reports_the_growth() {
+    let dev =
+        Arc::new(PmemDevice::new(DeviceConfig::new(64 * MIB).growable_to(128 * MIB).with_media_faults(true)));
+    let heap = PoseidonHeap::create(dev.clone(), HeapConfig::new().with_subheaps(2)).unwrap();
+    // A block freed on CPU 0 stays resident in sub-heap 0's cache, so the
+    // re-balance has to drain it through sub-heap 0's metadata.
+    pmem::numa::set_current_cpu(0);
+    let p = heap.alloc(64).unwrap();
+    assert_eq!(p.subheap(), 0);
+    heap.free(p).unwrap();
+    dev.poison(heap.layout().huge_meta_base(), 1).unwrap();
+    dev.poison(heap.layout().meta_base(0), heap.layout().meta_size).unwrap();
+    let report = heap.grow(72 * MIB).expect("the epoch committed, so the pool grew");
+    assert_eq!((report.epoch, report.new_capacity, report.huge_bytes_added), (1, 72 * MIB, 0));
+    assert_eq!(heap.layout().epoch_count(), 2);
+    assert_eq!(heap.layout().capacity(), 72 * MIB);
+    assert!(heap.health().huge_region_quarantined, "the poisoned huge header was contained");
+    assert_eq!(heap.quarantined_subheaps(), vec![0], "the sub-heap whose drain failed was condemned");
+}
+
 /// Crash atomicity of the epoch commit: sweep the crash point over every
 /// mutation event of a grow. After each power cycle the pool must sit
 /// entirely on the old layout or entirely on the new one — matching

@@ -251,23 +251,32 @@ fn soak_survives_kill_poison_and_grow() {
 /// (same seed, same traffic), one with maintenance ticks in the
 /// coordinator loop and one without. The engine must leave the heap
 /// *measurably less fragmented* (free bytes outside each class's
-/// largest coalescable run, summed) without wrecking tail latency.
-/// Frees on this heap never coalesce inline — merging is exclusively
-/// maintenance work — so the off run accumulates unmerged buddy pairs
-/// that the on run retires.
+/// largest coalescable run, summed), and its ticks must do work during
+/// the soak, each within its budget.
+/// Frees on this heap never coalesce inline — merging is maintenance
+/// work, or the alloc path's own when a class runs dry — so the off run
+/// accumulates unmerged buddy pairs that the on run retires.
 #[test]
 fn soak_maintenance_lowers_steady_state_fragmentation() {
     let base = |maint: usize| {
-        // value_spread 2: value sizes ramp across three buddy classes
-        // over the run, so updates free blocks of classes the service
-        // has outgrown and never reallocates — the freed buddies pile
-        // up side by side as coalescing debt.
-        let mut config = KvServeConfig::new(2, 2, 600, 2_000)
+        // value_spread 2: value sizes ramp from 2 KiB through three buddy
+        // classes over the run, and near-uniform updates (theta 0.01)
+        // free the outgrown blocks of every key, never reallocated — the
+        // freed buddies pile up side by side as coalescing debt. 1,400
+        // keys fill the eight sub-heaps far enough that the debt passes
+        // the engine's watermark (a quarter of the sub-heap free bytes)
+        // mid-soak, so ticks step the engine while clients run. Half the
+        // ops update, so only the last few allocations reach the ramp's
+        // third class, whose misses make the alloc path merge on demand.
+        let mut config = KvServeConfig::new(2, 2, 1_400, 2_000)
             .with_events(vec![])
             .with_capacity(96 << 20, 96 << 20)
             .with_value_spread(2)
             .with_maint(maint);
-        config.update_permille = 600; // churn: every update frees the old value
+        config.value_size = 2048;
+        config.theta = 0.01;
+        config.update_permille = 500; // churn: every update frees the old value
+        config.intervals = 16; // a fragmentation sample (and watermark refresh) per 250 ops
         config
     };
     let off = run_soak(&base(0));
@@ -276,8 +285,17 @@ fn soak_maintenance_lowers_steady_state_fragmentation() {
     // Equal throughput: same seed, same op budget, both runs completed.
     assert_eq!(off.ops, on.ops, "runs diverged in completed ops");
     assert_eq!(off.health.maint_steps, 0, "maint_budget=0 must disable the engine");
-    assert!(on.health.maint_steps > 0, "engine never stepped: {:?}", on.health);
     assert!(on.health.maint_merges > 0, "engine stepped but never coalesced anything");
+
+    // Maintenance must not wreck the serving tail: no tick spends more
+    // than its budget, so none holds a sub-heap lock across a full
+    // defrag. `run_soak` checks every tick's step as it returns (at most
+    // `maint_budget` committed operations and buddy merges) and panics on
+    // the first that overspends. That check ran: the quiesce after the
+    // soak takes at most two steps (one unbudgeted cycle merges every
+    // pair, cascading, and the next finds nothing), so any further step
+    // was a tick that stepped the engine mid-soak.
+    assert!(on.health.maint_steps > 2, "no maintenance tick stepped the engine mid-soak: {:?}", on.health);
 
     // The headline guarantee: final steady-state fragmentation strictly
     // lower with the engine on. (The off run's churn leaves unmerged
@@ -286,23 +304,4 @@ fn soak_maintenance_lowers_steady_state_fragmentation() {
     let frag_on = on.fragmentation.last().expect("on run sampled fragmentation").frag_bytes;
     assert!(frag_off > 0, "maintenance-off run ended with nothing to coalesce");
     assert!(frag_on < frag_off, "maintenance did not lower fragmentation: {frag_on} on vs {frag_off} off");
-
-    // Maintenance must not wreck the serving tail: per class, p999
-    // stays under 2x the maintenance-off run. Only classes with enough
-    // samples for p999 to be more than the single worst op qualify, and
-    // the absolute slack absorbs scheduler blips (an actual regression —
-    // a maintenance unit holding a sub-heap lock through a full defrag —
-    // costs tens of milliseconds and sails past it).
-    for ((class_on, sum_on), (class_off, sum_off)) in on.totals.iter().zip(&off.totals) {
-        assert_eq!(class_on, class_off);
-        if sum_on.count < 500 || sum_off.count < 500 {
-            continue;
-        }
-        assert!(
-            sum_on.p999 <= sum_off.p999 * 2 + 1_000_000,
-            "{class_on:?} p999 degraded past 2x with maintenance on: {}ns vs {}ns",
-            sum_on.p999,
-            sum_off.p999
-        );
-    }
 }
