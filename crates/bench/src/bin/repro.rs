@@ -1,7 +1,7 @@
 //! Regenerates every table and figure of the Poseidon paper.
 //!
 //! ```text
-//! repro [--full] [--threads N] <fig3|fig6|fig7|fig8|fig9|ablation|all>
+//! repro [--full] [--threads N] <digest|fig3|fig6|fig7|fig8|fig9|ablation|capacity|all>
 //! ```
 //!
 //! Default is a quick, CI-scale run; `--full` uses paper-scale operation
@@ -9,7 +9,7 @@
 //! the paper's testbed — EXPERIMENTS.md records the shape comparison).
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bench::{bench_device, measure, print_panel, thread_sweep, Point};
 use pmem::{DeviceConfig, PmemDevice};
@@ -40,6 +40,7 @@ fn main() {
                 options.max_threads = iter
                     .next()
                     .and_then(|v| v.parse().ok())
+                    .filter(|&threads| threads > 0)
                     .unwrap_or_else(|| usage("missing/invalid value for --threads"));
             }
             other if !other.starts_with('-') => command = other.to_string(),
@@ -729,32 +730,72 @@ fn ablation(options: &Options) {
     // The fence budget behind the panels: a warm single-threaded
     // alloc/free pair costs zero fences through the cache, 3.00/op
     // amortised through the batched slow path.
+    let cached = warm_pairs(HeapConfig::new(), ops);
+    let uncached = warm_pairs(HeapConfig::new().without_cache(), ops);
+    let pairs = [("cache-on", &cached), ("cache-off", &uncached)];
     println!("\n## Ablation — fences per operation (warm 256B alloc/free pairs)");
-    for (name, config) in [("cache-on", HeapConfig::new()), ("cache-off", HeapConfig::new().without_cache())]
-    {
-        let dev = Arc::new(PmemDevice::new(DeviceConfig::bench(8 << 30)));
-        let heap = PoseidonHeap::create(dev.clone(), config).expect("heap");
-        pmem::numa::set_current_cpu(0);
-        let mut warm = Vec::new();
-        for _ in 0..64 {
-            warm.push(heap.alloc(256).expect("warm alloc"));
-        }
-        for p in warm {
-            heap.free(p).expect("warm free");
-        }
-        let before = dev.stats();
-        for _ in 0..ops {
-            let p = heap.alloc(256).expect("alloc");
-            heap.free(p).expect("free");
-        }
-        let after = dev.stats();
+    for (name, cost) in pairs {
         println!(
             "  {:<9} {:>6.2} sfences/op, {:>6.2} clwbs/op",
             name,
-            (after.sfence_count - before.sfence_count) as f64 / (2 * ops) as f64,
-            (after.clwb_count - before.clwb_count) as f64 / (2 * ops) as f64
+            cost.per_op(cost.device.sfence_count),
+            cost.per_op(cost.device.clwb_count)
         );
     }
+
+    // The same pairs' sub-heap locks and magazine hits (DESIGN.md §11):
+    // a cached pair takes no lock, an uncached call one.
+    println!("\n## Ablation — locks per operation and cache hit rate (the same pairs)");
+    for (name, cost) in pairs {
+        let cache = cost.cache;
+        print!("  {:<9} {:>6.2} locks/op", name, cost.per_op(cost.locks));
+        if cache.hits + cache.misses > 0 {
+            print!(
+                ", {:.1}% hit rate ({} hits, {} misses, {} refills, {} drains)",
+                100.0 * cache.hit_rate(),
+                cache.hits,
+                cache.misses,
+                cache.refills,
+                cache.drains
+            );
+        }
+        println!();
+    }
+
+    // Checked sessions (DESIGN.md §8) on the uncached pairs: before them
+    // every metadata word access ran its own bounds/protection/poison
+    // sequence, so the device's word accesses are what the validation
+    // count used to be.
+    let slow = &uncached.device;
+    let word_accesses = slow.read_ops + slow.write_ops;
+    println!("\n## Ablation — access validations per operation (the cache-off pairs)");
+    for (label, count) in [
+        ("per-word (pre-session baseline):", word_accesses),
+        ("per-op   (checked sessions):", slow.validations),
+    ] {
+        println!("  {label:<32} {count:>8} validations ({:.2}/op)", uncached.per_op(count));
+    }
+
+    // Batched persistence (DESIGN.md §9), modelled from the same pairs'
+    // undo-log counters: per-word persistence pays one clwb+sfence per
+    // logged 8-byte word and the pre-batching code one per log entry,
+    // each plus the two commit fences every protocol needs. The measured
+    // batched commit is the cache-off fences row above.
+    let per_word = slow.undo_words + 2 * uncached.ops;
+    let per_entry = slow.undo_entries + 2 * uncached.ops;
+    println!("\n## Ablation — persistence cost without batching (modelled on the cache-off pairs)");
+    for (label, count) in
+        [("per-word  (modelled baseline):", per_word), ("per-entry (pre-batching code):", per_entry)]
+    {
+        println!("  {label}   {count:>8} sfences ({:.2}/op)", uncached.per_op(count));
+    }
+    println!(
+        "  fence reduction: {:.1}x vs per-word, {:.1}x vs per-entry (pair: {:.0} -> {:.0} sfences)",
+        per_word as f64 / slow.sfence_count as f64,
+        per_entry as f64 / slow.sfence_count as f64,
+        2.0 * uncached.per_op(per_word),
+        2.0 * uncached.per_op(slow.sfence_count)
+    );
 
     // (e) Self-healing scrubber: time-to-detect a poisoned free block,
     // in serving operations. The allocator never reads user bytes, so
@@ -802,4 +843,144 @@ fn ablation(options: &Options) {
             None => println!("{:>16} {:>16} {:>20}", name, format!("never (> {max_ops})"), units),
         }
     }
+
+    huge_path(ops / 10);
+    ptx_pds_costs(ops / 10);
+}
+
+/// What warm 256 B alloc+free pairs cost one thread: the device counters
+/// and lock acquisitions of the measured pairs, and the transient cache's
+/// counters over them.
+struct PairCost {
+    ops: u64,
+    device: pmem::StatsSnapshot,
+    locks: u64,
+    cache: pmem::CacheStats,
+}
+
+impl PairCost {
+    /// `count` per operation (an alloc and a free are one each).
+    fn per_op(&self, count: u64) -> f64 {
+        count as f64 / self.ops as f64
+    }
+}
+
+/// Runs `pairs` 256 B alloc+free pairs on a fresh heap built with
+/// `config`, after allocating and freeing 64 blocks so that the measured
+/// pairs exclude sub-heap creation and hash-table level activation.
+fn warm_pairs(config: HeapConfig, pairs: u64) -> PairCost {
+    let dev = Arc::new(PmemDevice::new(DeviceConfig::bench(8 << 30)));
+    let heap = PoseidonHeap::create(dev.clone(), config).expect("heap");
+    pmem::numa::set_current_cpu(0);
+    let warm: Vec<_> = (0..64).map(|_| heap.alloc(256).expect("warm alloc")).collect();
+    for p in warm {
+        heap.free(p).expect("warm free");
+    }
+    dev.reset_stats();
+    heap.reset_contention();
+    for _ in 0..pairs {
+        let p = heap.alloc(256).expect("alloc");
+        heap.free(p).expect("free");
+    }
+    let profile = heap.contention_profile();
+    let mut cache = pmem::CacheStats::default();
+    for sub in profile.iter().filter_map(|p| p.cache) {
+        cache.hits += sub.hits;
+        cache.misses += sub.misses;
+        cache.refills += sub.refills;
+        cache.drains += sub.drains;
+    }
+    let locks = profile.iter().map(|p| p.acquisitions).sum();
+    PairCost { ops: 2 * pairs, device: dev.stats(), locks, cache }
+}
+
+/// Alloc/free cost and fence budget across the sub-heap -> extent-table
+/// boundary (DESIGN.md §10). Sixteen sub-heaps on 512 MiB cap a sub-heap
+/// block at 8 MiB, so the 1-64 MiB sweep crosses the boundary mid-range.
+/// Both paths commit through the same batched two-fence undo protocol:
+/// the fence budget stays flat while the buddy split/merge work becomes a
+/// first-fit extent walk. The ns/op step at the boundary is mostly that
+/// walk, since a huge alloc and a huge free each read all 1,024 slots of
+/// the extent table; the free's hole punch adds a protection-key lookup
+/// per 4 KiB page of the extent.
+fn huge_path(rounds: u64) {
+    let dev = Arc::new(PmemDevice::new(DeviceConfig::bench(512 << 20)));
+    let heap = PoseidonHeap::create(dev.clone(), HeapConfig::new().with_subheaps(16)).expect("heap");
+    let max = heap.layout().max_alloc();
+    println!(
+        "\n## Ablation — huge path ({rounds} alloc+free rounds per size, sub-heap cap {} MiB, huge region {} MiB)",
+        max >> 20,
+        heap.layout().huge_data_size() >> 20
+    );
+    let mut size = 1u64 << 20;
+    while size <= 64 << 20 && size <= heap.layout().huge_data_size() {
+        let p = heap.alloc(size).expect("warm alloc");
+        heap.free(p).expect("warm free");
+        dev.reset_stats();
+        let start = Instant::now();
+        for _ in 0..rounds {
+            let p = heap.alloc(size).expect("alloc");
+            heap.free(p).expect("free");
+        }
+        let ns = start.elapsed().as_nanos() as f64;
+        let stats = dev.stats();
+        let ops = (2 * rounds) as f64;
+        println!(
+            "  {:>3} MiB [{}]: {:>8.0} ns/op, {:>6.2} sfences/op, {:>6.2} clwbs/op",
+            size >> 20,
+            if size > max { "huge " } else { "buddy" },
+            ns / ops,
+            stats.sfence_count as f64 / ops,
+            stats.clwb_count as f64 / ops,
+        );
+        size *= 2;
+    }
+    let huge = heap.huge_audit().expect("huge audit").expect("huge region");
+    assert_eq!(huge.alloc_extents, 0, "the sweep must leave the extent table empty");
+    println!(
+        "  extent table after sweep: {} free extent(s), largest {} MiB",
+        huge.free_extents,
+        huge.largest_free >> 20
+    );
+}
+
+/// Mean cost of the transaction and data-structure layers on Poseidon: a
+/// ptx transaction (alloc + write + free), a `PVec` push+pop, and a
+/// `PMap` insert+remove and get over 1,000 resident keys.
+fn ptx_pds_costs(rounds: u64) {
+    let dev = Arc::new(PmemDevice::new(DeviceConfig::bench(2 << 30)));
+    let heap = Arc::new(PoseidonHeap::create(dev, HeapConfig::new().with_subheaps(2)).expect("heap"));
+    let pool = ptx::PtxPool::create(heap).expect("pool");
+    let vec: pds::PVec<u64> = pds::PVec::create(&pool).expect("vec");
+    let map: pds::PMap<u64> = pds::PMap::create(&pool, 256).expect("map");
+    for k in 0..1000u64 {
+        map.insert(&pool, k, k).expect("prefill");
+    }
+    println!("\n## Ablation — ptx/pds layer costs ({rounds} rounds each)");
+    let time = |name: &str, op: &dyn Fn(u64)| {
+        let start = Instant::now();
+        for i in 0..rounds {
+            op(i);
+        }
+        println!("  {name:<20} {:>9.0} ns/op", start.elapsed().as_nanos() as f64 / rounds as f64);
+    };
+    time("tx alloc+write+free", &|_| {
+        pool.run(|tx| {
+            let block = tx.alloc(128)?;
+            tx.write_pod(block, 0, &0xABu64)?;
+            tx.free(block)
+        })
+        .expect("tx")
+    });
+    time("PVec push+pop", &|_| {
+        vec.push(&pool, 7).expect("push");
+        vec.pop(&pool).expect("pop");
+    });
+    time("PMap insert+remove", &|i| {
+        map.insert(&pool, 1000 + i, i).expect("insert");
+        map.remove(&pool, 1000 + i).expect("remove");
+    });
+    time("PMap get", &|i| {
+        map.get(&pool, i * 7 % 1000).expect("get");
+    });
 }

@@ -1,15 +1,15 @@
 //! Shared plumbing for the figure-reproduction harness.
 //!
-//! The `repro` binary (and the `cargo bench` binaries) regenerate every figure
-//! of the Poseidon paper; this library holds the pieces they share:
-//! device construction, thread sweeps, and series printing.
+//! The `repro` binary regenerates every figure of the Poseidon paper; this
+//! library holds its device construction, thread sweeps, throughput
+//! projection and series printing.
 
 #![warn(missing_docs)]
 
 use std::sync::Arc;
 
 use pmem::{DeviceConfig, PmemDevice};
-use workloads::{AllocatorKind, PersistentAllocator, RunResult};
+use workloads::{PersistentAllocator, RunResult};
 
 /// Builds a fresh benchmark device (crash tracking off, protection on) of
 /// `gib` virtual GiB — backing memory materialises only when touched.
@@ -23,11 +23,6 @@ pub fn bench_device(gib: u64) -> Arc<PmemDevice> {
     let host = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let config = DeviceConfig::bench(gib << 30).with_topology(pmem::NumaTopology::new(2, host.max(64)));
     Arc::new(PmemDevice::new(config))
-}
-
-/// Builds allocator `kind` on a fresh `gib`-GiB device.
-pub fn fresh_allocator(kind: AllocatorKind, gib: u64) -> Arc<dyn PersistentAllocator> {
-    kind.build(bench_device(gib))
 }
 
 /// The paper's thread sweep (1, 2, 4, ... up to `max`), always including
@@ -101,12 +96,16 @@ pub fn measure(
 }
 
 /// Prints one figure panel: a header, then rows of
-/// `threads  poseidon  pmdk  makalu` (whichever series are present).
+/// `threads  poseidon wall  pmdk wall  makalu wall` (whichever series are
+/// present). Each series shows its projected Mops and, beside it, the Mops
+/// this host's wall clock observed; the wall column reads `-` above the
+/// host's CPU count, where time-sliced workers make it meaningless.
 pub fn print_panel(title: &str, series: &[(&str, Vec<Point>)]) {
+    let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     println!("\n## {title}");
     print!("{:>8}", "threads");
     for (name, _) in series {
-        print!("{name:>12}");
+        print!(" {name:>12} {:>7}", "wall");
     }
     println!();
     let xs: Vec<usize> =
@@ -115,18 +114,13 @@ pub fn print_panel(title: &str, series: &[(&str, Vec<Point>)]) {
         print!("{threads:>8}");
         for (_, points) in series {
             match points.get(row) {
-                Some(p) => print!("{:>12.3}", p.mops),
-                None => print!("{:>12}", "-"),
+                Some(p) if p.threads <= cpus => print!(" {:>12.3} {:>7.3}", p.mops, p.wall_mops),
+                Some(p) => print!(" {:>12.3} {:>7}", p.mops, "-"),
+                None => print!(" {:>12} {:>7}", "-", "-"),
             }
         }
         println!();
     }
-}
-
-/// Converts a [`RunResult`] into a wall-clock-only [`Point`] (no
-/// projection; used where locks are not instrumented).
-pub fn point(result: &RunResult) -> Point {
-    Point { threads: result.threads, mops: result.mops(), wall_mops: result.mops() }
 }
 
 #[cfg(test)]
@@ -142,8 +136,8 @@ mod tests {
 
     #[test]
     fn fresh_allocators_work() {
-        for kind in AllocatorKind::ALL {
-            let alloc = fresh_allocator(kind, 1);
+        for kind in workloads::AllocatorKind::ALL {
+            let alloc = kind.build(bench_device(1));
             let a = alloc.alloc(64).unwrap();
             alloc.free(a).unwrap();
         }

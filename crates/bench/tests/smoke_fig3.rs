@@ -1,7 +1,8 @@
 //! Smoke test: `repro fig3` at CI scale must show Poseidon rejecting the
 //! paper's metadata attacks while the PMDK simulation visibly corrupts.
-//! Also pins the workload op-stream digests: two `repro digest` runs must
-//! agree (determinism is part of the reproduction contract).
+//! Also pins the digests: two `repro digest` runs must print the same
+//! bytes (determinism is part of the reproduction contract), and checks
+//! that an invalid `--threads` value is a usage error.
 
 use std::process::Command;
 
@@ -40,8 +41,20 @@ fn digest_output_is_stable_across_runs() {
     let first = run_repro(&["digest"]);
     let second = run_repro(&["digest"]);
     assert!(first.contains("fnv1a-64"), "digest table missing:\n{first}");
-    assert_eq!(digest_lines(&first), digest_lines(&second), "op-stream digests changed between runs");
-    assert!(!digest_lines(&first).is_empty());
+    assert_eq!(first, second, "repro digest printed different output on a second run");
+}
+
+#[test]
+fn zero_threads_is_a_usage_error() {
+    // Rejected while parsing the arguments, before any run starts a worker.
+    let output = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--threads", "0", "fig7"])
+        .output()
+        .expect("spawn repro binary");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "repro --threads 0 fig7 was accepted; stderr:\n{stderr}");
+    assert!(stderr.contains("usage: repro"), "no usage line on stderr:\n{stderr}");
+    assert!(output.stdout.is_empty(), "repro printed a run before rejecting --threads 0");
 }
 
 /// Extracts the number immediately preceding `marker` on its line.
@@ -54,8 +67,4 @@ fn field_before(out: &str, marker: &str) -> u64 {
         .last()
         .and_then(|w| w.parse().ok())
         .unwrap_or_else(|| panic!("no count before {marker:?} in line {line:?}"))
-}
-
-fn digest_lines(out: &str) -> Vec<&str> {
-    out.lines().filter(|l| l.contains("0x")).collect()
 }

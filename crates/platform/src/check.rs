@@ -41,12 +41,6 @@ impl Config {
     pub fn cases(cases: u32) -> Config {
         Config { cases, seed: 0x5EED_0000_0000_0000 }
     }
-
-    /// Overrides the base seed.
-    pub fn with_seed(mut self, seed: u64) -> Config {
-        self.seed = seed;
-        self
-    }
 }
 
 /// The per-case input generator handed to the property closure.

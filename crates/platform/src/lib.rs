@@ -3,7 +3,8 @@
 //! Every crate in this workspace used to pull six crates.io dependencies
 //! (`parking_lot`, `crossbeam`, `rand`, `proptest`, `criterion`, `libc`)
 //! for a small slice of each crate's surface. This crate owns those
-//! slices directly, on top of `std` alone, so the workspace builds and
+//! slices (all but `criterion`'s, which the `repro` binary's own timing
+//! replaced) directly, on top of `std` alone, so the workspace builds and
 //! tests hermetically — and so the primitives the measurement harness
 //! depends on (lock guards, per-thread CPU clocks, deterministic RNG
 //! streams) are ours to instrument:
@@ -20,8 +21,6 @@
 //! * [`check`] — a property-testing harness: seeded case generation, an
 //!   iteration budget, failing-seed reporting, and shrink-by-halving of
 //!   the input size budget.
-//! * [`bench`] — a minimal timing harness (warmup, N samples,
-//!   median/p95) for `cargo bench`-compatible harness-less binaries.
 //! * [`percpu`] — a fixed array of CAS-claimed, cache-padded per-CPU
 //!   slots ([`percpu::PerCpuSlots`]), the substrate for transient
 //!   per-CPU caches.
@@ -31,7 +30,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod check;
 pub mod lockfree;
 pub mod percpu;

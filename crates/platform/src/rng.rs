@@ -90,12 +90,6 @@ impl Rng {
             chunk.copy_from_slice(&word[..chunk.len()]);
         }
     }
-
-    /// Splits off an independent generator (for handing a derived stream
-    /// to another thread without sharing state).
-    pub fn fork(&mut self) -> Rng {
-        Rng::new(self.next_u64() ^ 0xA076_1D64_78BD_642F)
-    }
 }
 
 /// A 64-bit FNV-1a digest of a value stream — used by the repro harness

@@ -14,14 +14,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use platform::sync::{Mutex, MutexGuard};
-
-/// Nanoseconds of CPU time consumed by the calling thread
-/// (`CLOCK_THREAD_CPUTIME_ID`). Unlike wall time, this is immune to
-/// preemption, so lock-hold measurements stay accurate even when
-/// benchmark threads oversubscribe the host's cores.
-pub fn thread_cpu_ns() -> u64 {
-    platform::thread::cpu_time_ns()
-}
+use platform::thread::cpu_time_ns;
 
 /// Counters of a transient cache layer sitting in front of one lock.
 ///
@@ -93,7 +86,7 @@ impl<T> TrackedMutex<T> {
     pub fn lock(&self) -> TrackedGuard<'_, T> {
         let guard = self.inner.lock();
         self.acquisitions.fetch_add(1, Ordering::Relaxed);
-        TrackedGuard { guard: Some(guard), acquired_cpu_ns: thread_cpu_ns(), held_ns: &self.held_ns }
+        TrackedGuard { guard: Some(guard), acquired_cpu_ns: cpu_time_ns(), held_ns: &self.held_ns }
     }
 
     /// Reads this lock's counters as a [`LockProfile`] under `name`.
@@ -143,7 +136,7 @@ impl<T> std::ops::DerefMut for TrackedGuard<'_, T> {
 impl<T> Drop for TrackedGuard<'_, T> {
     fn drop(&mut self) {
         self.guard.take();
-        self.held_ns.fetch_add(thread_cpu_ns().saturating_sub(self.acquired_cpu_ns), Ordering::Relaxed);
+        self.held_ns.fetch_add(cpu_time_ns().saturating_sub(self.acquired_cpu_ns), Ordering::Relaxed);
     }
 }
 
@@ -158,8 +151,8 @@ mod tests {
             let mut g = m.lock();
             *g += 1;
             // Burn CPU while holding (hold time is thread CPU time).
-            let t0 = thread_cpu_ns();
-            while thread_cpu_ns() < t0 + 100_000 {
+            let t0 = cpu_time_ns();
+            while cpu_time_ns() < t0 + 100_000 {
                 std::hint::spin_loop();
             }
         }

@@ -37,17 +37,6 @@ impl CostModel {
         }
     }
 
-    /// A DRAM-like model, useful for ablations isolating NVMM latency.
-    pub fn dram() -> CostModel {
-        CostModel {
-            read_line_ns: 80,
-            write_line_ns: 80,
-            clwb_ns: 60,
-            sfence_ns: 30,
-            remote_multiplier_x100: 140,
-        }
-    }
-
     /// Prices a traffic profile, returning simulated nanoseconds of media
     /// time.
     ///

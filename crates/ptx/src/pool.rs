@@ -95,8 +95,6 @@ pub struct PtxPool {
     heap: Arc<PoseidonHeap>,
     /// Device offset of the descriptor block.
     descr: u64,
-    /// Persistent pointer to the descriptor.
-    descr_ptr: NvmPtr,
     /// Bitmap of claimed transaction contexts.
     claimed: AtomicU32,
     recovery: PtxRecovery,
@@ -133,7 +131,7 @@ impl PtxPool {
             dev.persist(ctx_off, std::mem::size_of::<CtxHeader>() as u64)?;
         }
         heap.set_root(descr_ptr)?;
-        Ok(PtxPool { heap, descr, descr_ptr, claimed: AtomicU32::new(0), recovery: PtxRecovery::default() })
+        Ok(PtxPool { heap, descr, claimed: AtomicU32::new(0), recovery: PtxRecovery::default() })
     }
 
     /// Opens the pool anchored at `heap`'s root pointer, completing or
@@ -154,8 +152,7 @@ impl PtxPool {
         if header.magic != DESCR_MAGIC || header.contexts != TX_CONTEXTS as u64 {
             return Err(PtxError::NoDescriptor);
         }
-        let mut pool =
-            PtxPool { heap, descr, descr_ptr, claimed: AtomicU32::new(0), recovery: PtxRecovery::default() };
+        let mut pool = PtxPool { heap, descr, claimed: AtomicU32::new(0), recovery: PtxRecovery::default() };
         let mut report = PtxRecovery::default();
         for ctx in 0..TX_CONTEXTS {
             let ctx_header: CtxHeader = pool.heap.device().read_pod(pool.ctx_off(ctx))?;
@@ -185,12 +182,6 @@ impl PtxPool {
     /// The heap this pool transacts on.
     pub fn heap(&self) -> &Arc<PoseidonHeap> {
         &self.heap
-    }
-
-    /// Persistent pointer to the pool's descriptor block (do not free or
-    /// overwrite it; exposed for diagnostics and tests).
-    pub fn descriptor_ptr(&self) -> NvmPtr {
-        self.descr_ptr
     }
 
     /// The application's root pointer.

@@ -30,11 +30,6 @@ impl RunResult {
         }
         self.total_ops as f64 / self.elapsed.as_secs_f64() / 1e6
     }
-
-    /// Throughput in operations per second.
-    pub fn ops_per_sec(&self) -> f64 {
-        self.mops() * 1e6
-    }
 }
 
 /// Runs `work(thread_index)` on `threads` workers, each pinned to logical
@@ -56,9 +51,9 @@ where
                 scope.spawn(move || {
                     numa::set_current_cpu(thread_index);
                     barrier.wait();
-                    let cpu0 = pmem::contention::thread_cpu_ns();
+                    let cpu0 = platform::thread::cpu_time_ns();
                     let ops = work(thread_index);
-                    (ops, pmem::contention::thread_cpu_ns() - cpu0)
+                    (ops, platform::thread::cpu_time_ns() - cpu0)
                 })
             })
             .collect();
@@ -95,9 +90,9 @@ where
                 scope.spawn(move || {
                     numa::set_current_cpu(thread_index);
                     barrier.wait();
-                    let cpu0 = pmem::contention::thread_cpu_ns();
+                    let cpu0 = platform::thread::cpu_time_ns();
                     let ops = work(thread_index, stop);
-                    (ops, pmem::contention::thread_cpu_ns() - cpu0)
+                    (ops, platform::thread::cpu_time_ns() - cpu0)
                 })
             })
             .collect();

@@ -74,43 +74,6 @@ pub fn run<A: PersistentAllocator + ?Sized>(alloc: &A, config: LarsonConfig) -> 
     result
 }
 
-/// Operation-bounded variant (for the bench harness, which needs deterministic
-/// work per iteration): every thread performs exactly `ops_per_thread`
-/// slot replacements.
-///
-/// # Panics
-///
-/// Panics on allocator failure.
-pub fn run_ops<A: PersistentAllocator + ?Sized>(
-    alloc: &A,
-    config: LarsonConfig,
-    ops_per_thread: u64,
-) -> RunResult {
-    let slots: Vec<Mutex<u64>> =
-        (0..config.threads * config.slots_per_thread).map(|_| Mutex::new(0)).collect();
-    let result = crate::driver::run_threads(config.threads, |thread_index| {
-        let mut rng = Xorshift::new(config.seed ^ (thread_index as u64 + 1).wrapping_mul(0xABCD));
-        for _ in 0..ops_per_thread {
-            let slot = &slots[rng.below(slots.len() as u64) as usize];
-            let size = config.min_size + rng.below(config.max_size - config.min_size);
-            let mut guard = slot.lock();
-            if *guard != 0 {
-                alloc.free(*guard).unwrap_or_else(|e| panic!("{}: larson free failed: {e}", alloc.name()));
-            }
-            *guard =
-                alloc.alloc(size).unwrap_or_else(|e| panic!("{}: larson alloc failed: {e}", alloc.name()));
-        }
-        ops_per_thread
-    });
-    for slot in &slots {
-        let offset = *slot.lock();
-        if offset != 0 {
-            let _ = alloc.free(offset);
-        }
-    }
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -123,13 +123,13 @@ pub fn measure<A: PersistentAllocator + ?Sized>(
     let mut alloc_ns = Vec::with_capacity(config.pairs as usize);
     let mut free_ns = Vec::with_capacity(config.pairs as usize);
     for _ in 0..config.pairs {
-        let t0 = pmem::contention::thread_cpu_ns();
+        let t0 = platform::thread::cpu_time_ns();
         let offset = alloc
             .alloc(config.size)
             .unwrap_or_else(|e| panic!("{}: latency alloc failed: {e}", alloc.name()));
-        let t1 = pmem::contention::thread_cpu_ns();
+        let t1 = platform::thread::cpu_time_ns();
         alloc.free(offset).unwrap_or_else(|e| panic!("{}: latency free failed: {e}", alloc.name()));
-        let t2 = pmem::contention::thread_cpu_ns();
+        let t2 = platform::thread::cpu_time_ns();
         alloc_ns.push(t1 - t0);
         free_ns.push(t2 - t1);
     }

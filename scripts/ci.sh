@@ -131,6 +131,13 @@ cargo test --workspace -q maint
 echo "== perfbench smoke test"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml -q
 
+# The design ablations at quick scale (~12 s on 2 vCPUs): besides the
+# projected panels, the per-op validations, fences, flushes, locks and
+# cache hits of warm 256B pairs, the 1-64 MiB huge-path sweep, which
+# asserts that it leaves the extent table empty, and the ptx/pds costs.
+echo "== repro ablation (quick scale)"
+cargo run --release -q -p bench --bin repro -- ablation
+
 # Exact-counter gate: the benchmark's counter pass (fences, flushes,
 # validations, metadata maps, undo traffic, metadata lines, wrpkru, lock
 # acquisitions per fixed request stream) is host-independent and
