@@ -8,18 +8,27 @@ use mpk::{AccessKind, MpkDomain, ProtectionKey};
 
 use crate::batch::FlushBatch;
 use crate::cache::{splitmix64, CacheModel, CrashMode, FenceDomain, CACHE_LINE_SIZE};
-use crate::cost::CostModel;
 use crate::error::PmemError;
 use crate::numa::{current_cpu, NumaTopology};
 use crate::pod::Pod;
 use crate::poison::{PoisonRange, PoisonSet};
 use crate::slots;
-use crate::stats::{DeviceStats, StatsSnapshot};
+use crate::stats::{counter, DeviceStats, StatsSnapshot};
 use crate::store::ChunkStore;
 use crate::view::MetaView;
 
 /// Size of a protection/NUMA page (4 KiB, matching x86 and MPK granularity).
 pub const PAGE_SIZE: u64 = 4096;
+
+/// Fails with [`PmemError::OutOfBounds`] (reporting `end` as the
+/// capacity) unless `[offset, offset + len)` lies inside `[base, end)`.
+#[inline]
+pub(crate) fn check_within(offset: u64, len: u64, base: u64, end: u64) -> Result<(), PmemError> {
+    if offset < base || offset.checked_add(len).is_none_or(|stop| stop > end) {
+        return Err(PmemError::OutOfBounds { offset, len, capacity: end });
+    }
+    Ok(())
+}
 
 /// Configuration of a [`PmemDevice`].
 #[derive(Debug, Clone, Copy)]
@@ -36,32 +45,19 @@ pub struct DeviceConfig {
     /// throughput benchmarks; [`PmemDevice::simulate_crash`] then has
     /// nothing to revert.
     pub crash_tracking: bool,
-    /// Enforce MPK page protection on every access. Disabling it is the
-    /// "no protection" ablation.
-    pub enforce_protection: bool,
     /// Socket/CPU model used for locality accounting.
     pub topology: NumaTopology,
-    /// Event prices used by [`StatsSnapshot::media_time_ns`].
-    pub cost_model: CostModel,
-    /// Model uncorrectable media errors. When disabled,
-    /// [`PmemDevice::poison`] and
-    /// [`PmemDevice::arm_poison_after`] are inert and no access can
-    /// return [`PmemError::Uncorrectable`].
-    pub media_faults: bool,
 }
 
 impl DeviceConfig {
-    /// A full-featured config with the given capacity, host topology and
-    /// DCPMM costs.
+    /// A full-featured config with the given capacity and the host
+    /// topology.
     pub fn new(capacity: u64) -> DeviceConfig {
         DeviceConfig {
             capacity,
             max_capacity: capacity,
             crash_tracking: true,
-            enforce_protection: true,
             topology: NumaTopology::host(),
-            cost_model: CostModel::dcpmm(),
-            media_faults: true,
         }
     }
 
@@ -82,21 +78,9 @@ impl DeviceConfig {
         self
     }
 
-    /// Returns a copy with protection enforcement set to `enabled`.
-    pub fn with_protection(mut self, enabled: bool) -> DeviceConfig {
-        self.enforce_protection = enabled;
-        self
-    }
-
     /// Returns a copy with the given topology.
     pub fn with_topology(mut self, topology: NumaTopology) -> DeviceConfig {
         self.topology = topology;
-        self
-    }
-
-    /// Returns a copy with media-fault modelling set to `enabled`.
-    pub fn with_media_faults(mut self, enabled: bool) -> DeviceConfig {
-        self.media_faults = enabled;
         self
     }
 
@@ -116,6 +100,9 @@ impl DeviceConfig {
 /// locks — but unlike raw memory every access is bounds-checked,
 /// MPK-checked, and free of undefined behaviour even under data races
 /// (racing byte-writes land atomically).
+///
+/// Its accessors run the one body of each access in [`MetaView`],
+/// through a transient [unmapped view](Self::unmapped_view).
 pub struct PmemDevice {
     config: DeviceConfig,
     /// Live capacity: starts at [`DeviceConfig::capacity`] and only ever
@@ -123,12 +110,12 @@ pub struct PmemDevice {
     /// [`grow`](Self::grow). Like a file's size under `ftruncate`, a
     /// growth is durable the moment it returns — crashes never revert it.
     capacity: AtomicU64,
-    store: ChunkStore,
+    pub(crate) store: ChunkStore,
     cache: Option<CacheModel>,
     page_keys: PageMap,
     page_nodes: PageMap,
     domain: Arc<MpkDomain>,
-    stats: DeviceStats,
+    pub(crate) stats: DeviceStats,
     crashed: AtomicBool,
     /// Remaining mutation events before an injected crash; negative =
     /// disarmed.
@@ -269,11 +256,6 @@ impl PmemDevice {
         }
     }
 
-    /// The device's configuration.
-    pub fn config(&self) -> &DeviceConfig {
-        &self.config
-    }
-
     /// The MPK domain guarding this device's pages.
     pub fn mpk(&self) -> &Arc<MpkDomain> {
         &self.domain
@@ -299,10 +281,6 @@ impl PmemDevice {
         self.stats.reset();
     }
 
-    pub(crate) fn store_ref(&self) -> &ChunkStore {
-        &self.store
-    }
-
     /// Captures the pre-images of the lines a store to `[offset, offset +
     /// len)` is about to overwrite, voiding their pending flushes (on a
     /// crash-tracked device).
@@ -320,37 +298,34 @@ impl PmemDevice {
         }
     }
 
-    pub(crate) fn stats_ref(&self) -> &DeviceStats {
-        &self.stats
+    #[inline]
+    fn check_range(&self, offset: u64, len: u64) -> Result<(), PmemError> {
+        check_within(offset, len, 0, self.capacity())
     }
 
+    /// Fails with a counted [`PmemError::ProtectionFault`] at `page`
+    /// unless its `key` allows a `kind` access.
     #[inline]
-    pub(crate) fn check_range(&self, offset: u64, len: u64) -> Result<(), PmemError> {
-        let capacity = self.capacity();
-        if offset.checked_add(len).is_none_or(|end| end > capacity) {
-            return Err(PmemError::OutOfBounds { offset, len, capacity });
-        }
-        Ok(())
-    }
-
-    #[inline]
-    pub(crate) fn check_protection(&self, offset: u64, len: u64, kind: AccessKind) -> Result<(), PmemError> {
-        if !self.config.enforce_protection || len == 0 {
-            return Ok(());
-        }
-        let first = offset / PAGE_SIZE;
-        let last = (offset + len - 1) / PAGE_SIZE;
-        for page in first..=last {
-            let key = self.page_keys.get(page);
-            if key != 0 {
-                let pkey = ProtectionKey::from_index(key).expect("stored keys are valid");
-                if !self.domain.access_allowed(pkey, kind) {
-                    self.stats.record_protection_fault();
-                    return Err(PmemError::ProtectionFault { offset: page * PAGE_SIZE, key, kind });
-                }
+    fn check_key(&self, page: u64, key: u8, kind: AccessKind) -> Result<(), PmemError> {
+        if key != 0 {
+            let pkey = ProtectionKey::from_index(key).expect("stored keys are valid");
+            if !self.domain.access_allowed(pkey, kind) {
+                self.stats.add([(counter!(protection_faults), 1)]);
+                return Err(PmemError::ProtectionFault { offset: page * PAGE_SIZE, key, kind });
             }
         }
         Ok(())
+    }
+
+    /// The MPK check of a `kind` access to `[offset, offset + len)`: the
+    /// first page whose key denies it faults.
+    #[inline]
+    pub(crate) fn check_protection(&self, offset: u64, len: u64, kind: AccessKind) -> Result<(), PmemError> {
+        if len == 0 {
+            return Ok(());
+        }
+        (offset / PAGE_SIZE..=(offset + len - 1) / PAGE_SIZE)
+            .try_for_each(|page| self.check_key(page, self.page_keys.get(page), kind))
     }
 
     /// Protection check over a whole region, memoizing ranges that carry
@@ -359,40 +334,24 @@ impl PmemDevice {
     /// the first offending page, exactly like
     /// [`check_protection`](Self::check_protection).
     fn check_protection_region(&self, offset: u64, len: u64, kind: AccessKind) -> Result<(), PmemError> {
-        if !self.config.enforce_protection || len == 0 {
+        if len == 0 {
             return Ok(());
         }
         let memoized =
             { self.prot_memo.lock().unwrap().iter().find(|m| m.0 == offset && m.1 == len).map(|m| m.2) };
         if let Some(key) = memoized {
-            if key == 0 {
-                return Ok(());
-            }
-            let pkey = ProtectionKey::from_index(key).expect("stored keys are valid");
-            if self.domain.access_allowed(pkey, kind) {
-                return Ok(());
-            }
-            self.stats.record_protection_fault();
-            return Err(PmemError::ProtectionFault { offset: (offset / PAGE_SIZE) * PAGE_SIZE, key, kind });
+            return self.check_key(offset / PAGE_SIZE, key, kind);
         }
         let epoch = self.prot_epoch.load(Ordering::Acquire);
-        let first = offset / PAGE_SIZE;
-        let last = (offset + len - 1) / PAGE_SIZE;
-        let mut uniform = Some(self.page_keys.get(first));
+        let (first, last) = (offset / PAGE_SIZE, (offset + len - 1) / PAGE_SIZE);
+        let key = self.page_keys.get(first);
+        let mut uniform = true;
         for page in first..=last {
-            let key = self.page_keys.get(page);
-            if uniform != Some(key) {
-                uniform = None;
-            }
-            if key != 0 {
-                let pkey = ProtectionKey::from_index(key).expect("stored keys are valid");
-                if !self.domain.access_allowed(pkey, kind) {
-                    self.stats.record_protection_fault();
-                    return Err(PmemError::ProtectionFault { offset: page * PAGE_SIZE, key, kind });
-                }
-            }
+            let page_key = self.page_keys.get(page);
+            self.check_key(page, page_key, kind)?;
+            uniform &= page_key == key;
         }
-        if let Some(key) = uniform {
+        if uniform {
             let mut memo = self.prot_memo.lock().unwrap();
             // Only memoize what the scan actually saw: discard the result
             // if the keys changed underneath it.
@@ -441,7 +400,7 @@ impl PmemDevice {
     #[inline]
     pub(crate) fn check_poison(&self, offset: u64, len: u64) -> Result<(), PmemError> {
         if let Some(line) = self.poison.first_hit(offset, len) {
-            self.stats.record_uncorrectable();
+            self.stats.add([(counter!(uncorrectable_errors), 1)]);
             return Err(PmemError::Uncorrectable { offset: line });
         }
         Ok(())
@@ -454,7 +413,6 @@ impl PmemDevice {
     #[inline]
     pub(crate) fn poison_event(&self, offset: u64, len: u64) {
         if len == 0
-            || !self.config.media_faults
             || self.poison_countdown.load(Ordering::Relaxed) < 0
             || self.poison_countdown.fetch_sub(1, Ordering::Relaxed) != 0
         {
@@ -463,157 +421,67 @@ impl PmemDevice {
         let first = offset / CACHE_LINE_SIZE;
         let line = first + splitmix64(self.poison_seed.load(Ordering::Relaxed)) % Self::lines(offset, len);
         let added = self.poison.add(line * CACHE_LINE_SIZE, CACHE_LINE_SIZE);
-        self.stats.record_poisoned(added);
+        self.stats.add([(counter!(lines_poisoned), added)]);
     }
 
-    /// Reads `buf.len()` bytes at `offset`.
-    ///
-    /// # Errors
-    ///
-    /// [`PmemError::OutOfBounds`], [`PmemError::ProtectionFault`] (reads
-    /// are allowed on a crashed device, as recovery code must inspect it),
-    /// or [`PmemError::Uncorrectable`] if the range touches a poisoned
-    /// line.
+    /// Reads `buf.len()` bytes at `offset`: [`MetaView::read`] on the
+    /// unmapped view, as are the accessors below.
     pub fn read(&self, offset: u64, buf: &mut [u8]) -> Result<(), PmemError> {
-        self.stats.record_validation();
-        self.check_range(offset, buf.len() as u64)?;
-        self.check_protection(offset, buf.len() as u64, AccessKind::Read)?;
-        self.check_poison(offset, buf.len() as u64)?;
-        self.store.read(offset, buf);
-        self.stats.record_read(
-            buf.len() as u64,
-            Self::lines(offset, buf.len() as u64),
-            self.is_remote(offset),
-        );
-        Ok(())
+        self.unmapped_view().read(offset, buf)
     }
 
-    /// Writes `buf` at `offset`. The store lands in the modelled CPU cache;
-    /// call [`persist`](Self::persist) (or `clwb` + `sfence`) to make it
-    /// durable.
-    ///
-    /// # Errors
-    ///
-    /// [`PmemError::OutOfBounds`], [`PmemError::ProtectionFault`], or
-    /// [`PmemError::Crashed`].
+    /// Writes `buf` at `offset` ([`MetaView::write`]): the store lands in
+    /// the modelled CPU cache until [`persist`](Self::persist)ed.
     pub fn write(&self, offset: u64, buf: &[u8]) -> Result<(), PmemError> {
-        self.stats.record_validation();
-        self.check_range(offset, buf.len() as u64)?;
-        self.check_protection(offset, buf.len() as u64, AccessKind::Write)?;
-        self.mutation_event()?;
-        if buf.is_empty() {
-            return Ok(());
-        }
-        self.before_store(offset, buf.len() as u64);
-        self.store.write(offset, buf);
-        self.poison_event(offset, buf.len() as u64);
-        self.stats.record_write(
-            buf.len() as u64,
-            Self::lines(offset, buf.len() as u64),
-            self.is_remote(offset),
-        );
-        Ok(())
+        self.unmapped_view().write(offset, buf)
     }
 
-    /// Reads a [`Pod`] value at `offset`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`read`](Self::read).
+    /// Reads a [`Pod`] value at `offset` ([`MetaView::read_pod`]).
     pub fn read_pod<T: Pod>(&self, offset: u64) -> Result<T, PmemError> {
-        let mut value = T::zeroed();
-        self.read(offset, value.as_bytes_mut())?;
-        Ok(value)
+        self.unmapped_view().read_pod(offset)
     }
 
-    /// Writes a [`Pod`] value at `offset`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`write`](Self::write).
+    /// Writes a [`Pod`] value at `offset` ([`MetaView::write_pod`]).
     pub fn write_pod<T: Pod>(&self, offset: u64, value: &T) -> Result<(), PmemError> {
-        self.write(offset, value.as_bytes())
+        self.unmapped_view().write_pod(offset, value)
     }
 
     /// Atomically ORs `mask` into the 8-byte-aligned u64 at `offset`,
-    /// returning the previous value — the simulated equivalent of a
-    /// `lock or` on persistent memory. Subject to the same protection and
-    /// crash-tracking rules as [`write`](Self::write).
-    ///
-    /// # Errors
-    ///
-    /// [`PmemError::Misaligned`], plus everything [`write`](Self::write)
-    /// can return.
+    /// returning the previous value — the simulated `lock or`: a
+    /// [`write`](Self::write) that loads its line first, so poison faults
+    /// it, and [`PmemError::Misaligned`] off an 8-byte boundary.
     pub fn fetch_or_u64(&self, offset: u64, mask: u64) -> Result<u64, PmemError> {
-        self.fetch_update_u64(offset, |w| w | mask)
+        self.unmapped_view().fetch_update_u64(offset, |w| w | mask)
     }
 
     /// Atomically ANDs `mask` into the 8-byte-aligned u64 at `offset`,
-    /// returning the previous value.
-    ///
-    /// # Errors
-    ///
-    /// As for [`fetch_or_u64`](Self::fetch_or_u64).
+    /// returning the previous value; checked as
+    /// [`fetch_or_u64`](Self::fetch_or_u64).
     pub fn fetch_and_u64(&self, offset: u64, mask: u64) -> Result<u64, PmemError> {
-        self.fetch_update_u64(offset, |w| w & mask)
+        self.unmapped_view().fetch_update_u64(offset, |w| w & mask)
     }
 
-    fn fetch_update_u64(&self, offset: u64, f: impl Fn(u64) -> u64) -> Result<u64, PmemError> {
-        self.stats.record_validation();
-        if !offset.is_multiple_of(8) {
-            return Err(PmemError::Misaligned { value: offset, required: 8 });
-        }
-        self.check_range(offset, 8)?;
-        self.check_protection(offset, 8, AccessKind::Write)?;
-        // A read-modify-write loads the line first, so poison faults it.
-        self.check_poison(offset, 8)?;
-        self.mutation_event()?;
-        self.before_store(offset, 8);
-        let previous = self.store.fetch_update_u64(offset, f);
-        self.poison_event(offset, 8);
-        self.stats.record_write(8, 1, self.is_remote(offset));
-        Ok(previous)
-    }
-
-    /// Flushes the cache lines covering `[offset, offset + len)` (`clwb`).
-    /// Not durable until the calling thread's next [`sfence`](Self::sfence).
-    ///
-    /// # Errors
-    ///
-    /// [`PmemError::OutOfBounds`], [`PmemError::Crashed`], or
-    /// [`PmemError::Uncorrectable`] — writing back to a failed line is how
-    /// the DIMM reports poison on the store path.
+    /// Flushes the lines covering `[offset, offset + len)` (`clwb`,
+    /// [`MetaView::clwb`]).
     pub fn clwb(&self, offset: u64, len: u64) -> Result<(), PmemError> {
-        self.stats.record_validation();
-        self.check_range(offset, len)?;
-        self.check_poison(offset, len)?;
-        self.mutation_event()?;
-        self.with_fence_domain(|domain| {
-            if let Some(domain) = domain {
-                domain.clwb(offset, len);
-            }
-        });
-        self.stats.record_clwb(Self::lines(offset, len));
-        Ok(())
+        self.unmapped_view().clwb(offset, len)
     }
 
-    /// Commits the flushes the calling thread issued since its last fence
-    /// (`sfence`); those lines are durable afterwards. Lines other threads
-    /// flushed stay pending until one of *their* fences, as on hardware,
-    /// where flushes are ordered per thread.
-    ///
-    /// # Errors
-    ///
-    /// [`PmemError::Crashed`].
+    /// Commits the calling thread's flushes (`sfence`,
+    /// [`MetaView::sfence`]).
     pub fn sfence(&self) -> Result<(), PmemError> {
-        self.mutation_event()?;
-        self.with_fence_domain(|domain| {
-            if let Some(domain) = domain {
-                domain.sfence();
-            }
-        });
-        self.stats.record_sfence();
-        Ok(())
+        self.unmapped_view().sfence()
+    }
+
+    /// `clwb` + `sfence` on the calling thread ([`MetaView::persist`]).
+    pub fn persist(&self, offset: u64, len: u64) -> Result<(), PmemError> {
+        self.unmapped_view().persist(offset, len)
+    }
+
+    /// Issues one `clwb` per line noted in `batch`
+    /// ([`MetaView::flush_batch`]).
+    pub fn flush_batch(&self, batch: &FlushBatch) -> Result<(), PmemError> {
+        self.unmapped_view().flush_batch(batch)
     }
 
     /// Runs `f` on the calling thread's fence domain, or on `None` when
@@ -626,59 +494,21 @@ impl PmemDevice {
         }
     }
 
-    /// `clwb` + `sfence` on the calling thread: makes `[offset, offset +
-    /// len)` durable, along with every other line the thread flushed
-    /// since its last fence.
-    ///
-    /// # Errors
-    ///
-    /// As for [`clwb`](Self::clwb) and [`sfence`](Self::sfence).
-    pub fn persist(&self, offset: u64, len: u64) -> Result<(), PmemError> {
-        self.clwb(offset, len)?;
-        self.sfence()
-    }
-
-    /// Issues one `clwb` per line noted in `batch` (see
-    /// [`FlushBatch`]): the write-combining flush path. The whole batch
-    /// costs a single validation; each line still consults the poison
-    /// set and counts one mutation event against an armed crash, so
-    /// crash injection can land between any two flushes. The batch is
-    /// left untouched — callers [`clear`](FlushBatch::clear) it after
-    /// the ordering [`sfence`](Self::sfence).
-    ///
-    /// # Errors
-    ///
-    /// [`PmemError::OutOfBounds`], [`PmemError::Crashed`], or
-    /// [`PmemError::Uncorrectable`] if a noted line is poisoned.
-    pub fn flush_batch(&self, batch: &FlushBatch) -> Result<(), PmemError> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        self.stats.record_validation();
-        self.with_fence_domain(|mut domain| {
-            batch.lines().iter().try_for_each(|&line| -> Result<(), PmemError> {
-                let offset = line * CACHE_LINE_SIZE;
-                let len = CACHE_LINE_SIZE.min(self.capacity().saturating_sub(offset));
-                self.check_range(offset, len.max(1))?;
-                self.check_poison(offset, len)?;
-                self.mutation_event()?;
-                if let Some(domain) = &mut domain {
-                    domain.clwb(offset, len);
-                }
-                Ok(())
-            })
-        })?;
-        self.stats.record_clwb(batch.line_count() as u64);
-        Ok(())
-    }
-
     /// Instrumentation hook for log writers layered on this device:
     /// records that one log entry covering `words` 8-byte words was
     /// appended. Feeds the `undo_entries`/`undo_words` counters of
     /// [`stats`](Self::stats), which benchmarks use to model the
     /// per-word and per-entry persistence baselines.
     pub fn record_undo_append(&self, words: u64) {
-        self.stats.record_undo_append(words);
+        self.stats.add([(counter!(undo_entries), 1), (counter!(undo_words), words)]);
+    }
+
+    /// The unmapped view of the whole device, which checks every access in
+    /// full (see [`MetaView`]). It maps nothing, so unlike
+    /// [`map_meta`](Self::map_meta) it runs past a poisoned line a map
+    /// would refuse, and fails only the accesses that touch it.
+    pub fn unmapped_view(&self) -> MetaView<'_> {
+        MetaView::unmapped(self)
     }
 
     /// Opens a checked session over `[offset, offset + len)`: bounds,
@@ -702,12 +532,12 @@ impl PmemDevice {
     /// poisoned (callers quarantine such regions instead of operating on
     /// them).
     pub fn map_meta(&self, offset: u64, len: u64, kind: AccessKind) -> Result<MetaView<'_>, PmemError> {
-        self.stats.record_validation();
+        self.stats.add([(counter!(validations), 1)]);
         self.check_range(offset, len)?;
         self.check_protection_region(offset, len, kind)?;
         self.check_poison(offset, len)?;
-        self.stats.record_meta_map();
-        Ok(MetaView::new(self, offset, len, kind))
+        self.stats.add([(counter!(meta_maps), 1)]);
+        Ok(MetaView::mapped(self, offset, len, kind))
     }
 
     /// Number of cache lines with stores that are not yet durable
@@ -782,7 +612,7 @@ impl PmemDevice {
     /// [`PmemError::OutOfBounds`], [`PmemError::ProtectionFault`] (punching
     /// is a write), or [`PmemError::Crashed`].
     pub fn punch_hole(&self, offset: u64, len: u64) -> Result<u64, PmemError> {
-        self.stats.record_validation();
+        self.stats.add([(counter!(validations), 1)]);
         self.check_range(offset, len)?;
         self.check_protection(offset, len, AccessKind::Write)?;
         self.mutation_event()?;
@@ -801,19 +631,15 @@ impl PmemDevice {
     /// Marks every cache line covering `[offset, offset + len)` as
     /// uncorrectable: subsequent reads, read-modify-writes and `clwb`s of
     /// those lines fail with [`PmemError::Uncorrectable`] until the poison
-    /// is cleared. Returns the number of newly poisoned lines. Inert (and
-    /// `Ok(0)`) when [`DeviceConfig::media_faults`] is disabled.
+    /// is cleared. Returns the number of newly poisoned lines.
     ///
     /// # Errors
     ///
     /// [`PmemError::OutOfBounds`].
     pub fn poison(&self, offset: u64, len: u64) -> Result<u64, PmemError> {
         self.check_range(offset, len)?;
-        if !self.config.media_faults {
-            return Ok(0);
-        }
         let added = self.poison.add(offset, len);
-        self.stats.record_poisoned(added);
+        self.stats.add([(counter!(lines_poisoned), added)]);
         Ok(added)
     }
 
@@ -862,8 +688,7 @@ impl PmemDevice {
     /// that store — chosen deterministically from `seed` — turns
     /// uncorrectable. `events = 0` poisons the next store. The store
     /// itself succeeds; the fault surfaces on the next read or flush of
-    /// the line, modelling silent media degradation. Inert when
-    /// [`DeviceConfig::media_faults`] is disabled.
+    /// the line, modelling silent media degradation.
     pub fn arm_poison_after(&self, events: u64, seed: u64) {
         self.poison_seed.store(seed, Ordering::Relaxed);
         self.poison_countdown.store(events.min(i64::MAX as u64) as i64, Ordering::Relaxed);
@@ -1012,9 +837,7 @@ impl PmemDevice {
                 if !in_range {
                     return Err(PmemError::BadSnapshot("poisoned line out of range"));
                 }
-                if device.config.media_faults {
-                    device.poison.add(line * CACHE_LINE_SIZE, CACHE_LINE_SIZE);
-                }
+                device.poison.add(line * CACHE_LINE_SIZE, CACHE_LINE_SIZE);
             }
         }
         Ok(device)
@@ -1321,16 +1144,6 @@ mod tests {
         dev2.write(64, &[1; 64]).unwrap();
         dev2.write(128, &[1; 192]).unwrap();
         assert_eq!(dev2.scrub(), dev.scrub());
-    }
-
-    #[test]
-    fn media_faults_knob_disables_poisoning() {
-        let dev = PmemDevice::new(DeviceConfig::small_test().with_media_faults(false));
-        assert_eq!(dev.poison(0, 4096).unwrap(), 0);
-        dev.arm_poison_after(0, 7);
-        dev.write(0, &[1; 64]).unwrap();
-        assert_eq!(dev.poisoned_lines(), 0);
-        assert!(dev.read(0, &mut [0; 64]).is_ok());
     }
 
     #[test]

@@ -20,10 +20,14 @@
 //!   [`mpk::ProtectionKey`]; loads and stores consult the executing
 //!   thread's simulated `PKRU` and fail with
 //!   [`PmemError::ProtectionFault`] instead of SIGSEGV.
-//! * **NUMA and cost accounting** — pages have a home NUMA node, threads
-//!   have a current CPU ([`numa::set_current_cpu`]), and the device counts
-//!   local/remote traffic plus flushes and fences, priced by a DCPMM
-//!   [`CostModel`].
+//! * **NUMA and traffic accounting** — pages have a home NUMA node,
+//!   threads have a current CPU ([`numa::set_current_cpu`]), and the
+//!   device counts local/remote traffic plus flushes and fences
+//!   ([`StatsSnapshot`]).
+//! * **One access path** — every access runs one body in [`MetaView`]:
+//!   the device's accessors through an unmapped view that checks each
+//!   access in full, sessions through a [mapped](PmemDevice::map_meta)
+//!   view validated once.
 //! * **Sparse capacity and hole punching** — backing memory materialises on
 //!   first write and can be returned with [`PmemDevice::punch_hole`]
 //!   (the `fallocate` analogue Poseidon uses to shrink unused metadata).
@@ -76,7 +80,6 @@
 mod batch;
 mod cache;
 pub mod contention;
-mod cost;
 mod device;
 mod error;
 pub mod numa;
@@ -90,13 +93,12 @@ mod view;
 pub use batch::FlushBatch;
 pub use cache::{CrashMode, LineHasher, CACHE_LINE_SIZE};
 pub use contention::{CacheStats, LockProfile, TrackedMutex};
-pub use cost::CostModel;
 pub use device::{DeviceConfig, PmemDevice, PAGE_SIZE};
 pub use error::PmemError;
 pub use mpk::AccessKind;
 pub use numa::NumaTopology;
 pub use pod::Pod;
 pub use poison::PoisonRange;
-pub use stats::{DeviceStats, StatsSnapshot};
+pub use stats::StatsSnapshot;
 pub use store::CHUNK_SIZE;
 pub use view::MetaView;

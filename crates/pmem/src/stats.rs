@@ -1,62 +1,42 @@
 //! Striped traffic counters.
 //!
-//! Counters are updated on every device access, so a single set of shared
-//! atomics would itself become a scalability bottleneck and distort the
-//! very experiments this workspace exists to run. Counts are therefore
-//! striped over cache-line-padded slots indexed by a per-thread stripe id,
-//! and summed on [`DeviceStats::snapshot`].
+//! The counters are declared once, as the fields of [`StatsSnapshot`],
+//! and addressed by field: `counter!(read_ops)` is the index of
+//! `read_ops` among them. Counters are updated on every device access,
+//! so a single set of shared atomics would itself become a scalability
+//! bottleneck and distort the very experiments this workspace exists to
+//! run. Counts are therefore striped over cache-line-padded rows of one
+//! atomic per counter, indexed by a per-thread stripe id, and summed on
+//! [`DeviceStats::snapshot`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use platform::sync::CachePadded;
 
-use crate::cost::CostModel;
+use crate::pod::Pod;
 
 const STRIPES: usize = 64;
 
-#[derive(Debug, Default)]
-struct Stripe {
-    read_ops: AtomicU64,
-    write_ops: AtomicU64,
-    bytes_read: AtomicU64,
-    bytes_written: AtomicU64,
-    read_lines_local: AtomicU64,
-    read_lines_remote: AtomicU64,
-    write_lines_local: AtomicU64,
-    write_lines_remote: AtomicU64,
-    clwb_count: AtomicU64,
-    sfence_count: AtomicU64,
-    protection_faults: AtomicU64,
-    uncorrectable_errors: AtomicU64,
-    lines_poisoned: AtomicU64,
-    validations: AtomicU64,
-    meta_maps: AtomicU64,
-    undo_entries: AtomicU64,
-    undo_words: AtomicU64,
-}
+/// Number of counters: the `u64` fields of [`StatsSnapshot`].
+const COUNTERS: usize = std::mem::size_of::<StatsSnapshot>() / 8;
 
-/// Traffic accumulated locally by a [`MetaView`](crate::MetaView) and
-/// flushed into the striped counters in one bulk update when the view
-/// drops. Byte/line accounting is identical to per-call recording; only
-/// the number of shared-counter updates shrinks.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct ViewDeltas {
-    pub read_ops: u64,
-    pub write_ops: u64,
-    pub bytes_read: u64,
-    pub bytes_written: u64,
-    pub read_lines_local: u64,
-    pub read_lines_remote: u64,
-    pub write_lines_local: u64,
-    pub write_lines_remote: u64,
-    pub clwb_count: u64,
-    pub sfence_count: u64,
+/// The index of [`StatsSnapshot`] field `$field` among the counters.
+macro_rules! counter {
+    ($field:ident) => {
+        std::mem::offset_of!($crate::StatsSnapshot, $field) / 8
+    };
 }
+pub(crate) use counter;
+
+/// The counters a device access counts: the leading fields of
+/// [`StatsSnapshot`], `read_ops` through `sfence_count`. A mapped
+/// [`MetaView`](crate::MetaView) keeps these in plain cells.
+pub(crate) const TRAFFIC: usize = counter!(sfence_count) + 1;
 
 /// Concurrent device counters; cheap to update from many threads.
 #[derive(Debug)]
-pub struct DeviceStats {
-    stripes: Box<[CachePadded<Stripe>]>,
+pub(crate) struct DeviceStats {
+    stripes: Box<[CachePadded<[AtomicU64; COUNTERS]>]>,
 }
 
 thread_local! {
@@ -68,204 +48,101 @@ thread_local! {
     };
 }
 
-macro_rules! bump {
-    ($self:ident, $field:ident, $by:expr) => {
-        STRIPE_ID.with(|&id| $self.stripes[id].$field.fetch_add($by, Ordering::Relaxed))
-    };
-}
-
 impl DeviceStats {
     pub(crate) fn new() -> DeviceStats {
-        DeviceStats { stripes: (0..STRIPES).map(|_| CachePadded::new(Stripe::default())).collect() }
+        DeviceStats { stripes: (0..STRIPES).map(|_| CachePadded::new(Default::default())).collect() }
     }
 
-    pub(crate) fn record_read(&self, bytes: u64, lines: u64, remote: bool) {
-        bump!(self, read_ops, 1);
-        bump!(self, bytes_read, bytes);
-        if remote {
-            bump!(self, read_lines_remote, lines);
-        } else {
-            bump!(self, read_lines_local, lines);
-        }
-    }
-
-    pub(crate) fn record_write(&self, bytes: u64, lines: u64, remote: bool) {
-        bump!(self, write_ops, 1);
-        bump!(self, bytes_written, bytes);
-        if remote {
-            bump!(self, write_lines_remote, lines);
-        } else {
-            bump!(self, write_lines_local, lines);
-        }
-    }
-
-    pub(crate) fn record_clwb(&self, lines: u64) {
-        bump!(self, clwb_count, lines);
-    }
-
-    pub(crate) fn record_sfence(&self) {
-        bump!(self, sfence_count, 1);
-    }
-
-    pub(crate) fn record_protection_fault(&self) {
-        bump!(self, protection_faults, 1);
-    }
-
-    pub(crate) fn record_uncorrectable(&self) {
-        bump!(self, uncorrectable_errors, 1);
-    }
-
-    pub(crate) fn record_poisoned(&self, lines: u64) {
-        bump!(self, lines_poisoned, lines);
-    }
-
-    pub(crate) fn record_validation(&self) {
-        bump!(self, validations, 1);
-    }
-
-    pub(crate) fn record_meta_map(&self) {
-        bump!(self, meta_maps, 1);
-    }
-
-    pub(crate) fn record_undo_append(&self, words: u64) {
-        bump!(self, undo_entries, 1);
-        bump!(self, undo_words, words);
-    }
-
-    pub(crate) fn record_view_deltas(&self, d: &ViewDeltas) {
-        if *d == ViewDeltas::default() {
-            return;
-        }
+    /// Adds each `(counter, by)` to the calling thread's stripe.
+    #[inline]
+    pub(crate) fn add(&self, counts: impl IntoIterator<Item = (usize, u64)>) {
         STRIPE_ID.with(|&id| {
             let stripe = &self.stripes[id];
-            stripe.read_ops.fetch_add(d.read_ops, Ordering::Relaxed);
-            stripe.write_ops.fetch_add(d.write_ops, Ordering::Relaxed);
-            stripe.bytes_read.fetch_add(d.bytes_read, Ordering::Relaxed);
-            stripe.bytes_written.fetch_add(d.bytes_written, Ordering::Relaxed);
-            stripe.read_lines_local.fetch_add(d.read_lines_local, Ordering::Relaxed);
-            stripe.read_lines_remote.fetch_add(d.read_lines_remote, Ordering::Relaxed);
-            stripe.write_lines_local.fetch_add(d.write_lines_local, Ordering::Relaxed);
-            stripe.write_lines_remote.fetch_add(d.write_lines_remote, Ordering::Relaxed);
-            stripe.clwb_count.fetch_add(d.clwb_count, Ordering::Relaxed);
-            stripe.sfence_count.fetch_add(d.sfence_count, Ordering::Relaxed);
+            for (counter, by) in counts {
+                if by != 0 {
+                    stripe[counter].fetch_add(by, Ordering::Relaxed);
+                }
+            }
         });
     }
 
     /// Sums all stripes into a consistent-enough snapshot (individual
     /// counters are relaxed; totals may be skewed by in-flight updates).
-    pub fn snapshot(&self) -> StatsSnapshot {
-        let mut s = StatsSnapshot::default();
+    pub(crate) fn snapshot(&self) -> StatsSnapshot {
+        let mut sum = [0u64; COUNTERS];
         for stripe in self.stripes.iter() {
-            s.read_ops += stripe.read_ops.load(Ordering::Relaxed);
-            s.write_ops += stripe.write_ops.load(Ordering::Relaxed);
-            s.bytes_read += stripe.bytes_read.load(Ordering::Relaxed);
-            s.bytes_written += stripe.bytes_written.load(Ordering::Relaxed);
-            s.read_lines_local += stripe.read_lines_local.load(Ordering::Relaxed);
-            s.read_lines_remote += stripe.read_lines_remote.load(Ordering::Relaxed);
-            s.write_lines_local += stripe.write_lines_local.load(Ordering::Relaxed);
-            s.write_lines_remote += stripe.write_lines_remote.load(Ordering::Relaxed);
-            s.clwb_count += stripe.clwb_count.load(Ordering::Relaxed);
-            s.sfence_count += stripe.sfence_count.load(Ordering::Relaxed);
-            s.protection_faults += stripe.protection_faults.load(Ordering::Relaxed);
-            s.uncorrectable_errors += stripe.uncorrectable_errors.load(Ordering::Relaxed);
-            s.lines_poisoned += stripe.lines_poisoned.load(Ordering::Relaxed);
-            s.validations += stripe.validations.load(Ordering::Relaxed);
-            s.meta_maps += stripe.meta_maps.load(Ordering::Relaxed);
-            s.undo_entries += stripe.undo_entries.load(Ordering::Relaxed);
-            s.undo_words += stripe.undo_words.load(Ordering::Relaxed);
+            for (total, count) in sum.iter_mut().zip(stripe.iter()) {
+                *total += count.load(Ordering::Relaxed);
+            }
         }
-        s
+        StatsSnapshot::from_bytes(sum.as_bytes())
     }
 
     /// Resets every counter to zero.
-    pub fn reset(&self) {
-        for stripe in self.stripes.iter() {
-            stripe.read_ops.store(0, Ordering::Relaxed);
-            stripe.write_ops.store(0, Ordering::Relaxed);
-            stripe.bytes_read.store(0, Ordering::Relaxed);
-            stripe.bytes_written.store(0, Ordering::Relaxed);
-            stripe.read_lines_local.store(0, Ordering::Relaxed);
-            stripe.read_lines_remote.store(0, Ordering::Relaxed);
-            stripe.write_lines_local.store(0, Ordering::Relaxed);
-            stripe.write_lines_remote.store(0, Ordering::Relaxed);
-            stripe.clwb_count.store(0, Ordering::Relaxed);
-            stripe.sfence_count.store(0, Ordering::Relaxed);
-            stripe.protection_faults.store(0, Ordering::Relaxed);
-            stripe.uncorrectable_errors.store(0, Ordering::Relaxed);
-            stripe.lines_poisoned.store(0, Ordering::Relaxed);
-            stripe.validations.store(0, Ordering::Relaxed);
-            stripe.meta_maps.store(0, Ordering::Relaxed);
-            stripe.undo_entries.store(0, Ordering::Relaxed);
-            stripe.undo_words.store(0, Ordering::Relaxed);
+    pub(crate) fn reset(&self) {
+        for count in self.stripes.iter().flat_map(|stripe| stripe.iter()) {
+            count.store(0, Ordering::Relaxed);
         }
     }
 }
 
-/// A point-in-time summary of device traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StatsSnapshot {
-    /// Number of read calls.
-    pub read_ops: u64,
-    /// Number of write calls.
-    pub write_ops: u64,
-    /// Total bytes read.
-    pub bytes_read: u64,
-    /// Total bytes written.
-    pub bytes_written: u64,
-    /// 64 B lines read from the issuing CPU's own NUMA node.
-    pub read_lines_local: u64,
-    /// 64 B lines read across the socket interconnect.
-    pub read_lines_remote: u64,
-    /// 64 B lines written to the issuing CPU's own NUMA node.
-    pub write_lines_local: u64,
-    /// 64 B lines written across the socket interconnect.
-    pub write_lines_remote: u64,
-    /// `clwb` line-flushes issued.
-    pub clwb_count: u64,
-    /// `sfence` barriers issued.
-    pub sfence_count: u64,
-    /// Accesses denied by MPK.
-    pub protection_faults: u64,
-    /// Accesses that failed on a poisoned line (uncorrectable media
-    /// errors surfaced to callers).
-    pub uncorrectable_errors: u64,
-    /// Lines that turned uncorrectable (via injection or
-    /// [`poison`](crate::PmemDevice::poison)).
-    pub lines_poisoned: u64,
-    /// Full access-validation sequences (bounds + protection + poison)
-    /// executed on the data path: one per plain device read/write/RMW/
-    /// flush/punch call and one per [`map_meta`](crate::PmemDevice::map_meta).
-    /// Accesses through an open [`MetaView`](crate::MetaView) add none —
-    /// the point of the session layer is that this counter scales with
-    /// *operations*, not metadata words.
-    pub validations: u64,
-    /// Metadata views handed out by
-    /// [`map_meta`](crate::PmemDevice::map_meta).
-    pub meta_maps: u64,
-    /// Undo-log entries appended (one per
-    /// [`record_undo_append`](crate::PmemDevice::record_undo_append)).
-    /// Together with [`undo_words`](Self::undo_words) this lets
-    /// benchmarks model what eager per-entry or per-word persistence
-    /// *would* have cost next to the measured `sfence_count`.
-    pub undo_entries: u64,
-    /// Total 8-byte words covered by the appended undo-log entries.
-    pub undo_words: u64,
+crate::pod_struct! {
+    /// A point-in-time summary of device traffic. Its fields are the
+    /// declaration of the device's counters: each is a `u64`, and the
+    /// traffic an access counts comes first.
+    pub struct StatsSnapshot {
+        /// Number of read calls.
+        pub read_ops: u64,
+        /// Number of write calls.
+        pub write_ops: u64,
+        /// Total bytes read.
+        pub bytes_read: u64,
+        /// Total bytes written.
+        pub bytes_written: u64,
+        /// 64 B lines read from the issuing CPU's own NUMA node.
+        pub read_lines_local: u64,
+        /// 64 B lines read across the socket interconnect.
+        pub read_lines_remote: u64,
+        /// 64 B lines written to the issuing CPU's own NUMA node.
+        pub write_lines_local: u64,
+        /// 64 B lines written across the socket interconnect.
+        pub write_lines_remote: u64,
+        /// `clwb` line-flushes issued.
+        pub clwb_count: u64,
+        /// `sfence` barriers issued.
+        pub sfence_count: u64,
+        /// Accesses denied by MPK.
+        pub protection_faults: u64,
+        /// Accesses that failed on a poisoned line (uncorrectable media
+        /// errors surfaced to callers).
+        pub uncorrectable_errors: u64,
+        /// Lines that turned uncorrectable (via injection or
+        /// [`poison`](crate::PmemDevice::poison)).
+        pub lines_poisoned: u64,
+        /// Full access-validation sequences (bounds + protection + poison)
+        /// executed on the data path: one per read/write/RMW/flush call
+        /// through the device or its [unmapped
+        /// view](crate::PmemDevice::unmapped_view), one per punch and one per
+        /// [`map_meta`](crate::PmemDevice::map_meta). Accesses through a
+        /// mapped [`MetaView`](crate::MetaView) add none — the point of the
+        /// session layer is that this counter scales with *operations*, not
+        /// metadata words.
+        pub validations: u64,
+        /// Metadata views handed out by
+        /// [`map_meta`](crate::PmemDevice::map_meta).
+        pub meta_maps: u64,
+        /// Undo-log entries appended (one per
+        /// [`record_undo_append`](crate::PmemDevice::record_undo_append)).
+        /// Together with [`undo_words`](Self::undo_words) this lets
+        /// benchmarks model what eager per-entry or per-word persistence
+        /// *would* have cost next to the measured `sfence_count`.
+        pub undo_entries: u64,
+        /// Total 8-byte words covered by the appended undo-log entries.
+        pub undo_words: u64,
+    }
 }
 
 impl StatsSnapshot {
-    /// Prices this traffic with `model`, returning simulated media
-    /// nanoseconds.
-    pub fn media_time_ns(&self, model: &CostModel) -> u64 {
-        model.media_time_ns(
-            self.read_lines_local,
-            self.read_lines_remote,
-            self.write_lines_local,
-            self.write_lines_remote,
-            self.clwb_count,
-            self.sfence_count,
-        )
-    }
-
     /// Fraction of line traffic that crossed the socket interconnect
     /// (0.0 when there was no traffic).
     pub fn remote_fraction(&self) -> f64 {
@@ -284,31 +161,26 @@ mod tests {
     use super::*;
 
     #[test]
-    fn snapshot_sums_updates() {
+    fn snapshot_sums_updates_into_the_named_fields() {
         let stats = DeviceStats::new();
-        stats.record_read(128, 2, false);
-        stats.record_write(64, 1, true);
-        stats.record_clwb(3);
-        stats.record_sfence();
-        stats.record_protection_fault();
-        stats.record_uncorrectable();
-        stats.record_poisoned(2);
-        let s = stats.snapshot();
-        assert_eq!(s.read_ops, 1);
-        assert_eq!(s.bytes_read, 128);
-        assert_eq!(s.read_lines_local, 2);
-        assert_eq!(s.write_lines_remote, 1);
-        assert_eq!(s.clwb_count, 3);
-        assert_eq!(s.sfence_count, 1);
-        assert_eq!(s.protection_faults, 1);
-        assert_eq!(s.uncorrectable_errors, 1);
-        assert_eq!(s.lines_poisoned, 2);
+        stats.add([(counter!(read_ops), 1), (counter!(bytes_read), 128), (counter!(clwb_count), 3)]);
+        stats.add([(counter!(read_ops), 2), (counter!(protection_faults), 1), (counter!(undo_words), 5)]);
+        let expect = StatsSnapshot {
+            read_ops: 3,
+            bytes_read: 128,
+            clwb_count: 3,
+            protection_faults: 1,
+            undo_words: 5,
+            ..Default::default()
+        };
+        assert_eq!(stats.snapshot(), expect);
+        assert_eq!(COUNTERS, counter!(undo_words) + 1, "every field is one u64 counter");
     }
 
     #[test]
     fn reset_zeroes_everything() {
         let stats = DeviceStats::new();
-        stats.record_read(64, 1, false);
+        stats.add((0..COUNTERS).map(|counter| (counter, 1)));
         stats.reset();
         assert_eq!(stats.snapshot(), StatsSnapshot::default());
     }
@@ -321,7 +193,7 @@ mod tests {
                 let stats = stats.clone();
                 std::thread::spawn(move || {
                     for _ in 0..1000 {
-                        stats.record_write(8, 1, false);
+                        stats.add([(counter!(write_ops), 1)]);
                     }
                 })
             })
@@ -333,9 +205,8 @@ mod tests {
     }
 
     #[test]
-    fn remote_fraction_and_media_time() {
+    fn remote_fraction() {
         let s = StatsSnapshot { read_lines_local: 50, read_lines_remote: 50, ..Default::default() };
         assert!((s.remote_fraction() - 0.5).abs() < 1e-9);
-        assert!(s.media_time_ns(&CostModel::dcpmm()) > 0);
     }
 }

@@ -1,143 +1,176 @@
-//! Checked metadata sessions: validate once, access many times.
+//! The one access path: every read, store, flush and fence of the device
+//! runs through a [`MetaView`].
 //!
-//! Allocator metadata operations touch dozens of words per call (hash
-//! probes, buddy links, undo-log entries), and paying the full validation
-//! sequence — bounds, MPK page walk, poison lookup — plus a striped
-//! stats update *per word* makes metadata traffic the dominant cost of
-//! the hot path. A [`MetaView`], obtained from
-//! [`PmemDevice::map_meta`], hoists that to session granularity: the
-//! range is validated once at map time, and every accessor afterwards
-//! goes straight to the backing chunk words with only a local bounds
-//! check.
+//! A view comes in two modes, and each access has one body for both:
 //!
-//! What is deliberately **not** hoisted, so the fault model stays exact:
+//! * The **unmapped** view ([`PmemDevice::unmapped_view`]) checks every
+//!   access in full: bounds against the device's live capacity, MPK for
+//!   the access kind, and one `validations` count per call (none for an
+//!   `sfence` or an empty flush batch); its traffic goes straight to the
+//!   device counters. The device's own accessors (`PmemDevice::read`,
+//!   `write`, `clwb`, ...) each run through a transient unmapped view.
+//! * A **mapped** view ([`PmemDevice::map_meta`]) hoists that check to
+//!   session granularity. Allocator metadata operations touch dozens of
+//!   words per call (hash probes, buddy links, undo-log entries), and
+//!   paying the full validation sequence — bounds, MPK page walk, poison
+//!   lookup — plus a striped stats update *per word* would make metadata
+//!   traffic the dominant cost of the hot path. The range is validated
+//!   once at map time; every access afterwards checks only that it stays
+//!   inside the range (and MPK only for a store through a view mapped for
+//!   reads), and counts its traffic in plain cells that flush into the
+//!   device counters in one bulk update when the view drops, so snapshots
+//!   taken after an operation see the same totals as the unmapped path.
 //!
-//! * every write still captures dirty-line pre-images into the crash
-//!   model (`simulate_crash` reverts view writes like any other store),
-//!   counts one mutation event against an armed crash countdown, and
-//!   counts one ranged store against an armed poison injection;
-//! * reads and flushes still consult the poison set, because a line can
-//!   turn uncorrectable *during* the session via injection (the check is
-//!   one relaxed atomic load on a healthy device);
+//! What no mode hoists, so the fault model stays exact:
+//!
+//! * every store captures dirty-line pre-images into the crash model
+//!   (`simulate_crash` reverts view writes like any other store), counts
+//!   one mutation event against an armed crash countdown, and counts one
+//!   ranged store against an armed poison injection;
+//! * reads and flushes consult the poison set, because a line can turn
+//!   uncorrectable *during* a session via injection (the check is one
+//!   relaxed atomic load on a healthy device);
 //! * each access finds its chunk in the store itself (one acquire load,
-//!   no lock), so the view caches no chunk pointers; a session may punch
+//!   no lock), so a view caches no chunk pointers; a session may punch
 //!   holes in its own range (hash-level activation and shrink);
 //! * flushes and fences go to the calling thread's fence domain at the
 //!   time of the call, never to one captured at map time, so a view's
 //!   `sfence` commits exactly what its thread flushed.
-//!
-//! Traffic counters (read/write ops, bytes, local/remote lines, flushes,
-//! fences) accumulate in plain cells owned by the view and are flushed
-//! into the striped [`DeviceStats`](crate::DeviceStats) in one bulk
-//! update when the view drops, so snapshots taken after an operation see
-//! byte-for-byte the same totals as the unbatched path.
 
 use std::cell::Cell;
 
 use mpk::AccessKind;
 
-use crate::device::PmemDevice;
+use crate::batch::FlushBatch;
+use crate::cache::{FenceDomain, CACHE_LINE_SIZE};
+use crate::device::{check_within, PmemDevice};
 use crate::error::PmemError;
 use crate::pod::Pod;
-use crate::stats::ViewDeltas;
+use crate::stats::{counter, TRAFFIC};
 
-/// A checked session over one metadata range of a [`PmemDevice`]; see
-/// [the module docs](self) and [`PmemDevice::map_meta`].
+/// A checked access path to a [`PmemDevice`]: the unmapped view of the
+/// whole device, or a session mapped over one metadata range. See [the
+/// module docs](self), [`PmemDevice::unmapped_view`] and
+/// [`PmemDevice::map_meta`].
 ///
-/// Accessors take *absolute device offsets* (the same offsets used with
-/// the plain device API), which must fall inside the mapped range. The
-/// view is intentionally `!Sync`: a session belongs to the single thread
-/// that holds the owning operation's locks.
+/// Accessors take *absolute device offsets*; a mapped view's must fall
+/// inside its range. The view is intentionally `!Sync`: a session belongs
+/// to the single thread that holds the owning operation's locks.
 #[derive(Debug)]
 pub struct MetaView<'d> {
     dev: &'d PmemDevice,
+    /// `None` for the unmapped view.
+    map: Option<Mapping>,
+}
+
+/// What a mapped view holds: the range and access kind
+/// [`PmemDevice::map_meta`] validated, and the traffic counted since.
+#[derive(Debug)]
+struct Mapping {
     base: u64,
     end: u64,
     kind: AccessKind,
-    read_ops: Cell<u64>,
-    write_ops: Cell<u64>,
-    bytes_read: Cell<u64>,
-    bytes_written: Cell<u64>,
-    read_lines_local: Cell<u64>,
-    read_lines_remote: Cell<u64>,
-    write_lines_local: Cell<u64>,
-    write_lines_remote: Cell<u64>,
-    clwb_count: Cell<u64>,
-    sfence_count: Cell<u64>,
+    /// This view's counts of the first [`TRAFFIC`] counters, flushed into
+    /// the device's when the view drops.
+    traffic: [Cell<u64>; TRAFFIC],
 }
 
+/// The counters of one transfer direction: ops, bytes, local lines and
+/// remote lines.
+type Transfer = [usize; 4];
+
+const READS: Transfer =
+    [counter!(read_ops), counter!(bytes_read), counter!(read_lines_local), counter!(read_lines_remote)];
+const WRITES: Transfer =
+    [counter!(write_ops), counter!(bytes_written), counter!(write_lines_local), counter!(write_lines_remote)];
+
 impl<'d> MetaView<'d> {
-    pub(crate) fn new(dev: &'d PmemDevice, base: u64, len: u64, kind: AccessKind) -> MetaView<'d> {
-        MetaView {
-            dev,
-            base,
-            end: base + len,
-            kind,
-            read_ops: Cell::new(0),
-            write_ops: Cell::new(0),
-            bytes_read: Cell::new(0),
-            bytes_written: Cell::new(0),
-            read_lines_local: Cell::new(0),
-            read_lines_remote: Cell::new(0),
-            write_lines_local: Cell::new(0),
-            write_lines_remote: Cell::new(0),
-            clwb_count: Cell::new(0),
-            sfence_count: Cell::new(0),
-        }
+    pub(crate) fn unmapped(dev: &'d PmemDevice) -> MetaView<'d> {
+        MetaView { dev, map: None }
     }
 
-    /// The device this view maps.
+    pub(crate) fn mapped(dev: &'d PmemDevice, base: u64, len: u64, kind: AccessKind) -> MetaView<'d> {
+        MetaView { dev, map: Some(Mapping { base, end: base + len, kind, traffic: Default::default() }) }
+    }
+
+    /// The device this view accesses.
     pub fn device(&self) -> &'d PmemDevice {
         self.dev
     }
 
-    /// First device offset covered by the view.
-    pub fn base(&self) -> u64 {
-        self.base
-    }
-
-    /// One past the last device offset covered by the view.
-    pub fn end(&self) -> u64 {
-        self.end
-    }
-
-    /// The access kind validated at map time.
-    pub fn kind(&self) -> AccessKind {
-        self.kind
-    }
-
+    /// Counts one full validation: every call through the unmapped view
+    /// pays one, a mapped view paid its one at map time.
     #[inline]
-    fn check_local(&self, offset: u64, len: u64) -> Result<(), PmemError> {
-        if offset < self.base || offset.checked_add(len).is_none_or(|e| e > self.end) {
-            return Err(PmemError::OutOfBounds { offset, len, capacity: self.end });
+    fn validate(&self) {
+        if self.map.is_none() {
+            self.dev.stats.add([(counter!(validations), 1)]);
         }
-        Ok(())
     }
 
-    /// Reads `buf.len()` bytes at absolute device offset `offset`.
+    /// Fails unless `[offset, offset + len)` lies inside the mapped range,
+    /// or inside the device's live capacity for the unmapped view.
+    #[inline]
+    fn check_range(&self, offset: u64, len: u64) -> Result<(), PmemError> {
+        match &self.map {
+            Some(map) => check_within(offset, len, map.base, map.end),
+            None => check_within(offset, len, 0, self.dev.capacity()),
+        }
+    }
+
+    /// The MPK check for a `kind` access, unless the map-time check
+    /// already covered it: a view mapped for writes covers every access,
+    /// one mapped for reads covers reads.
+    #[inline]
+    fn check_protection(&self, offset: u64, len: u64, kind: AccessKind) -> Result<(), PmemError> {
+        match &self.map {
+            Some(map) if map.kind == AccessKind::Write || kind == AccessKind::Read => Ok(()),
+            _ => self.dev.check_protection(offset, len, kind),
+        }
+    }
+
+    /// Adds traffic counts: into a mapped view's cells, or straight into
+    /// the device counters for the unmapped view.
+    #[inline]
+    fn count<const N: usize>(&self, counts: [(usize, u64); N]) {
+        match &self.map {
+            Some(map) => {
+                for &(counter, by) in &counts {
+                    let cell = &map.traffic[counter];
+                    cell.set(cell.get() + by);
+                }
+            }
+            None => self.dev.stats.add(counts),
+        }
+    }
+
+    /// Counts one transfer of `len` bytes at `offset`.
+    #[inline]
+    fn count_transfer(&self, [ops, bytes, local, remote]: Transfer, offset: u64, len: u64) {
+        let lines = if self.dev.is_remote(offset) { remote } else { local };
+        self.count([(ops, 1), (bytes, len), (lines, PmemDevice::lines(offset, len))]);
+    }
+
+    /// Reads `buf.len()` bytes at `offset`. Reads work on a crashed
+    /// device, as recovery code must inspect it.
     ///
     /// # Errors
     ///
-    /// [`PmemError::OutOfBounds`] if the range leaves the view, or
-    /// [`PmemError::Uncorrectable`] if a covered line turned poisoned
-    /// since the map.
+    /// [`PmemError::OutOfBounds`] if the range leaves the view,
+    /// [`PmemError::ProtectionFault`] (the unmapped view only), or
+    /// [`PmemError::Uncorrectable`] if the range touches a poisoned line.
+    #[inline]
     pub fn read(&self, offset: u64, buf: &mut [u8]) -> Result<(), PmemError> {
         let len = buf.len() as u64;
-        self.check_local(offset, len)?;
+        self.validate();
+        self.check_range(offset, len)?;
+        self.check_protection(offset, len, AccessKind::Read)?;
         self.dev.check_poison(offset, len)?;
-        self.dev.store_ref().read(offset, buf);
-        self.read_ops.set(self.read_ops.get() + 1);
-        self.bytes_read.set(self.bytes_read.get() + len);
-        let lines = PmemDevice::lines(offset, len);
-        if self.dev.is_remote(offset) {
-            self.read_lines_remote.set(self.read_lines_remote.get() + lines);
-        } else {
-            self.read_lines_local.set(self.read_lines_local.get() + lines);
-        }
+        self.dev.store.read(offset, buf);
+        self.count_transfer(READS, offset, len);
         Ok(())
     }
 
-    /// Reads a [`Pod`] value at absolute device offset `offset`.
+    /// Reads a [`Pod`] value at `offset`.
     ///
     /// # Errors
     ///
@@ -148,42 +181,34 @@ impl<'d> MetaView<'d> {
         Ok(value)
     }
 
-    /// Writes `buf` at absolute device offset `offset`. Exactly like
-    /// [`PmemDevice::write`] minus the per-call validation: the store
-    /// lands in the modelled cache (pre-image captured), counts a
-    /// mutation event, and counts a store against poison injection.
+    /// Writes `buf` at `offset`. The store lands in the modelled CPU
+    /// cache (pre-image captured), counts a mutation event, and counts a
+    /// store against poison injection; call [`persist`](Self::persist)
+    /// (or `clwb` + `sfence`) to make it durable.
     ///
     /// # Errors
     ///
-    /// [`PmemError::OutOfBounds`], [`PmemError::Crashed`], or — only for
-    /// a view mapped [`AccessKind::Read`], which re-checks protection per
-    /// write — [`PmemError::ProtectionFault`].
+    /// [`PmemError::OutOfBounds`], [`PmemError::Crashed`], or — through
+    /// the unmapped view or a view mapped [`AccessKind::Read`], which
+    /// check protection per store — [`PmemError::ProtectionFault`].
+    #[inline]
     pub fn write(&self, offset: u64, buf: &[u8]) -> Result<(), PmemError> {
         let len = buf.len() as u64;
-        self.check_local(offset, len)?;
-        if self.kind != AccessKind::Write {
-            // Mapped read-only: the map-time check did not cover stores.
-            self.dev.check_protection(offset, len, AccessKind::Write)?;
-        }
+        self.validate();
+        self.check_range(offset, len)?;
+        self.check_protection(offset, len, AccessKind::Write)?;
         self.dev.mutation_event()?;
         if buf.is_empty() {
             return Ok(());
         }
         self.dev.before_store(offset, len);
-        self.dev.store_ref().write(offset, buf);
+        self.dev.store.write(offset, buf);
         self.dev.poison_event(offset, len);
-        self.write_ops.set(self.write_ops.get() + 1);
-        self.bytes_written.set(self.bytes_written.get() + len);
-        let lines = PmemDevice::lines(offset, len);
-        if self.dev.is_remote(offset) {
-            self.write_lines_remote.set(self.write_lines_remote.get() + lines);
-        } else {
-            self.write_lines_local.set(self.write_lines_local.get() + lines);
-        }
+        self.count_transfer(WRITES, offset, len);
         Ok(())
     }
 
-    /// Writes a [`Pod`] value at absolute device offset `offset`.
+    /// Writes a [`Pod`] value at `offset`.
     ///
     /// # Errors
     ///
@@ -192,33 +217,65 @@ impl<'d> MetaView<'d> {
         self.write(offset, value.as_bytes())
     }
 
-    /// Flushes the lines covering `[offset, offset + len)` (`clwb`).
+    /// Atomically replaces the 8-byte-aligned u64 at `offset` with
+    /// `f(previous)`, returning the previous value: a store that first
+    /// loads its line, so poison faults it.
+    #[inline]
+    pub(crate) fn fetch_update_u64(&self, offset: u64, f: impl Fn(u64) -> u64) -> Result<u64, PmemError> {
+        self.validate();
+        if !offset.is_multiple_of(8) {
+            return Err(PmemError::Misaligned { value: offset, required: 8 });
+        }
+        self.check_range(offset, 8)?;
+        self.check_protection(offset, 8, AccessKind::Write)?;
+        self.dev.check_poison(offset, 8)?;
+        self.dev.mutation_event()?;
+        self.dev.before_store(offset, 8);
+        let previous = self.dev.store.fetch_update_u64(offset, f);
+        self.dev.poison_event(offset, 8);
+        self.count_transfer(WRITES, offset, 8);
+        Ok(previous)
+    }
+
+    /// Flushes the lines covering `[offset, offset + len)` (`clwb`). Not
+    /// durable until the calling thread's next [`sfence`](Self::sfence).
     ///
     /// # Errors
     ///
     /// [`PmemError::OutOfBounds`], [`PmemError::Crashed`], or
-    /// [`PmemError::Uncorrectable`].
+    /// [`PmemError::Uncorrectable`] — writing back to a failed line is how
+    /// the DIMM reports poison on the store path.
+    #[inline]
     pub fn clwb(&self, offset: u64, len: u64) -> Result<(), PmemError> {
-        self.check_local(offset, len)?;
+        self.validate();
+        self.dev.with_fence_domain(|domain| self.flush(domain, offset, len))?;
+        self.count([(counter!(clwb_count), PmemDevice::lines(offset, len))]);
+        Ok(())
+    }
+
+    /// The per-range step of every flush: checks, one mutation event, and
+    /// the pending `clwb` in the calling thread's fence domain.
+    #[inline]
+    fn flush(&self, domain: Option<&mut FenceDomain<'_>>, offset: u64, len: u64) -> Result<(), PmemError> {
+        self.check_range(offset, len)?;
         self.dev.check_poison(offset, len)?;
         self.dev.mutation_event()?;
-        self.dev.with_fence_domain(|domain| {
-            if let Some(domain) = domain {
-                domain.clwb(offset, len);
-            }
-        });
-        self.clwb_count.set(self.clwb_count.get() + PmemDevice::lines(offset, len));
+        if let Some(domain) = domain {
+            domain.clwb(offset, len);
+        }
         Ok(())
     }
 
     /// Commits the flushes the calling thread issued since its last fence
-    /// (`sfence`), through this view or any other path to the device.
-    /// Flushes issued by other threads stay pending until their own
-    /// fences (see [`PmemDevice::sfence`]).
+    /// (`sfence`), through this view or any other path to the device;
+    /// those lines are durable afterwards. Lines other threads flushed
+    /// stay pending until one of *their* fences, as on hardware, where
+    /// flushes are ordered per thread.
     ///
     /// # Errors
     ///
     /// [`PmemError::Crashed`].
+    #[inline]
     pub fn sfence(&self) -> Result<(), PmemError> {
         self.dev.mutation_event()?;
         self.dev.with_fence_domain(|domain| {
@@ -226,67 +283,60 @@ impl<'d> MetaView<'d> {
                 domain.sfence();
             }
         });
-        self.sfence_count.set(self.sfence_count.get() + 1);
+        self.count([(counter!(sfence_count), 1)]);
         Ok(())
     }
 
-    /// `clwb` + `sfence` on the calling thread: makes the range durable,
-    /// along with every other line the thread flushed since its last
-    /// fence.
+    /// `clwb` + `sfence` on the calling thread: makes `[offset, offset +
+    /// len)` durable, along with every other line the thread flushed
+    /// since its last fence.
     ///
     /// # Errors
     ///
     /// As for [`clwb`](Self::clwb) and [`sfence`](Self::sfence).
+    #[inline]
     pub fn persist(&self, offset: u64, len: u64) -> Result<(), PmemError> {
         self.clwb(offset, len)?;
         self.sfence()
     }
 
-    /// Issues one `clwb` per line noted in `batch` — the view-routed
-    /// twin of [`PmemDevice::flush_batch`]. Every noted line must fall
-    /// inside the view. Each line still consults the poison set and
-    /// counts one mutation event against an armed crash; the batch is
-    /// left untouched for the caller to
-    /// [`clear`](crate::FlushBatch::clear) after the ordering
-    /// [`sfence`](Self::sfence).
+    /// Issues one `clwb` per line noted in `batch` (see [`FlushBatch`]):
+    /// the write-combining flush path. The whole batch costs at most one
+    /// validation (none when empty); each line still consults the poison
+    /// set and counts one mutation event against an armed crash, so crash
+    /// injection can land between any two flushes. The batch is left
+    /// untouched — callers [`clear`](FlushBatch::clear) it after the
+    /// ordering [`sfence`](Self::sfence).
     ///
     /// # Errors
     ///
-    /// [`PmemError::OutOfBounds`], [`PmemError::Crashed`], or
-    /// [`PmemError::Uncorrectable`] if a noted line is poisoned.
-    pub fn flush_batch(&self, batch: &crate::FlushBatch) -> Result<(), PmemError> {
+    /// [`PmemError::OutOfBounds`] if a noted line leaves the view,
+    /// [`PmemError::Crashed`], or [`PmemError::Uncorrectable`] if a noted
+    /// line is poisoned.
+    #[inline]
+    pub fn flush_batch(&self, batch: &FlushBatch) -> Result<(), PmemError> {
+        if batch.is_empty() {
+            return Ok(());
+        }
+        self.validate();
+        let end = self.map.as_ref().map_or_else(|| self.dev.capacity(), |map| map.end);
         self.dev.with_fence_domain(|mut domain| {
-            batch.lines().iter().try_for_each(|&line| -> Result<(), PmemError> {
-                let offset = line * crate::CACHE_LINE_SIZE;
-                let len = crate::CACHE_LINE_SIZE.min(self.end.saturating_sub(offset));
-                self.check_local(offset, len.max(1))?;
-                self.dev.check_poison(offset, len)?;
-                self.dev.mutation_event()?;
-                if let Some(domain) = &mut domain {
-                    domain.clwb(offset, len);
-                }
-                Ok(())
+            batch.lines().iter().try_for_each(|&line| {
+                let offset = line * CACHE_LINE_SIZE;
+                let len = CACHE_LINE_SIZE.min(end.saturating_sub(offset));
+                self.flush(domain.as_deref_mut(), offset, len.max(1))
             })
         })?;
-        self.clwb_count.set(self.clwb_count.get() + batch.line_count() as u64);
+        self.count([(counter!(clwb_count), batch.line_count() as u64)]);
         Ok(())
     }
 }
 
 impl Drop for MetaView<'_> {
     fn drop(&mut self) {
-        self.dev.stats_ref().record_view_deltas(&ViewDeltas {
-            read_ops: self.read_ops.get(),
-            write_ops: self.write_ops.get(),
-            bytes_read: self.bytes_read.get(),
-            bytes_written: self.bytes_written.get(),
-            read_lines_local: self.read_lines_local.get(),
-            read_lines_remote: self.read_lines_remote.get(),
-            write_lines_local: self.write_lines_local.get(),
-            write_lines_remote: self.write_lines_remote.get(),
-            clwb_count: self.clwb_count.get(),
-            sfence_count: self.sfence_count.get(),
-        });
+        if let Some(map) = &self.map {
+            self.dev.stats.add(map.traffic.iter().map(Cell::get).enumerate());
+        }
     }
 }
 
@@ -295,39 +345,189 @@ mod tests {
     use super::*;
     use crate::cache::CrashMode;
     use crate::device::{DeviceConfig, PAGE_SIZE};
+    use crate::StatsSnapshot;
     use mpk::AccessRights;
+    use platform::rng::Rng;
 
     fn device() -> PmemDevice {
         PmemDevice::new(DeviceConfig::small_test())
     }
 
+    /// Capacity of the differential test's devices. The mapped view
+    /// covers all of it, so an access past the end is out of range on
+    /// both paths, with the same error.
+    const CAP: u64 = 256 * 1024;
+
+    /// Where most of the stream lands, so stores, flushes and fences
+    /// overlap: the first four pages. Page 1 holds a line that turns
+    /// poisoned after the map, page 2 a read-only key.
+    const HOT: u64 = 4 * PAGE_SIZE;
+
+    /// One access of the differential stream.
+    #[derive(Debug)]
+    enum Access {
+        Read(u64, usize),
+        Write(u64, Vec<u8>),
+        ReadPod(u64),
+        WritePod(u64, u64),
+        Clwb(u64, u64),
+        Sfence,
+        Persist(u64, u64),
+        FlushBatch(FlushBatch),
+        FetchOr(u64, u64),
+    }
+
+    /// A seeded stream of every access kind: mostly in [`HOT`], one in 16
+    /// straddling the end of the device, one RMW in 8 misaligned.
+    fn stream(rng: &mut Rng, n: usize) -> Vec<Access> {
+        let at = |rng: &mut Rng, len: u64| {
+            if rng.below(16) == 0 {
+                CAP - 64 + rng.below(128)
+            } else {
+                rng.below(HOT - len)
+            }
+        };
+        (0..n)
+            .map(|_| match rng.below(9) {
+                0 => {
+                    let len = 1 + rng.below(200);
+                    Access::Read(at(rng, len), len as usize)
+                }
+                1 => {
+                    let mut bytes = vec![0u8; 1 + rng.below(200) as usize];
+                    rng.fill(&mut bytes);
+                    Access::Write(at(rng, bytes.len() as u64), bytes)
+                }
+                2 => Access::ReadPod(at(rng, 8)),
+                3 => Access::WritePod(at(rng, 8), rng.next_u64()),
+                4 => {
+                    let len = rng.below(300);
+                    Access::Clwb(at(rng, len), len)
+                }
+                5 => Access::Sfence,
+                6 => {
+                    let len = 1 + rng.below(300);
+                    Access::Persist(at(rng, len), len)
+                }
+                7 => {
+                    let mut batch = FlushBatch::new();
+                    for _ in 0..rng.below(5) {
+                        let len = 1 + rng.below(150);
+                        batch.note(at(rng, len), len);
+                    }
+                    Access::FlushBatch(batch)
+                }
+                _ => {
+                    let offset = at(rng, 8);
+                    Access::FetchOr(if rng.below(8) == 0 { offset | 4 } else { offset & !7 }, rng.next_u64())
+                }
+            })
+            .collect()
+    }
+
+    /// Runs `$access` on `$on` — the device or a view, whose accessors
+    /// share their names — returning what it read or its error. The RMW
+    /// goes through `$fetch_or(offset, mask)`.
+    macro_rules! run {
+        ($on:expr, $access:expr, $fetch_or:expr) => {
+            match $access {
+                Access::Read(offset, len) => {
+                    let mut buf = vec![0u8; *len];
+                    $on.read(*offset, &mut buf).map(|()| buf)
+                }
+                Access::Write(offset, bytes) => $on.write(*offset, bytes).map(|()| Vec::new()),
+                Access::ReadPod(offset) => $on.read_pod::<u64>(*offset).map(|v| v.to_le_bytes().to_vec()),
+                Access::WritePod(offset, value) => $on.write_pod(*offset, value).map(|()| Vec::new()),
+                Access::Clwb(offset, len) => $on.clwb(*offset, *len).map(|()| Vec::new()),
+                Access::Sfence => $on.sfence().map(|()| Vec::new()),
+                Access::Persist(offset, len) => $on.persist(*offset, *len).map(|()| Vec::new()),
+                Access::FlushBatch(batch) => $on.flush_batch(batch).map(|()| Vec::new()),
+                Access::FetchOr(offset, mask) => {
+                    $fetch_or(*offset, *mask).map(|previous: u64| previous.to_le_bytes().to_vec())
+                }
+            }
+        };
+    }
+
+    /// Arms the same faults on each device, after the map (which refuses
+    /// poison): a read-only key on page 2 when the view is mapped for
+    /// reads (its stores re-check MPK; a map for writes would have
+    /// refused the key), a poisoned line, a poison injection and, on odd
+    /// seeds, a crash countdown.
+    fn rig(dev: &PmemDevice, seed: u64, kind: AccessKind) {
+        if kind == AccessKind::Read {
+            let key = dev.mpk().pkey_alloc(AccessRights::ReadOnly).unwrap();
+            dev.set_page_key(2 * PAGE_SIZE, PAGE_SIZE, key).unwrap();
+        }
+        dev.poison(PAGE_SIZE + 192, 1).unwrap();
+        dev.arm_poison_after(40 + seed % 50, seed);
+        if seed % 2 == 1 {
+            dev.arm_crash_after(100 + seed * 37 % 200);
+        }
+    }
+
+    /// Every line of the device, read back.
+    fn media(dev: &PmemDevice) -> Vec<Result<Vec<u8>, PmemError>> {
+        (0..CAP / CACHE_LINE_SIZE)
+            .map(|line| {
+                let mut buf = vec![0u8; CACHE_LINE_SIZE as usize];
+                dev.read(line * CACHE_LINE_SIZE, &mut buf).map(|()| buf)
+            })
+            .collect()
+    }
+
     #[test]
     fn view_traffic_matches_plain_device_traffic() {
-        let plain = device();
-        plain.write_pod(256, &7u64).unwrap();
-        plain.persist(256, 8).unwrap();
-        assert_eq!(plain.read_pod::<u64>(256).unwrap(), 7);
-        let expect = plain.stats();
-
-        let dev = device();
-        {
-            let view = dev.map_meta(0, 4096, AccessKind::Write).unwrap();
-            view.write_pod(256, &7u64).unwrap();
-            view.persist(256, 8).unwrap();
-            assert_eq!(view.read_pod::<u64>(256).unwrap(), 7);
+        // The same seeded stream of every access kind on two crash-tracked
+        // devices, once through the device API and once through a view
+        // mapped over the whole device (for writes on some seeds, for
+        // reads on others). Every result and error, every counter but
+        // `validations` and `meta_maps`, and the media after a Strict and
+        // an Adversarial crash with the same seed must agree.
+        let mut seen = [0u32; 4]; // out of range, MPK, poison, crashed
+        for seed in 0..16u64 {
+            let kind = if seed % 4 < 2 { AccessKind::Write } else { AccessKind::Read };
+            for mode in [CrashMode::Strict, CrashMode::Adversarial] {
+                let accesses = stream(&mut Rng::new(seed), 300);
+                let (plain, mapped) =
+                    (PmemDevice::new(DeviceConfig::new(CAP)), PmemDevice::new(DeviceConfig::new(CAP)));
+                let view = mapped.map_meta(0, CAP, kind).unwrap();
+                rig(&plain, seed, kind);
+                rig(&mapped, seed, kind);
+                for (i, access) in accesses.iter().enumerate() {
+                    let want = run!(plain, access, |offset, mask| plain.fetch_or_u64(offset, mask));
+                    let got = run!(view, access, |offset, mask| view.fetch_update_u64(offset, |w| w | mask));
+                    assert_eq!(got, want, "seed {seed} {kind} access {i}: {access:?}");
+                    match want {
+                        Err(PmemError::OutOfBounds { .. }) => seen[0] += 1,
+                        Err(PmemError::ProtectionFault { .. }) => seen[1] += 1,
+                        Err(PmemError::Uncorrectable { .. }) => seen[2] += 1,
+                        Err(PmemError::Crashed) => seen[3] += 1,
+                        _ => {}
+                    }
+                }
+                drop(view);
+                let (want, got) = (plain.stats(), mapped.stats());
+                // One validation per device call, none for an `sfence` or
+                // an empty flush batch.
+                let calls = accesses.iter().filter(|access| match access {
+                    Access::Sfence => false,
+                    Access::FlushBatch(batch) => !batch.is_empty(),
+                    _ => true,
+                });
+                assert_eq!(want.validations, calls.count() as u64, "seed {seed}");
+                assert_eq!((got.validations, got.meta_maps), (1, 1), "seed {seed}: the map's only");
+                assert_eq!(
+                    StatsSnapshot { validations: 0, meta_maps: 0, ..got },
+                    StatsSnapshot { validations: 0, meta_maps: 0, ..want },
+                    "seed {seed} {kind}"
+                );
+                plain.simulate_crash(mode, seed);
+                mapped.simulate_crash(mode, seed);
+                assert!(media(&mapped) == media(&plain), "seed {seed} {kind} {mode:?}: media differ");
+            }
         }
-        let got = dev.stats();
-        assert_eq!(got.bytes_written, expect.bytes_written);
-        assert_eq!(got.bytes_read, expect.bytes_read);
-        assert_eq!(got.read_ops, expect.read_ops);
-        assert_eq!(got.write_ops, expect.write_ops);
-        assert_eq!(got.clwb_count, expect.clwb_count);
-        assert_eq!(got.sfence_count, expect.sfence_count);
-        assert_eq!(got.write_lines_local + got.write_lines_remote, 1);
-        // The whole session cost one validation (plain path: one per call).
-        assert_eq!(got.validations, 1);
-        assert_eq!(got.meta_maps, 1);
-        assert_eq!(expect.validations, 3); // write + clwb + read; sfence validates nothing
+        assert!(seen.iter().all(|&n| n > 0), "every error kind must occur: {seen:?}");
     }
 
     #[test]
@@ -411,6 +611,11 @@ mod tests {
             dev.map_meta(0, 4096, AccessKind::Write),
             Err(PmemError::Uncorrectable { offset: 128 })
         ));
+        // The unmapped view maps nothing, so it runs past the poison and
+        // fails only the accesses that touch it.
+        let unmapped = dev.unmapped_view();
+        unmapped.read_pod::<u64>(0).unwrap();
+        assert_eq!(unmapped.read_pod::<u64>(128), Err(PmemError::Uncorrectable { offset: 128 }));
         dev.clear_poison(128, 64).unwrap();
         let view = dev.map_meta(0, 4096, AccessKind::Write).unwrap();
         // Poison arriving mid-session is still caught per access.

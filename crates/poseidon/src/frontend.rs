@@ -37,7 +37,7 @@
 //! ([`PoseidonHeap::drain_resident`]: overflow, the last-resort eviction,
 //! close, scrub) and one publish (`settle_cache`: `set_root`, close).
 
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{fence, AtomicPtr, AtomicU64, AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 use platform::lockfree::SlotPool;
@@ -292,18 +292,33 @@ impl HeapCache {
         class < CACHEABLE_CLASSES && self.cacheable[class]
     }
 
-    /// The lock-free allocation fast path: pop the CPU's magazine (home
-    /// sub-heap only), then the sub-heap's transfer pool. On success the
-    /// block's map byte flips to checked-out and the hit is counted.
+    /// The lock-free allocation fast path: pop a block ([`pop`](Self::pop))
+    /// and [`claim`](Self::claim) it; a claimed block is a counted hit.
     /// `None` is not counted: the caller may still find a spill pool, and
     /// counts the miss with [`note_miss`](Self::note_miss) if it does not.
     pub(crate) fn try_alloc(&self, cpu: usize, sub: u16, home: bool, class: usize) -> Option<u64> {
-        let sc = self.sub_cache(sub);
+        let offset = self.pop(cpu, sub, home, class)?;
+        self.claim(sub, class, offset)
+    }
+
+    /// Pops a parked block of `class`: the CPU's magazine first (home
+    /// sub-heap only), then the sub-heap's transfer pool.
+    fn pop(&self, cpu: usize, sub: u16, home: bool, class: usize) -> Option<u64> {
         let from_magazine =
             if home { self.with_homed_magazine(cpu, sub, |m| m.rounds[class].pop()).flatten() } else { None };
-        let offset = from_magazine.or_else(|| sc.pools[class].pop())?;
-        // We own the popped block exclusively; hand it out.
-        sc.map.granule_or_install(offset).store(CHECKED_OUT | class as u8, Ordering::Release);
+        from_magazine.or_else(|| self.sub_cache(sub).pools[class].pop())
+    }
+
+    /// Hands a popped block out: one CAS on its residency byte, resident
+    /// to checked out, and a counted hit. A byte that
+    /// [`condemn`](Self::condemn) zeroed after the pop fails the claim,
+    /// and the block stays out of circulation.
+    fn claim(&self, sub: u16, class: usize, offset: u64) -> Option<u64> {
+        let sc = self.sub_cache(sub);
+        let class = class as u8;
+        let byte = sc.map.granule(offset)?;
+        byte.compare_exchange(RESIDENT | class, CHECKED_OUT | class, Ordering::AcqRel, Ordering::Relaxed)
+            .ok()?;
         sc.hits.fetch_add(1, Ordering::Relaxed);
         Some(offset)
     }
@@ -400,16 +415,21 @@ impl HeapCache {
         rest
     }
 
-    /// Clears the residency bytes of a drained batch, which just left
-    /// cache management, and counts the drain.
-    fn drained(&self, sub: u16, offsets: &[u64]) {
+    /// Clears the residency bytes of `offsets`, which leave cache
+    /// management.
+    fn forget(&self, sub: u16, offsets: &[u64]) {
         let sc = self.sub_cache(sub);
         for &offset in offsets {
             if let Some(byte) = sc.map.granule(offset) {
                 byte.store(0, Ordering::Release);
             }
         }
-        sc.drains.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Forgets a drained batch and counts the drain.
+    fn drained(&self, sub: u16, offsets: &[u64]) {
+        self.forget(sub, offsets);
+        self.sub_cache(sub).drains.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Pops every resident block of `sub` the caller can reach (its pools
@@ -442,13 +462,19 @@ impl HeapCache {
     /// every residency byte zeroed, so the lock-free frontend can never
     /// hand out (or absorb) one of its blocks again. The media is *not*
     /// touched — the condemned metadata keeps its `FLAG_CACHED` records
-    /// for `pfsck --repair` to reconcile. Safe against racing fast-path
+    /// for `pfsck --repair` to reconcile. The caller has raised the
+    /// sub-heap's quarantine flag. Safe against racing fast-path
     /// operations: once a byte is zero, `try_alloc`/`try_free` treat the
-    /// block as not cache-managed and fall to the slow path, which
-    /// refuses the quarantined sub-heap; blocks a racing free parks after
-    /// the sweep stay unreachable because routing never selects this
-    /// sub-heap again. Returns the number of blocks invalidated.
+    /// block as not cache-managed (a popped block fails its
+    /// [`claim`](Self::claim)) and fall to the slow path, which refuses
+    /// the quarantined sub-heap; a refill that publishes bytes after the
+    /// sweep sees the flag and withdraws them. Returns the number of
+    /// blocks invalidated.
     pub(crate) fn condemn(&self, sub: u16) -> usize {
+        // Orders the caller's quarantine flag before the sweep; pairs with
+        // the refill's fence between `admit` and its flag check, so either
+        // the sweep sees a refill's bytes or the refill sees the flag.
+        fence(Ordering::SeqCst);
         // Discard rather than drain: these offsets' records live in
         // damaged metadata that nobody writes again this session.
         let _ = self.evict_resident(sub);
@@ -629,6 +655,14 @@ impl PoseidonHeap {
         }
         cache.note_refill(target);
         cache.admit(target, class, &offsets);
+        // Condemning a sub-heap takes no sub-heap lock: a `condemn` whose
+        // sweep ran before `admit` never saw these bytes. Withdraw them as
+        // the sweep would have, and miss.
+        fence(Ordering::SeqCst);
+        if self.slots[target as usize].quarantined.load(Ordering::Relaxed) {
+            cache.forget(target, &offsets);
+            return Ok(None);
+        }
         let overflow = cache.stash(cpu, target, target == home, class, &offsets[1..]);
         self.drain_resident(&op, cache, &overflow)?;
         drop(op);
@@ -814,5 +848,22 @@ mod tests {
         assert!(matches!(cache.try_free(0, 0, true, 4096), CachedFree::Miss));
         // And the parked block comes back out of the magazine.
         assert_eq!(cache.try_alloc(0, 0, true, 2), Some(128));
+    }
+
+    #[test]
+    fn a_block_popped_before_condemn_is_not_handed_out() {
+        // pop -> condemn -> claim: the sweep zeroes the byte of a block
+        // an allocation has popped but not yet claimed. The claim must
+        // miss instead of bringing the byte back on the condemned
+        // sub-heap, where no sweep would clear it again.
+        let layout = HeapLayout::compute(64 << 20, 1).unwrap();
+        let cache = HeapCache::new(&layout, 1);
+        cache.admit(0, 2, &[128, 256]); // 128 checked out, 256 resident
+        assert!(cache.stash(0, 0, true, 2, &[256]).is_empty());
+        assert_eq!(cache.pop(0, 0, true, 2), Some(256));
+        assert_eq!(cache.condemn(0), 2);
+        assert_eq!(cache.claim(0, 2, 256), None, "a condemned block was handed out");
+        assert_eq!(cache.snapshot(), Vec::new(), "a cache-managed block survives on the condemned sub-heap");
+        assert_eq!(cache.stats(0).hits, 0);
     }
 }

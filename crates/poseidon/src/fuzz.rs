@@ -56,11 +56,12 @@ pub fn downgrade_to_v1(dev: &PmemDevice) -> crate::error::Result<()> {
 }
 
 fn decode_chain(dev: &PmemDevice, area: UndoArea) -> Option<Vec<UndoChainEntry>> {
-    let gen: u64 = dev.read_pod(area.gen_field).ok()?;
+    let view = dev.unmapped_view();
+    let gen: u64 = view.read_pod(area.gen_field).ok()?;
     let mut entries = Vec::new();
     let mut pos = 0u64;
     loop {
-        match undo::read_entry(dev, area, gen, pos) {
+        match undo::read_entry(&view, area, gen, pos) {
             Ok(Some((target, _len, old, entry_len))) => {
                 entries.push(UndoChainEntry { target, old });
                 pos += entry_len;

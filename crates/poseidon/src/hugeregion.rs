@@ -26,7 +26,7 @@
 //! mutation runs in a [`HugeOp`] — the same operation session sub-heaps
 //! use, over the huge metadata — and goes through its undo scope on the
 //! region's own log area, so a crash at any point is rolled back by the
-//! ordinary device-backed replay on the next load.
+//! ordinary replay on the device's unmapped view on the next load.
 //!
 //! Metadata lives in the MPK-protected prefix; data pages are punched
 //! back to the device on free. Extents overlapping uncorrectable media

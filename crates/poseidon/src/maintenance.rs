@@ -708,7 +708,7 @@ mod tests {
         // Scrub and maintenance steps share one cursor: alternate
         // one-unit steps of each on a heap carrying both poisoned free
         // blocks and coalescing debt, and both kinds must finish.
-        let dev = Arc::new(PmemDevice::new(DeviceConfig::new(64 << 20).with_media_faults(true)));
+        let dev = Arc::new(PmemDevice::new(DeviceConfig::new(64 << 20)));
         let h = PoseidonHeap::open(dev.clone(), HeapConfig::new().with_subheaps(2).without_cache()).unwrap();
         let mut victims = Vec::new();
         for cpu in 0..2 {

@@ -18,10 +18,10 @@
 //! (volatile — the heap refuses to operate on it until `pfsck --repair`
 //! rebuilds its metadata) and the rest of the heap loads normally.
 //!
-//! The undo replay itself stays *device-backed* (it must work before any
-//! session state exists); everything after it runs through one
-//! [`OpSession`] per sub-heap, so the whole salvage of a sub-heap costs a
-//! single metadata-range validation.
+//! The undo replay itself runs on the device's *unmapped* view (it must
+//! work before any session state exists); everything after it runs
+//! through one [`OpSession`] per sub-heap, so the whole salvage of a
+//! sub-heap costs a single metadata-range validation.
 
 use pmem::PmemDevice;
 

@@ -391,7 +391,7 @@ mod tests {
     use pmem::{DeviceConfig, PmemDevice};
 
     fn faulty_heap() -> PoseidonHeap {
-        let dev = Arc::new(PmemDevice::new(DeviceConfig::new(64 << 20).with_media_faults(true)));
+        let dev = Arc::new(PmemDevice::new(DeviceConfig::new(64 << 20)));
         PoseidonHeap::open(dev, HeapConfig::new().with_subheaps(2).without_cache()).unwrap()
     }
 

@@ -29,9 +29,9 @@
 //! mutation against armed crash/poison injection (see `pmem::view`).
 //!
 //! [`OpSession::undo`] opens the operation's [`UndoScope`] on the view —
-//! the same writer the superblock drives on the raw device — so an
-//! operation interrupted by a crash is recovered by the ordinary
-//! device-backed [`undo::replay`](crate::undo::replay) on the next load.
+//! the same writer the superblock drives on the device's unmapped view —
+//! so an operation interrupted by a crash is recovered by the ordinary
+//! [`undo::replay`](crate::undo::replay) on the next load.
 //! Dropping a scope without committing rolls back immediately, so an
 //! early `?` return leaves the heap untouched.
 
@@ -227,7 +227,7 @@ impl<'a> HugeOp<'a> {
     /// up to the end of the huge metadata — used by transactional huge
     /// allocation, which must log the extent writes and the sub-heap's
     /// micro-log append in **one** undo scope (the undo log stores
-    /// absolute targets, so device-backed replay restores both regions).
+    /// absolute targets, so replay on the unmapped view restores both).
     ///
     /// # Errors
     ///
@@ -297,8 +297,9 @@ mod tests {
 
     #[test]
     fn crashed_scope_is_replayed_by_device_backed_recovery() {
-        // The interoperability contract: entries written through the view
-        // must be read back by the *device-backed* replay after a crash.
+        // The interoperability contract: entries written through the mapped
+        // view must be read back by replay on the *unmapped* view after a
+        // crash.
         let (dev, layout) = setup();
         let ctx = SubCtx { dev: &dev, layout: &layout, sub: 0 };
         let target = target_off(&layout);
@@ -349,14 +350,15 @@ mod tests {
 
     #[test]
     fn device_backed_scope_blocks_session_scope_and_vice_versa() {
-        // Both access paths share one log area and generation: a crashed
-        // scope on one must block the other until recovery, regardless of
-        // which side wrote the entries.
+        // Both view modes share one log area and generation: a crashed
+        // scope on the unmapped view must block a session's scope until
+        // recovery, and vice versa, whichever side wrote the entries.
         let (dev, layout) = setup();
         let ctx = SubCtx { dev: &dev, layout: &layout, sub: 0 };
         let target = target_off(&layout);
+        let unmapped = dev.unmapped_view();
         let staged = RefCell::default();
-        let mut s = UndoScope::begin(&dev, &staged, ctx.undo_area(), false, None).unwrap();
+        let mut s = UndoScope::begin(&unmapped, &staged, ctx.undo_area(), false, None).unwrap();
         s.log_and_write_pod(target, &7u64).unwrap();
         std::mem::forget(s);
         let op = OpSession::unguarded(ctx).unwrap();
@@ -370,7 +372,7 @@ mod tests {
         std::mem::forget(scope);
         let staged = RefCell::default();
         assert!(matches!(
-            UndoScope::begin(&dev, &staged, ctx.undo_area(), false, None),
+            UndoScope::begin(&unmapped, &staged, ctx.undo_area(), false, None),
             Err(PoseidonError::Corrupted(_))
         ));
         drop(op);

@@ -1,10 +1,11 @@
 //! Superblock creation, validation, and the root pointer (§2.2, §4.6).
 //!
 //! The superblock's undo-logged commits ([`set_root`], [`commit_epoch`],
-//! [`quarantine_subheap`]) open their [`UndoScope`] on the raw device,
-//! not through a metadata view: a view over the superblock region fails
-//! if any of its lines is poisoned, and the superblock has no quarantine
-//! to fall back on, while a device-backed scope touches only the lines it
+//! [`quarantine_subheap`]) open their [`UndoScope`] on the device's
+//! unmapped view, not on a view mapped over the superblock region:
+//! mapping the region fails if any of its lines is poisoned, and the
+//! superblock has no quarantine to fall back on, while the unmapped view
+//! checks each access on its own and touches only the lines the scope
 //! logs and writes.
 
 use std::cell::RefCell;
@@ -78,12 +79,13 @@ pub(crate) fn undo_area() -> UndoArea {
 }
 
 /// Logs and writes each `(target, bytes)` pair, in order, under one
-/// superblock undo scope on the raw device (see the module docs) — one
-/// two-fence commit. The caller holds the superblock lock, so the scope
-/// re-drives a rollback that died mid-flight.
+/// superblock undo scope on the device's unmapped view (see the module
+/// docs) — one two-fence commit. The caller holds the superblock lock, so
+/// the scope re-drives a rollback that died mid-flight.
 fn commit(dev: &PmemDevice, writes: &[(u64, &[u8])]) -> Result<()> {
+    let view = dev.unmapped_view();
     let staged = RefCell::default();
-    let mut scope = UndoScope::begin(dev, &staged, undo_area(), true, None)?;
+    let mut scope = UndoScope::begin(&view, &staged, undo_area(), true, None)?;
     for &(target, bytes) in writes {
         scope.log_and_write(target, bytes)?;
     }
@@ -411,11 +413,11 @@ mod tests {
 
     #[test]
     fn commits_stay_device_backed_past_a_poisoned_line() {
-        // Why the superblock's scope runs on the raw device: a view over
+        // Why the superblock's scope runs on the unmapped view: mapping
         // the superblock region refuses a region with any poisoned line,
         // and the superblock has no quarantine to fall back on. With a
         // line poisoned that no commit touches (the last epoch slot),
-        // device-backed commits still succeed at the ordinary cost.
+        // unmapped commits still succeed at the ordinary cost.
         let (dev, layout) = setup();
         create(&dev, &layout, 0xABCD).unwrap();
         publish_subheap(&dev, 1, DirEntry { state: 1, node: 0 }).unwrap();

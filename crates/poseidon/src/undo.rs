@@ -78,20 +78,22 @@
 //! ```
 //!
 //! [`UndoScope`] is the one writer of every log — sub-heap, huge region
-//! and superblock alike. It is generic over the [`LogAccess`] word-access
-//! trait, which has two implementations: a [`MetaView`] (operation
-//! sessions, which validate their metadata range once) and the raw
-//! [`PmemDevice`]. The superblock's commits open their scope on the
-//! device on purpose: a view over the superblock region fails if any of
-//! its lines is poisoned, and the superblock has no quarantine to fall
-//! back on. [`replay`] stays device-backed for the same reason — it is
-//! the recovery path, and it runs on exactly the states a view refuses.
+//! and superblock alike — and it accesses the device through a
+//! [`MetaView`], pmem's one access path. Operation sessions hand it their
+//! view mapped over the region's metadata, validated once. The
+//! superblock's commits hand it the device's unmapped view
+//! ([`PmemDevice::unmapped_view`]) on purpose: mapping the superblock
+//! region fails if any of its lines is poisoned, and the superblock has
+//! no quarantine to fall back on, while the unmapped view checks each
+//! access on its own and fails only those that touch a poisoned line.
+//! [`replay`] opens an unmapped view for the same reason — it is the
+//! recovery path, and it runs on exactly the states a map refuses.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 
-use pmem::{FlushBatch, LineHasher, MetaView, PmemDevice, PmemError, CACHE_LINE_SIZE};
+use pmem::{FlushBatch, LineHasher, MetaView, PmemDevice, CACHE_LINE_SIZE};
 
 use crate::error::{PoseidonError, Result};
 use crate::hashtable::RecordIndex;
@@ -276,82 +278,16 @@ impl StagedWrites {
     }
 }
 
-/// The word-access surface the log writer needs from its backing store —
-/// implemented by the raw [`PmemDevice`] and by [`MetaView`] (which
-/// routes through the session's single up-front validation). Everything
-/// format-bearing lives in [`UndoScope`] and the free functions below, so
-/// both access paths produce and parse byte-identical logs.
-pub(crate) trait LogAccess {
-    fn read(&self, offset: u64, buf: &mut [u8]) -> std::result::Result<(), PmemError>;
-    fn write(&self, offset: u64, buf: &[u8]) -> std::result::Result<(), PmemError>;
-    fn flush_batch(&self, batch: &FlushBatch) -> std::result::Result<(), PmemError>;
-    fn clwb(&self, offset: u64, len: u64) -> std::result::Result<(), PmemError>;
-    fn sfence(&self) -> std::result::Result<(), PmemError>;
-    fn record_undo_append(&self, words: u64);
-
-    fn read_pod<T: pmem::Pod>(&self, offset: u64) -> std::result::Result<T, PmemError> {
-        let mut value = T::zeroed();
-        self.read(offset, value.as_bytes_mut())?;
-        Ok(value)
-    }
-
-    fn write_pod<T: pmem::Pod>(&self, offset: u64, value: &T) -> std::result::Result<(), PmemError> {
-        self.write(offset, value.as_bytes())
-    }
-}
-
-impl LogAccess for PmemDevice {
-    fn read(&self, offset: u64, buf: &mut [u8]) -> std::result::Result<(), PmemError> {
-        PmemDevice::read(self, offset, buf)
-    }
-    fn write(&self, offset: u64, buf: &[u8]) -> std::result::Result<(), PmemError> {
-        PmemDevice::write(self, offset, buf)
-    }
-    fn flush_batch(&self, batch: &FlushBatch) -> std::result::Result<(), PmemError> {
-        PmemDevice::flush_batch(self, batch)
-    }
-    fn clwb(&self, offset: u64, len: u64) -> std::result::Result<(), PmemError> {
-        PmemDevice::clwb(self, offset, len)
-    }
-    fn sfence(&self) -> std::result::Result<(), PmemError> {
-        PmemDevice::sfence(self)
-    }
-    fn record_undo_append(&self, words: u64) {
-        PmemDevice::record_undo_append(self, words);
-    }
-}
-
-impl LogAccess for MetaView<'_> {
-    fn read(&self, offset: u64, buf: &mut [u8]) -> std::result::Result<(), PmemError> {
-        MetaView::read(self, offset, buf)
-    }
-    fn write(&self, offset: u64, buf: &[u8]) -> std::result::Result<(), PmemError> {
-        MetaView::write(self, offset, buf)
-    }
-    fn flush_batch(&self, batch: &FlushBatch) -> std::result::Result<(), PmemError> {
-        MetaView::flush_batch(self, batch)
-    }
-    fn clwb(&self, offset: u64, len: u64) -> std::result::Result<(), PmemError> {
-        MetaView::clwb(self, offset, len)
-    }
-    fn sfence(&self) -> std::result::Result<(), PmemError> {
-        MetaView::sfence(self)
-    }
-    fn record_undo_append(&self, words: u64) {
-        self.device().record_undo_append(words);
-    }
-}
-
 /// An open undo scope: logs each metadata mutation before staging it,
 /// and commits with the two-fence protocol of the [module docs](self).
 /// Every mutation goes through [`log_and_write`](Self::log_and_write);
 /// finish with [`commit`](Self::commit) or [`abort`](Self::abort).
 ///
-/// `A` is the access path ([`LogAccess`]): a session's [`MetaView`] by
-/// default, the raw [`PmemDevice`] for the superblock. The staged target
-/// writes live in a cell the caller owns, so the caller's reads can
-/// patch them over the device ([`StagedWrites::patch`]) while the scope
-/// is open.
+/// The scope reaches the device through a [`MetaView`]: a session's view
+/// mapped over its region, or the unmapped view for the superblock (see
+/// the [module docs](self)). The staged target writes live in a cell the
+/// caller owns, so the caller's reads can patch them over the device
+/// ([`StagedWrites::patch`]) while the scope is open.
 ///
 /// Exactly one scope may be open per area at a time — the caller's
 /// sub-heap, huge-region or superblock lock guarantees this. Dropping a
@@ -360,8 +296,8 @@ impl LogAccess for MetaView<'_> {
 /// entries (if fence #1 ran) for [`replay`] to roll back on recovery —
 /// and if it did not run, no target was ever touched.
 #[derive(Debug)]
-pub(crate) struct UndoScope<'s, A: LogAccess = MetaView<'s>> {
-    acc: &'s A,
+pub(crate) struct UndoScope<'s> {
+    view: &'s MetaView<'s>,
     staged: &'s RefCell<StagedWrites>,
     area: UndoArea,
     gen: u64,
@@ -377,8 +313,8 @@ pub(crate) struct UndoScope<'s, A: LogAccess = MetaView<'s>> {
     index: Option<&'s RefCell<RecordIndex>>,
 }
 
-impl<'s, A: LogAccess> UndoScope<'s, A> {
-    /// Opens a scope on `area` through `acc`, staging target writes in
+impl<'s> UndoScope<'s> {
+    /// Opens a scope on `area` through `view`, staging target writes in
     /// `staged`.
     ///
     /// A log still holding live entries is rejected unless `lock_held`:
@@ -396,25 +332,25 @@ impl<'s, A: LogAccess> UndoScope<'s, A> {
     /// [`PoseidonError::Corrupted`] if live entries are present and may
     /// not (or cannot) be re-driven, or a device error.
     pub fn begin(
-        acc: &'s A,
+        view: &'s MetaView<'s>,
         staged: &'s RefCell<StagedWrites>,
         area: UndoArea,
         lock_held: bool,
         index: Option<&'s RefCell<RecordIndex>>,
-    ) -> Result<UndoScope<'s, A>> {
+    ) -> Result<UndoScope<'s>> {
         debug_assert!(staged.borrow().is_empty(), "one undo scope per session at a time");
-        let mut gen: u64 = acc.read_pod(area.gen_field)?;
-        if read_entry(acc, area, gen, 0)?.is_some() {
+        let mut gen: u64 = view.read_pod(area.gen_field)?;
+        if read_entry(view, area, gen, 0)?.is_some() {
             if !lock_held {
                 return Err(PoseidonError::Corrupted("undo log non-empty at operation start"));
             }
-            apply_undo(acc, area, gen)?;
-            gen = acc.read_pod(area.gen_field)?;
-            if read_entry(acc, area, gen, 0)?.is_some() {
+            apply_undo(view, area, gen)?;
+            gen = view.read_pod(area.gen_field)?;
+            if read_entry(view, area, gen, 0)?.is_some() {
                 return Err(PoseidonError::Corrupted("undo log non-empty at operation start"));
             }
         }
-        Ok(UndoScope { acc, staged, area, gen, tail: 0, finished: false, buffer: Vec::new(), index })
+        Ok(UndoScope { view, staged, area, gen, tail: 0, finished: false, buffer: Vec::new(), index })
     }
 
     /// Whether one more entry logging `len` target bytes still fits in
@@ -461,15 +397,15 @@ impl<'s, A: LogAccess> UndoScope<'s, A> {
         // earlier entry of this scope logged carry their staged value, so
         // reverse replay still lands every byte on the value of the
         // *first* entry that covers it — the true pre-op state.
-        self.acc.read(target, &mut self.buffer[header..header + len])?;
+        self.view.read(target, &mut self.buffer[header..header + len])?;
         staged.patch(target, &mut self.buffer[header..header + len]);
         let sum = checksum(self.gen, target, len as u64, &self.buffer[header..]);
         self.buffer[0..8].copy_from_slice(&self.gen.to_le_bytes());
         self.buffer[8..16].copy_from_slice(&target.to_le_bytes());
         self.buffer[16..24].copy_from_slice(&(len as u64).to_le_bytes());
         self.buffer[24..32].copy_from_slice(&sum.to_le_bytes());
-        self.acc.write(self.area.base + self.tail, &self.buffer)?;
-        self.acc.record_undo_append((len as u64).div_ceil(8));
+        self.view.write(self.area.base + self.tail, &self.buffer)?;
+        self.view.device().record_undo_append((len as u64).div_ceil(8));
         self.tail += entry_len;
         Ok(())
     }
@@ -505,20 +441,20 @@ impl<'s, A: LogAccess> UndoScope<'s, A> {
         // used prefix's, in order.
         let mut batch = FlushBatch::new();
         batch.note(self.area.base, self.tail);
-        self.acc.flush_batch(&batch)?;
-        self.acc.sfence()?;
+        self.view.flush_batch(&batch)?;
+        self.view.sfence()?;
         // Apply the staged mutations in order, deduplicating their lines.
         batch.clear();
         for (target, bytes) in staged.iter() {
-            self.acc.write(target, bytes)?;
+            self.view.write(target, bytes)?;
             batch.note(target, bytes.len() as u64);
         }
         staged.clear();
         // Fence #2: targets durable.
-        self.acc.flush_batch(&batch)?;
-        self.acc.sfence()?;
+        self.view.flush_batch(&batch)?;
+        self.view.sfence()?;
         // Fence #3: invalidate the log — the commit point.
-        bump_generation(self.acc, self.area, self.gen)?;
+        bump_generation(self.view, self.area, self.gen)?;
         self.finished = true;
         Ok(())
     }
@@ -536,7 +472,7 @@ impl<'s, A: LogAccess> UndoScope<'s, A> {
         self.finished = true;
         self.staged.borrow_mut().clear();
         if self.tail > 0 {
-            apply_undo(self.acc, self.area, self.gen)?;
+            apply_undo(self.view, self.area, self.gen)?;
         }
         Ok(())
     }
@@ -552,7 +488,7 @@ impl<'s, A: LogAccess> UndoScope<'s, A> {
     }
 }
 
-impl<A: LogAccess> Drop for UndoScope<'_, A> {
+impl Drop for UndoScope<'_> {
     /// A scope dropped unfinished (an early `?` return or a failed
     /// commit) must not leave half-applied metadata behind: roll back
     /// best-effort. If the device has crashed, rollback fails harmlessly
@@ -564,7 +500,7 @@ impl<A: LogAccess> Drop for UndoScope<'_, A> {
         self.drop_index();
         self.staged.borrow_mut().clear();
         if self.tail != 0 {
-            let _ = apply_undo(self.acc, self.area, self.gen);
+            let _ = apply_undo(self.view, self.area, self.gen);
         }
     }
 }
@@ -575,8 +511,8 @@ pub(crate) type DecodedEntry = (u64, u64, Vec<u8>, u64);
 /// Reads and validates the entry at byte position `pos` for generation
 /// `gen`. Returns the decoded entry or `None` when the slot does not
 /// hold a live entry (end of log).
-pub(crate) fn read_entry<A: LogAccess>(
-    acc: &A,
+pub(crate) fn read_entry(
+    view: &MetaView<'_>,
     area: UndoArea,
     gen: u64,
     pos: u64,
@@ -584,18 +520,18 @@ pub(crate) fn read_entry<A: LogAccess>(
     if pos + ENTRY_HEADER > area.size {
         return Ok(None);
     }
-    let entry_gen: u64 = acc.read_pod(area.base + pos)?;
+    let entry_gen: u64 = view.read_pod(area.base + pos)?;
     if entry_gen != gen {
         return Ok(None);
     }
-    let target: u64 = acc.read_pod(area.base + pos + 8)?;
-    let len: u64 = acc.read_pod(area.base + pos + 16)?;
-    let stored_sum: u64 = acc.read_pod(area.base + pos + 24)?;
+    let target: u64 = view.read_pod(area.base + pos + 8)?;
+    let len: u64 = view.read_pod(area.base + pos + 16)?;
+    let stored_sum: u64 = view.read_pod(area.base + pos + 24)?;
     if len > area.size || pos + ENTRY_HEADER + len.next_multiple_of(8) > area.size {
         return Ok(None); // torn header
     }
     let mut old = vec![0u8; len.next_multiple_of(8) as usize];
-    acc.read(area.base + pos + ENTRY_HEADER, &mut old)?;
+    view.read(area.base + pos + ENTRY_HEADER, &mut old)?;
     if checksum(gen, target, len, &old) != stored_sum {
         return Ok(None); // torn entry
     }
@@ -615,39 +551,40 @@ pub(crate) fn read_entry<A: LogAccess>(
 /// to replay. (On an abort racing a crash the entries may exist only in
 /// cache; a rollback begun without this fence could persist a bogus
 /// intermediate value while the chain tears.)
-fn apply_undo<A: LogAccess>(acc: &A, area: UndoArea, gen: u64) -> Result<()> {
+fn apply_undo(view: &MetaView<'_>, area: UndoArea, gen: u64) -> Result<()> {
     let mut entries = Vec::new();
     let mut pos = 0u64;
-    while let Some((target, len, old, entry_len)) = read_entry(acc, area, gen, pos)? {
+    while let Some((target, len, old, entry_len)) = read_entry(view, area, gen, pos)? {
         entries.push((target, len, old));
         pos += entry_len;
     }
     if pos > 0 {
         let mut log_batch = FlushBatch::new();
         log_batch.note(area.base, pos);
-        acc.flush_batch(&log_batch)?;
-        acc.sfence()?;
+        view.flush_batch(&log_batch)?;
+        view.sfence()?;
     }
     let mut batch = FlushBatch::new();
     for (target, len, old) in entries.iter().rev() {
-        acc.write(*target, old)?;
+        view.write(*target, old)?;
         batch.note(*target, *len);
     }
-    acc.flush_batch(&batch)?;
-    acc.sfence()?;
-    bump_generation(acc, area, gen)?;
+    view.flush_batch(&batch)?;
+    view.sfence()?;
+    bump_generation(view, area, gen)?;
     Ok(())
 }
 
-fn bump_generation<A: LogAccess>(acc: &A, area: UndoArea, gen: u64) -> Result<()> {
-    acc.write_pod(area.gen_field, &(gen + 1))?;
-    acc.clwb(area.gen_field, 8)?;
-    acc.sfence()?;
+fn bump_generation(view: &MetaView<'_>, area: UndoArea, gen: u64) -> Result<()> {
+    view.write_pod(area.gen_field, &(gen + 1))?;
+    view.clwb(area.gen_field, 8)?;
+    view.sfence()?;
     Ok(())
 }
 
 /// Recovery entry point: if the area holds live entries, rolls the
-/// interrupted operation back. Returns whether anything was replayed.
+/// interrupted operation back through the device's unmapped view (see
+/// the [module docs](self)). Returns whether anything was replayed.
 ///
 /// Idempotent: crashing during replay and replaying again is safe (§5.8).
 ///
@@ -655,18 +592,19 @@ fn bump_generation<A: LogAccess>(acc: &A, area: UndoArea, gen: u64) -> Result<()
 ///
 /// Device errors.
 pub fn replay(dev: &PmemDevice, area: UndoArea) -> Result<bool> {
-    let gen: u64 = dev.read_pod(area.gen_field)?;
-    if read_entry(dev, area, gen, 0)?.is_none() {
+    let view = dev.unmapped_view();
+    let gen: u64 = view.read_pod(area.gen_field)?;
+    if read_entry(&view, area, gen, 0)?.is_none() {
         return Ok(false);
     }
-    apply_undo(dev, area, gen)?;
+    apply_undo(&view, area, gen)?;
     Ok(true)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmem::{AccessKind, CrashMode, DeviceConfig, Pod};
+    use pmem::{AccessKind, CrashMode, DeviceConfig, Pod, StatsSnapshot};
 
     /// Bytes a test view maps: the generation field, the log area and
     /// the targets.
@@ -680,49 +618,54 @@ mod tests {
     }
 
     /// Opens a scope without claiming the area's lock (strict begin).
-    fn begin<'s, A: LogAccess>(
-        acc: &'s A,
+    fn begin<'s>(
+        view: &'s MetaView<'s>,
         staged: &'s RefCell<StagedWrites>,
         area: UndoArea,
-    ) -> Result<UndoScope<'s, A>> {
-        UndoScope::begin(acc, staged, area, false, None)
+    ) -> Result<UndoScope<'s>> {
+        UndoScope::begin(view, staged, area, false, None)
     }
 
     /// Reads a word the way the scope's owner does: through the
     /// staged-write overlay.
-    fn read_staged<A: LogAccess>(acc: &A, staged: &RefCell<StagedWrites>, offset: u64) -> u64 {
-        let mut word: u64 = acc.read_pod(offset).unwrap();
+    fn read_staged(view: &MetaView<'_>, staged: &RefCell<StagedWrites>, offset: u64) -> u64 {
+        let mut word: u64 = view.read_pod(offset).unwrap();
         staged.borrow().patch(offset, word.as_bytes_mut());
         word
     }
 
-    /// Runs protocol case `$case(dev, acc, area)` over both access
-    /// paths, each on a fresh device: the raw device, then a `MetaView`
-    /// over [`VIEW_LEN`] bytes. Evaluates to each run's device stats
-    /// before and after, the latter taken once the view has dropped (a
-    /// view flushes its traffic counters on drop).
+    /// Runs protocol case `$case(dev, view, area)` through both view
+    /// modes, each on a fresh device: the device's unmapped view, then a
+    /// view mapped over [`VIEW_LEN`] bytes. Both runs must count the same
+    /// traffic: every counter but `validations` and `meta_maps`, which
+    /// tell the modes apart by design. Evaluates to each run's device
+    /// stats before and after, the latter taken once the view has dropped
+    /// (a mapped view flushes its traffic counters on drop).
     macro_rules! on_both_paths {
         ($case:ident) => {{
-            let run = |through_view: bool| {
+            let run = |mapped: bool| {
                 let (dev, area) = setup();
                 let before = dev.stats();
-                if through_view {
-                    let view = dev.map_meta(0, VIEW_LEN, AccessKind::Write).unwrap();
-                    $case(&dev, &view, area);
+                if mapped {
+                    $case(&dev, &dev.map_meta(0, VIEW_LEN, AccessKind::Write).unwrap(), area);
                 } else {
-                    $case(&dev, &dev, area);
+                    $case(&dev, &dev.unmapped_view(), area);
                 }
                 (before, dev.stats())
             };
-            [run(false), run(true)]
+            let runs = [run(false), run(true)];
+            let [unmapped, mapped] =
+                runs.map(|(_, after)| StatsSnapshot { validations: 0, meta_maps: 0, ..after });
+            assert_eq!(unmapped, mapped, "the view modes' traffic differs");
+            runs
         }};
     }
 
     #[test]
     fn commit_makes_writes_durable() {
-        fn case<A: LogAccess>(dev: &PmemDevice, acc: &A, area: UndoArea) {
+        fn case(dev: &PmemDevice, view: &MetaView<'_>, area: UndoArea) {
             let staged = RefCell::default();
-            let mut s = begin(acc, &staged, area).unwrap();
+            let mut s = begin(view, &staged, area).unwrap();
             s.log_and_write_pod(64 * 1024, &0xAAu64).unwrap();
             s.log_and_write_pod(64 * 1024 + 8, &0xBBu64).unwrap();
             s.commit().unwrap();
@@ -737,38 +680,38 @@ mod tests {
 
     #[test]
     fn staged_writes_are_visible_only_through_the_overlay() {
-        fn case<A: LogAccess>(dev: &PmemDevice, acc: &A, area: UndoArea) {
+        fn case(dev: &PmemDevice, view: &MetaView<'_>, area: UndoArea) {
             let target = 64 * 1024;
             dev.write_pod(target, &1u64).unwrap();
             dev.persist(target, 8).unwrap();
             let staged = RefCell::default();
-            let mut s = begin(acc, &staged, area).unwrap();
+            let mut s = begin(view, &staged, area).unwrap();
             s.log_and_write_pod(target, &2u64).unwrap();
             // The store is staged: invisible to a raw read, visible
             // through the overlay.
-            assert_eq!(acc.read_pod::<u64>(target).unwrap(), 1);
-            assert_eq!(read_staged(acc, &staged, target), 2);
+            assert_eq!(view.read_pod::<u64>(target).unwrap(), 1);
+            assert_eq!(read_staged(view, &staged, target), 2);
             s.commit().unwrap();
-            assert_eq!(acc.read_pod::<u64>(target).unwrap(), 2);
-            assert_eq!(read_staged(acc, &staged, target), 2);
+            assert_eq!(view.read_pod::<u64>(target).unwrap(), 2);
+            assert_eq!(read_staged(view, &staged, target), 2);
         }
         on_both_paths!(case);
     }
 
     #[test]
     fn drop_without_commit_rolls_back() {
-        fn case<A: LogAccess>(dev: &PmemDevice, acc: &A, area: UndoArea) {
+        fn case(dev: &PmemDevice, view: &MetaView<'_>, area: UndoArea) {
             let target = 64 * 1024;
             dev.write_pod(target, &7u64).unwrap();
             let staged = RefCell::default();
             {
-                let mut s = begin(acc, &staged, area).unwrap();
+                let mut s = begin(view, &staged, area).unwrap();
                 s.log_and_write_pod(target, &8u64).unwrap();
                 // dropped here without commit
             }
-            assert_eq!(read_staged(acc, &staged, target), 7);
+            assert_eq!(read_staged(view, &staged, target), 7);
             // A fresh scope can begin.
-            begin(acc, &staged, area).unwrap().commit().unwrap();
+            begin(view, &staged, area).unwrap().commit().unwrap();
         }
         on_both_paths!(case);
     }
@@ -780,24 +723,24 @@ mod tests {
         // them appends an entry whose overlapped bytes log their staged
         // value 3, and the newest-first abort still ends every byte on
         // its true pre-op value.
-        fn case<A: LogAccess>(dev: &PmemDevice, acc: &A, area: UndoArea) {
+        fn case(dev: &PmemDevice, view: &MetaView<'_>, area: UndoArea) {
             let target = 64 * 1024;
             dev.write_pod(target, &1u64).unwrap();
             dev.write_pod(target + 8, &4u64).unwrap();
             dev.persist(target, 16).unwrap();
             let staged = RefCell::default();
-            let mut s = begin(acc, &staged, area).unwrap();
+            let mut s = begin(view, &staged, area).unwrap();
             s.log_and_write_pod(target, &2u64).unwrap();
-            assert_eq!(read_staged(acc, &staged, target), 2);
+            assert_eq!(read_staged(view, &staged, target), 2);
             s.log_and_write_pod(target, &3u64).unwrap();
-            assert_eq!(read_staged(acc, &staged, target), 3);
+            assert_eq!(read_staged(view, &staged, target), 3);
             assert_eq!(s.tail, ENTRY_HEADER + 8, "a rewrite of logged bytes appended an entry");
             let wide: Vec<u8> = [5u64, 6].iter().flat_map(|w| w.to_le_bytes()).collect();
             s.log_and_write(target, &wide).unwrap();
             assert_eq!(s.tail, 2 * ENTRY_HEADER + 24);
             s.abort().unwrap();
-            assert_eq!(read_staged(acc, &staged, target), 1);
-            assert_eq!(read_staged(acc, &staged, target + 8), 4);
+            assert_eq!(read_staged(view, &staged, target), 1);
+            assert_eq!(read_staged(view, &staged, target + 8), 4);
             assert!(!replay(dev, area).unwrap());
         }
         on_both_paths!(case);
@@ -814,7 +757,7 @@ mod tests {
         // media must all match it.
         const BASE: u64 = 64 * 1024;
         const SPAN: usize = 1024;
-        fn case<A: LogAccess>(dev: &PmemDevice, acc: &A, area: UndoArea) {
+        fn case(dev: &PmemDevice, view: &MetaView<'_>, area: UndoArea) {
             let mut rng = platform::rng::Rng::new(0x0DD_5EED);
             let mut media = vec![0u8; SPAN];
             rng.fill(&mut media);
@@ -822,7 +765,7 @@ mod tests {
             dev.persist(BASE, SPAN as u64).unwrap();
             for round in 0..8 {
                 let staged = RefCell::default();
-                let mut scope = begin(acc, &staged, area).unwrap();
+                let mut scope = begin(view, &staged, area).unwrap();
                 let gen = scope.gen;
                 let mut writes: Vec<(usize, Vec<u8>)> = Vec::new();
                 let mut logged = vec![false; SPAN];
@@ -853,7 +796,7 @@ mod tests {
                         let len = 1 + rng.below(150) as usize;
                         let at = rng.below((SPAN - len) as u64) as usize;
                         let mut buf = vec![0u8; len];
-                        acc.read(BASE + at as u64, &mut buf).unwrap();
+                        view.read(BASE + at as u64, &mut buf).unwrap();
                         staged.borrow().patch(BASE + at as u64, &mut buf);
                         assert_eq!(buf, naive(&writes, at, len), "round {round}: read {at}+{len}");
                     }
@@ -861,7 +804,7 @@ mod tests {
                 let mut pos = 0;
                 for (i, (target, old)) in entries.iter().enumerate() {
                     let (t, _, logged_old, entry_len) =
-                        read_entry(acc, area, gen, pos).unwrap().expect("entry missing");
+                        read_entry(view, area, gen, pos).unwrap().expect("entry missing");
                     assert_eq!((t, &logged_old), (*target, old), "round {round}: entry {i}");
                     pos += entry_len;
                 }
@@ -882,9 +825,9 @@ mod tests {
 
     #[test]
     fn overflow_is_detected() {
-        fn case<A: LogAccess>(_: &PmemDevice, acc: &A, area: UndoArea) {
+        fn case(_: &PmemDevice, view: &MetaView<'_>, area: UndoArea) {
             let staged = RefCell::default();
-            let mut s = begin(acc, &staged, area).unwrap();
+            let mut s = begin(view, &staged, area).unwrap();
             let big = vec![0u8; 4096];
             let mut wrote = 0u64;
             // Distinct targets: a range already logged appends nothing.
@@ -905,10 +848,10 @@ mod tests {
     fn empty_commit_is_barrier_free() {
         // A scope that logs nothing must not pay a single flush or fence,
         // and must not bump the generation.
-        fn case<A: LogAccess>(dev: &PmemDevice, acc: &A, area: UndoArea) {
+        fn case(dev: &PmemDevice, view: &MetaView<'_>, area: UndoArea) {
             let gen_before: u64 = dev.read_pod(area.gen_field).unwrap();
             let staged = RefCell::default();
-            begin(acc, &staged, area).unwrap().commit().unwrap();
+            begin(view, &staged, area).unwrap().commit().unwrap();
             assert_eq!(dev.read_pod::<u64>(area.gen_field).unwrap(), gen_before);
         }
         for (before, after) in on_both_paths!(case) {
@@ -923,12 +866,13 @@ mod tests {
         // fenced (targets were never even issued): a strict crash is a
         // complete no-op for the operation.
         let (dev, area) = setup();
+        let view = dev.unmapped_view();
         let target = 64 * 1024;
         dev.write_pod(target, &1u64).unwrap();
         dev.persist(target, 8).unwrap();
 
         let staged = RefCell::default();
-        let mut s = begin(&dev, &staged, area).unwrap();
+        let mut s = begin(&view, &staged, area).unwrap();
         s.log_and_write_pod(target, &2u64).unwrap();
         std::mem::forget(s); // simulate losing the scope in a crash
         dev.simulate_crash(CrashMode::Strict, 7);
@@ -940,12 +884,13 @@ mod tests {
     #[test]
     fn crash_during_commit_replays_to_old_state() {
         let (dev, area) = setup();
+        let view = dev.unmapped_view();
         let target = 64 * 1024;
         dev.write_pod(target, &1u64).unwrap();
         dev.persist(target, 8).unwrap();
 
         let staged = RefCell::default();
-        let mut s = begin(&dev, &staged, area).unwrap();
+        let mut s = begin(&view, &staged, area).unwrap();
         s.log_and_write_pod(target, &2u64).unwrap();
         // Commit events: entry write, entry-line clwb, fence #1, target
         // write, … Crash on the target flush: the entry is durable, the
@@ -963,11 +908,12 @@ mod tests {
     #[test]
     fn replay_restores_in_reverse_order() {
         let (dev, area) = setup();
+        let view = dev.unmapped_view();
         let target = 64 * 1024;
         dev.write_pod(target, &1u64).unwrap();
         dev.persist(target, 8).unwrap();
         let staged = RefCell::default();
-        let mut s = begin(&dev, &staged, area).unwrap();
+        let mut s = begin(&view, &staged, area).unwrap();
         s.log_and_write_pod(target, &2u64).unwrap();
         s.log_and_write_pod(target, &3u64).unwrap(); // same target twice
         s.commit().unwrap();
@@ -977,7 +923,7 @@ mod tests {
         // one entry (the second write's bytes are logged already), its
         // clwb, fence #1, the first staged store — the crash lands on the
         // second.
-        let mut s = begin(&dev, &staged, area).unwrap();
+        let mut s = begin(&view, &staged, area).unwrap();
         s.log_and_write_pod(target, &4u64).unwrap();
         s.log_and_write_pod(target, &5u64).unwrap();
         dev.arm_crash_after(4);
@@ -991,14 +937,15 @@ mod tests {
     #[test]
     fn begin_rejects_unrecovered_log() {
         let (dev, area) = setup();
+        let view = dev.unmapped_view();
         let staged = RefCell::default();
-        let mut s = begin(&dev, &staged, area).unwrap();
+        let mut s = begin(&view, &staged, area).unwrap();
         s.log_and_write_pod(64 * 1024, &1u64).unwrap();
         std::mem::forget(s);
         let staged = RefCell::default();
-        assert!(matches!(begin(&dev, &staged, area), Err(PoseidonError::Corrupted(_))));
+        assert!(matches!(begin(&view, &staged, area), Err(PoseidonError::Corrupted(_))));
         replay(&dev, area).unwrap();
-        begin(&dev, &staged, area).unwrap().commit().unwrap();
+        begin(&view, &staged, area).unwrap().commit().unwrap();
     }
 
     #[test]
@@ -1007,10 +954,11 @@ mod tests {
         // not two (and the two 40-byte entries share a line boundary:
         // lines 0 and 1 of the log area).
         let (dev, area) = setup();
+        let view = dev.unmapped_view();
         let target = 64 * 1024; // line-aligned
         let before = dev.stats();
         let staged = RefCell::default();
-        let mut s = begin(&dev, &staged, area).unwrap();
+        let mut s = begin(&view, &staged, area).unwrap();
         s.log_and_write_pod(target, &2u64).unwrap();
         s.log_and_write_pod(target + 8, &3u64).unwrap(); // same line
         s.commit().unwrap();
@@ -1024,11 +972,12 @@ mod tests {
     #[test]
     fn replay_survives_crash_during_replay() {
         let (dev, area) = setup();
+        let view = dev.unmapped_view();
         let target = 64 * 1024;
         dev.write_pod(target, &1u64).unwrap();
         dev.persist(target, 8).unwrap();
         let staged = RefCell::default();
-        let mut s = begin(&dev, &staged, area).unwrap();
+        let mut s = begin(&view, &staged, area).unwrap();
         s.log_and_write_pod(target, &2u64).unwrap();
         s.log_and_write_pod(target + 8, &9u64).unwrap();
         // Crash right after fence #1 (2 entry writes + 2 entry-line
@@ -1055,11 +1004,12 @@ mod tests {
         // to finish the rollback instead of wedging until a power cycle;
         // a strict begin (which cannot assume the lock) still rejects.
         let (dev, area) = setup();
+        let view = dev.unmapped_view();
         let target = 64 * 1024;
         dev.write_pod(target, &1u64).unwrap();
         dev.persist(target, 8).unwrap();
         let staged = RefCell::default();
-        let mut s = begin(&dev, &staged, area).unwrap();
+        let mut s = begin(&view, &staged, area).unwrap();
         s.log_and_write_pod(target, &2u64).unwrap();
         s.log_and_write_pod(target + 8, &9u64).unwrap();
         dev.arm_crash_after(5);
@@ -1067,11 +1017,11 @@ mod tests {
         dev.clear_crash();
 
         // A strict begin stays strict about the live log...
-        assert!(matches!(begin(&dev, &staged, area), Err(PoseidonError::Corrupted(_))));
+        assert!(matches!(begin(&view, &staged, area), Err(PoseidonError::Corrupted(_))));
 
         // ...but a lock-holding begin re-drives the rollback and opens
         // cleanly on the bumped generation.
-        let s = UndoScope::begin(&dev, &staged, area, true, None).unwrap();
+        let s = UndoScope::begin(&view, &staged, area, true, None).unwrap();
         drop(s);
         assert_eq!(dev.read_pod::<u64>(target).unwrap(), 1);
         assert!(!replay(&dev, area).unwrap());
@@ -1092,6 +1042,7 @@ mod tests {
         for arm in 1..=18u64 {
             for seed in 0..8u64 {
                 let (dev, area) = setup();
+                let view = dev.unmapped_view();
                 for i in 0..3 {
                     dev.write_pod(targets(i), &1u64).unwrap();
                     dev.persist(targets(i), 8).unwrap();
@@ -1100,7 +1051,7 @@ mod tests {
                 dev.arm_crash_after(arm);
                 let staged = RefCell::default();
                 let committed = (|| -> Result<()> {
-                    let mut s = begin(&dev, &staged, area)?;
+                    let mut s = begin(&view, &staged, area)?;
                     for i in 0..3 {
                         s.log_and_write_pod(targets(i), &2u64)?;
                     }
@@ -1112,7 +1063,7 @@ mod tests {
                 let media_gen: u64 = dev.read_pod(area.gen_field).unwrap();
                 let mut live = 0u64;
                 let mut pos = 0u64;
-                while let Some((_, _, _, entry_len)) = read_entry(&dev, area, media_gen, pos).unwrap() {
+                while let Some((_, _, _, entry_len)) = read_entry(&view, area, media_gen, pos).unwrap() {
                     live += 1;
                     pos += entry_len;
                 }
@@ -1145,15 +1096,16 @@ mod tests {
     #[test]
     fn generation_bump_invalidates_stale_entries() {
         let (dev, area) = setup();
+        let view = dev.unmapped_view();
         let target = 64 * 1024;
         let staged = RefCell::default();
-        let mut s = begin(&dev, &staged, area).unwrap();
+        let mut s = begin(&view, &staged, area).unwrap();
         s.log_and_write_pod(target, &5u64).unwrap();
         s.commit().unwrap();
         // The old entry bytes still sit in the log area but belong to a
         // dead generation: a new scope starts clean and replay is a no-op.
         assert!(!replay(&dev, area).unwrap());
-        let mut s = begin(&dev, &staged, area).unwrap();
+        let mut s = begin(&view, &staged, area).unwrap();
         s.log_and_write_pod(target, &6u64).unwrap();
         s.commit().unwrap();
         assert_eq!(dev.read_pod::<u64>(target).unwrap(), 6);

@@ -1017,9 +1017,7 @@ pub fn run_soak(config: &KvServeConfig) -> SoakReport {
         config.update_permille + config.insert_permille + config.scan_permille <= 1000,
         "op mix exceeds 1000 permille"
     );
-    let dev = Arc::new(PmemDevice::new(
-        DeviceConfig::new(config.capacity).growable_to(config.max_capacity).with_media_faults(true),
-    ));
+    let dev = Arc::new(PmemDevice::new(DeviceConfig::new(config.capacity).growable_to(config.max_capacity)));
     let soak = Soak {
         config: config.clone(),
         dev: dev.clone(),

@@ -44,13 +44,15 @@ cargo test -p poseidon -q huge
 echo "== cargo test --release -p poseidon every_cut (exhaustive scope crash points)"
 cargo test --release -q -p poseidon every_cut
 
-# The sparse chunk store's own gate, optimised as the benchmark runs it:
-# a seeded differential test against a flat byte array (every head
-# alignment, lengths 0-600, chunk-crossing ranges, punch edges), readers,
-# aligned writers and first-touch materialisation racing on one chunk,
-# and a punched chunk reused by the next store.
-echo "== cargo test --release -p pmem store (sparse chunk store)"
-cargo test --release -q -p pmem store
+# The whole substrate, optimised as the benchmark builds it: the one
+# access body in both view modes and its seeded differential (device API
+# against a mapped view: every result and error, every counter but
+# validations and meta_maps, the media after Strict and Adversarial
+# crashes), the fence domains, and the sparse chunk store's own
+# differential against a flat byte array with its racing readers,
+# writers and first-touch materialisation.
+echo "== cargo test --release -p pmem (substrate)"
+cargo test --release -q -p pmem
 
 # Fuzzers gate merges too, with fixed seeds for determinism: every case
 # injects a crash at a random mutation event anywhere in its workload

@@ -487,7 +487,7 @@ fn check_cache_residency(r: &Recovered, heap_id: u64, cache_withdrawn: &[(u16, u
 /// that the quarantine verdicts survive a power cycle.
 fn run_live_case(case_seed: u64) -> Result<CaseOutcome, String> {
     let mut rng = Rng(case_seed | 1);
-    let dev = Arc::new(PmemDevice::new(DeviceConfig::new(64 << 20).with_media_faults(true)));
+    let dev = Arc::new(PmemDevice::new(DeviceConfig::new(64 << 20)));
     let heap = Arc::new(
         PoseidonHeap::create(dev.clone(), HeapConfig::new().with_subheaps(2 + rng.below(3) as u16))
             .map_err(|e| format!("create: {e}"))?,
@@ -604,9 +604,7 @@ fn run_live_case(case_seed: u64) -> Result<CaseOutcome, String> {
 /// geometry it recovered to, and it must keep serving and keep growing.
 fn run_grow_case(case_seed: u64, with_poison: bool) -> Result<CaseOutcome, String> {
     let mut rng = Rng(case_seed | 1);
-    let dev = Arc::new(PmemDevice::new(
-        DeviceConfig::new(24 << 20).growable_to(256 << 20).with_media_faults(with_poison),
-    ));
+    let dev = Arc::new(PmemDevice::new(DeviceConfig::new(24 << 20).growable_to(256 << 20)));
     let heap = Arc::new(
         PoseidonHeap::create(dev.clone(), HeapConfig::new().with_subheaps(1 + rng.below(2) as u16))
             .map_err(|e| format!("create: {e}"))?,
@@ -694,9 +692,9 @@ fn run_grow_case(case_seed: u64, with_poison: bool) -> Result<CaseOutcome, Strin
 fn run_maint_case(case_seed: u64, with_poison: bool, with_grow: bool) -> Result<CaseOutcome, String> {
     let mut rng = Rng(case_seed | 1);
     let device_config = if with_grow {
-        DeviceConfig::new(24 << 20).growable_to(256 << 20).with_media_faults(with_poison)
+        DeviceConfig::new(24 << 20).growable_to(256 << 20)
     } else {
-        DeviceConfig::new(64 << 20).with_media_faults(with_poison)
+        DeviceConfig::new(64 << 20)
     };
     let dev = Arc::new(PmemDevice::new(device_config));
     // Half the cases run uncached so freed buddies land straight on the
@@ -909,7 +907,7 @@ const MAINT_UNCACHED_STORES_PER_OP: u64 = 5;
 
 fn run_case(case_seed: u64, with_tx: bool, with_poison: bool) -> Result<CaseOutcome, String> {
     let mut rng = Rng(case_seed | 1);
-    let dev = Arc::new(PmemDevice::new(DeviceConfig::new(64 << 20).with_media_faults(with_poison)));
+    let dev = Arc::new(PmemDevice::new(DeviceConfig::new(64 << 20)));
     let heap = Arc::new(
         PoseidonHeap::create(dev.clone(), HeapConfig::new().with_subheaps(1 + rng.below(3) as u16))
             .map_err(|e| format!("create: {e}"))?,
@@ -1077,7 +1075,7 @@ const WORKERS: usize = 2;
 /// arm's power cycle and checks.
 fn run_threads_case(case_seed: u64, with_poison: bool) -> Result<CaseOutcome, String> {
     let mut rng = Rng(case_seed | 1);
-    let dev = Arc::new(PmemDevice::new(DeviceConfig::new(64 << 20).with_media_faults(with_poison)));
+    let dev = Arc::new(PmemDevice::new(DeviceConfig::new(64 << 20)));
     let heap = Arc::new(
         PoseidonHeap::create(dev.clone(), HeapConfig::new().with_subheaps(1 + rng.below(3) as u16))
             .map_err(|e| format!("create: {e}"))?,

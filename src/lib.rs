@@ -8,7 +8,7 @@
 //!   MPK-protected metadata, buddy lists, a multi-level hash table, and
 //!   undo/micro logging).
 //! * [`pmem`] — the simulated NVMM device substrate (cache-line flush/fence
-//!   semantics, crash simulation, NUMA model, DCPMM cost model).
+//!   semantics, crash simulation, NUMA model, media poison).
 //! * [`mpk`] — the simulated Intel Memory Protection Keys substrate.
 //! * [`ptx`] — durable persistent transactions over Poseidon (the
 //!   programming model transactional allocation exists to serve).

@@ -166,8 +166,7 @@ fn degenerate_growths_are_rejected() {
 /// the pool did not grow.
 #[test]
 fn a_media_error_after_the_epoch_commit_still_reports_the_growth() {
-    let dev =
-        Arc::new(PmemDevice::new(DeviceConfig::new(64 * MIB).growable_to(128 * MIB).with_media_faults(true)));
+    let dev = Arc::new(PmemDevice::new(DeviceConfig::new(64 * MIB).growable_to(128 * MIB)));
     let heap = PoseidonHeap::create(dev.clone(), HeapConfig::new().with_subheaps(2)).unwrap();
     // A block freed on CPU 0 stays resident in sub-heap 0's cache, so the
     // re-balance has to drain it through sub-heap 0's metadata.

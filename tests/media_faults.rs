@@ -11,7 +11,7 @@ use pmem::{CrashMode, DeviceConfig, PmemDevice, CACHE_LINE_SIZE};
 use poseidon::{HeapConfig, PoseidonError, PoseidonHeap};
 
 fn faulty_device() -> Arc<PmemDevice> {
-    Arc::new(PmemDevice::new(DeviceConfig::new(64 << 20).with_media_faults(true)))
+    Arc::new(PmemDevice::new(DeviceConfig::new(64 << 20)))
 }
 
 fn line_of(raw: u64) -> u64 {

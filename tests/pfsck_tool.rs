@@ -60,7 +60,7 @@ fn repair_fixes_poisoned_pool_in_place() {
     // Build a pool with media faults enabled, then poison a buddy
     // free-list head line, an undo-log line, and a freed block's user
     // line before saving — the acceptance scenario for `--repair`.
-    let dev = Arc::new(PmemDevice::new(DeviceConfig::new(64 << 20).with_media_faults(true)));
+    let dev = Arc::new(PmemDevice::new(DeviceConfig::new(64 << 20)));
     let heap = PoseidonHeap::create(dev.clone(), HeapConfig::new().with_subheaps(1)).unwrap();
     let layout = heap.layout().clone();
     let keep = heap.alloc(256).unwrap();
@@ -111,7 +111,7 @@ fn repair_fixes_poisoned_pool_in_place() {
 #[test]
 fn repair_with_lost_root_exits_nonzero() {
     let path = std::env::temp_dir().join(format!("pfsck-lost-root-{}.pool", std::process::id()));
-    let dev = Arc::new(PmemDevice::new(DeviceConfig::new(64 << 20).with_media_faults(true)));
+    let dev = Arc::new(PmemDevice::new(DeviceConfig::new(64 << 20)));
     let heap = PoseidonHeap::create(dev.clone(), HeapConfig::new().with_subheaps(1)).unwrap();
     let keep = heap.alloc(256).unwrap();
     heap.set_root(keep).unwrap();

@@ -43,9 +43,10 @@ fn byte_flips_in_metadata_never_panic() {
     check("byte_flips_in_metadata_never_panic", Config::cases(24), |g| {
         let flips = g.vec(1..24, |g| (g.u64(0..4 << 20), g.any_u8()));
         let dev = build_pool();
-        // The attacker/bit-rot writes bypass MPK (simulating at-rest
-        // corruption of the pool file).
-        let raw = PmemDevice::new(DeviceConfig::new(64 << 20).with_protection(false));
+        // The attacker/bit-rot writes (simulating at-rest corruption of
+        // the pool file) go to a fresh device no heap has tagged, so MPK
+        // lets every one of them land.
+        let raw = PmemDevice::new(DeviceConfig::new(64 << 20));
         // Copy the image across (reads are unprotected).
         let mut buf = vec![0u8; 1 << 20];
         let mut off = 0;
@@ -68,7 +69,7 @@ fn log_area_corruption_never_panics() {
         let flips = g.vec(1..16, |g| (g.u64(0..0x12000), g.any_u8()));
         // Target the sub-heap 0 header/log area specifically (the part
         // recovery parses), after an interrupted operation.
-        let dev = Arc::new(PmemDevice::new(DeviceConfig::new(64 << 20).with_protection(false)));
+        let dev = Arc::new(PmemDevice::new(DeviceConfig::new(64 << 20)));
         {
             let heap = PoseidonHeap::create(dev.clone(), HeapConfig::new().with_subheaps(2)).unwrap();
             let _ = heap.alloc(4096).unwrap();
@@ -77,6 +78,7 @@ fn log_area_corruption_never_panics() {
             dev.disarm_crash();
         }
         dev.simulate_crash(pmem::CrashMode::Strict, 5);
+        // The dropped heap untagged its metadata, so the flips pass MPK.
         let meta0 = 64 * 1024u64; // SB_REGION_SIZE
         for (offset, value) in flips {
             dev.write(meta0 + offset, &[value]).unwrap();
@@ -93,7 +95,7 @@ fn undo_and_micro_log_byte_flips_never_panic() {
         // meta + [0x11000, 0x15000) — the exact bytes recovery parses and
         // replays. Whole-pool sampling (above) rarely lands here.
         let flips = g.vec(1..16, |g| (g.u64(0x1000..0x15000), g.any_u8()));
-        let dev = Arc::new(PmemDevice::new(DeviceConfig::new(64 << 20).with_protection(false)));
+        let dev = Arc::new(PmemDevice::new(DeviceConfig::new(64 << 20)));
         let meta_size;
         {
             let heap = PoseidonHeap::create(dev.clone(), HeapConfig::new().with_subheaps(2)).unwrap();
@@ -106,6 +108,7 @@ fn undo_and_micro_log_byte_flips_never_panic() {
             dev.disarm_crash();
         }
         dev.simulate_crash(pmem::CrashMode::Strict, 7);
+        // The dropped heap untagged its metadata, so the flips pass MPK.
         let sb_region = 64 * 1024u64; // SB_REGION_SIZE
         for (offset, value) in flips {
             for sub in 0..2u64 {
