@@ -2,6 +2,8 @@
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
+use platform::counter;
+use platform::counters::StripedCounters;
 use platform::sync::Mutex;
 
 use crate::pkru::{read_tls, write_tls, AccessKind, Pkru, WRPKRU_CYCLES};
@@ -79,15 +81,19 @@ impl std::fmt::Display for MpkError {
 
 impl std::error::Error for MpkError {}
 
-/// Counters describing protection activity inside a domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MpkStats {
-    /// Number of `wrpkru` executions (permission changes).
-    pub wrpkru_count: u64,
-    /// Simulated cycles spent in `wrpkru` ([`WRPKRU_CYCLES`] each).
-    pub wrpkru_cycles: u64,
-    /// Number of denied accesses observed through [`MpkDomain::access_allowed`].
-    pub violations: u64,
+platform::counter_struct! {
+    /// Counters describing protection activity inside a domain. The
+    /// domain keeps `wrpkru_count` and `violations` in striped rows, one
+    /// per thread stripe; `wrpkru_cycles` follows from `wrpkru_count`.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct MpkStats {
+        /// Number of `wrpkru` executions (permission changes).
+        pub wrpkru_count: u64,
+        /// Simulated cycles spent in `wrpkru` ([`WRPKRU_CYCLES`] each).
+        pub wrpkru_cycles: u64,
+        /// Number of denied accesses observed through [`MpkDomain::access_allowed`].
+        pub violations: u64,
+    }
 }
 
 /// A process-like protection-key domain: 16 keys, a default `PKRU`
@@ -104,8 +110,7 @@ pub struct MpkDomain {
     /// The `PKRU` value a thread starts from the first time it touches this
     /// domain.
     default_pkru: AtomicU32,
-    wrpkru_count: AtomicU64,
-    violations: AtomicU64,
+    stats: StripedCounters<MpkStats, 3>,
 }
 
 static NEXT_DOMAIN_ID: AtomicU64 = AtomicU64::new(1);
@@ -118,8 +123,7 @@ impl MpkDomain {
             id: NEXT_DOMAIN_ID.fetch_add(1, Ordering::Relaxed),
             allocated: Mutex::new(1),
             default_pkru: AtomicU32::new(Pkru::ALL_ACCESS.0),
-            wrpkru_count: AtomicU64::new(0),
-            violations: AtomicU64::new(0),
+            stats: StripedCounters::new(),
         }
     }
 
@@ -194,7 +198,7 @@ impl MpkDomain {
     /// `wrpkru` cost.
     #[inline]
     pub fn wrpkru(&self, value: Pkru) {
-        self.wrpkru_count.fetch_add(1, Ordering::Relaxed);
+        self.stats.add([(counter!(MpkStats, wrpkru_count), 1)]);
         write_tls(self.id, value.0);
     }
 
@@ -207,19 +211,15 @@ impl MpkDomain {
         }
         let ok = self.rdpkru().allows(key.index(), kind);
         if !ok {
-            self.violations.fetch_add(1, Ordering::Relaxed);
+            self.stats.add([(counter!(MpkStats, violations), 1)]);
         }
         ok
     }
 
     /// Returns a snapshot of the domain's protection-activity counters.
     pub fn stats(&self) -> MpkStats {
-        let wrpkru_count = self.wrpkru_count.load(Ordering::Relaxed);
-        MpkStats {
-            wrpkru_count,
-            wrpkru_cycles: wrpkru_count * WRPKRU_CYCLES,
-            violations: self.violations.load(Ordering::Relaxed),
-        }
+        let stats = self.stats.snapshot();
+        MpkStats { wrpkru_cycles: stats.wrpkru_count * WRPKRU_CYCLES, ..stats }
     }
 
     /// Returns the default `PKRU` value for threads that have not executed
@@ -308,6 +308,31 @@ mod tests {
         let s = d.stats();
         assert_eq!(s.wrpkru_count, 2);
         assert_eq!(s.wrpkru_cycles, 2 * WRPKRU_CYCLES);
+    }
+
+    /// Two threads each bracket `GUARDS` writes in a guard (two
+    /// `wrpkru`s per guard) and trip a read-only key once: the summed rows
+    /// count every `wrpkru` and every violation.
+    #[test]
+    fn two_threads_count_every_wrpkru() {
+        const GUARDS: u64 = 5_000;
+        let d = MpkDomain::new();
+        let k = d.pkey_alloc(AccessRights::ReadOnly).unwrap();
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for _ in 0..GUARDS {
+                        let _guard = d.grant_write(k);
+                        assert!(d.access_allowed(k, AccessKind::Write));
+                    }
+                    assert!(!d.access_allowed(k, AccessKind::Write));
+                });
+            }
+        });
+        let s = d.stats();
+        assert_eq!(s.wrpkru_count, 2 * 2 * GUARDS);
+        assert_eq!(s.wrpkru_cycles, 2 * 2 * GUARDS * WRPKRU_CYCLES);
+        assert_eq!(s.violations, 2);
     }
 
     #[test]

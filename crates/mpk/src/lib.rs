@@ -16,7 +16,9 @@
 //!   `PKRU` for keys allocated with `PKEY_DISABLE_WRITE`).
 //! * [`Pkru`] — a per-thread register value, two bits per key, read and
 //!   written through the domain (`rdpkru`/`wrpkru`). Each `wrpkru` is
-//!   charged [`WRPKRU_CYCLES`] simulated cycles in the domain statistics.
+//!   charged [`WRPKRU_CYCLES`] simulated cycles in the domain statistics
+//!   ([`MpkStats`]), which the domain keeps in `platform`'s striped rows:
+//!   threads issuing `wrpkru` on one domain never share a counter line.
 //! * [`PkruGuard`] — an RAII guard that grants the current thread write
 //!   access to one key and restores the previous `PKRU` value on drop,
 //!   which is exactly how Poseidon brackets its allocation/free paths.

@@ -2,6 +2,7 @@
 
 use std::marker::PhantomData;
 
+use platform::rng::splitmix64;
 use pmem::{pod_struct, Pod};
 use poseidon::NvmPtr;
 use ptx::{Ptx, PtxError, PtxPool};
@@ -16,13 +17,6 @@ pod_struct! {
         /// Pointer to the bucket array (`buckets` x 16-byte `NvmPtr`s).
         pub table: NvmPtr,
     }
-}
-
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// A crash-consistent hash map from `u64` keys to [`Pod`] values, with
@@ -80,7 +74,7 @@ impl<V: Pod> PMap<V> {
     }
 
     fn bucket_head(&self, pool: &PtxPool, header: &MapHeader, key: u64) -> Result<(u64, NvmPtr), PtxError> {
-        let bucket = mix(key) & (header.buckets - 1);
+        let bucket = splitmix64(key) & (header.buckets - 1);
         let table = pool.heap().raw_offset(header.table)?;
         let head: NvmPtr = pool.heap().device().read_pod(table + bucket * 16)?;
         Ok((bucket, head))
@@ -143,7 +137,7 @@ impl<V: Pod> PMap<V> {
     pub fn insert_in(&self, tx: &mut Ptx<'_>, key: u64, value: V) -> Result<Option<V>, PtxError> {
         {
             let header: MapHeader = tx.read_pod(self.header, 0)?;
-            let bucket = mix(key) & (header.buckets - 1);
+            let bucket = splitmix64(key) & (header.buckets - 1);
             // In-place update if present.
             let mut cursor: NvmPtr = tx.read_pod(header.table, bucket * 16)?;
             while !cursor.is_null() {
@@ -186,7 +180,7 @@ impl<V: Pod> PMap<V> {
     pub fn remove_in(&self, tx: &mut Ptx<'_>, key: u64) -> Result<Option<V>, PtxError> {
         {
             let header: MapHeader = tx.read_pod(self.header, 0)?;
-            let bucket = mix(key) & (header.buckets - 1);
+            let bucket = splitmix64(key) & (header.buckets - 1);
             let mut prev: Option<NvmPtr> = None;
             let mut cursor: NvmPtr = tx.read_pod(header.table, bucket * 16)?;
             while !cursor.is_null() {
@@ -217,7 +211,7 @@ impl<V: Pod> PMap<V> {
     /// Device errors.
     pub fn get_in(&self, tx: &Ptx<'_>, key: u64) -> Result<Option<V>, PtxError> {
         let header: MapHeader = tx.read_pod(self.header, 0)?;
-        let mut cursor: NvmPtr = tx.read_pod(header.table, (mix(key) & (header.buckets - 1)) * 16)?;
+        let mut cursor: NvmPtr = tx.read_pod(header.table, (splitmix64(key) & (header.buckets - 1)) * 16)?;
         while !cursor.is_null() {
             let node_key: u64 = tx.read_pod(cursor, 16)?;
             if node_key == key {

@@ -25,7 +25,7 @@
 //! * `PLATFORM_CHECK_CASES=<n>` — override every harness's case budget
 //!   (e.g. crank to 10000 for a soak run).
 
-use crate::rng::Rng;
+use crate::rng::{fnv1a, splitmix64, Rng};
 
 /// Budget and seeding for one [`check`] call.
 #[derive(Debug, Clone, Copy)]
@@ -209,22 +209,6 @@ fn shrink(prop: &impl Fn(&mut Gen), case: u32, seed: u64, message: String) -> Fa
     }
     std::panic::set_hook(hook);
     best
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

@@ -27,10 +27,25 @@
 //! * [`lockfree`] — bounded lock-free value pools
 //!   ([`lockfree::SlotPool`]), ABA-free by storing values rather than
 //!   nodes.
+//! * [`lazy`] — the lazily materialised array ([`lazy::LazyArray`]):
+//!   fixed length, `OnceLock` segments that materialise on first use.
+//!   The chunk store's slot directory, a device's page keys and nodes,
+//!   the cache's residency bytes and the per-thread fence domains are
+//!   each one.
+//! * [`counters`] — striped counters ([`counters::StripedCounters`]):
+//!   a cache-padded row of atomics per thread stripe, summed on read,
+//!   with each set declared once as the fields of a
+//!   [`counter_struct!`]. The device's traffic counters, the MPK
+//!   domain's and each sub-heap cache's counters are each one.
+//!
+//! [`rng`] also holds the workspace's one copy of each hash function,
+//! [`rng::splitmix64`] and [`rng::fnv1a`].
 
 #![warn(missing_docs)]
 
 pub mod check;
+pub mod counters;
+pub mod lazy;
 pub mod lockfree;
 pub mod percpu;
 pub mod rng;

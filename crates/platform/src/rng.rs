@@ -5,6 +5,11 @@
 //! test is reproducible bit-for-bit. The core is the xorshift64 generator
 //! (shifts 13/7/17) the workload suite has always used — kept identical
 //! so op-stream digests are stable across the dependency refactor.
+//!
+//! The workspace's two hash functions live here too: [`splitmix64`],
+//! which places hash-table records and map buckets and picks crash and
+//! poison lines and property-test case seeds, and 64-bit [`fnv1a`],
+//! which [`StreamDigest`] folds op streams with.
 
 /// A deterministic xorshift64 generator.
 ///
@@ -92,6 +97,29 @@ impl Rng {
     }
 }
 
+/// SplitMix64's output function: a bijective, well-avalanched mix of `x`
+/// (Steele et al., "Fast Splittable Pseudorandom Number Generators").
+#[inline]
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// FNV-1a's 64-bit offset basis: the hash of no bytes.
+const FNV_OFFSET_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// The 64-bit FNV-1a hash of `bytes`.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_fold(FNV_OFFSET_BASIS, bytes)
+}
+
+/// Continues the FNV-1a hash `hash` over `bytes`.
+fn fnv1a_fold(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |hash, &byte| (hash ^ byte as u64).wrapping_mul(0x0000_0100_0000_01B3))
+}
+
 /// A 64-bit FNV-1a digest of a value stream — used by the repro harness
 /// to fingerprint workload op streams, so RNG changes that would silently
 /// alter a benchmark's operation mix are caught as a digest change.
@@ -101,15 +129,12 @@ pub struct StreamDigest(u64);
 impl StreamDigest {
     /// Starts a fresh digest (FNV-1a offset basis).
     pub fn new() -> StreamDigest {
-        StreamDigest(0xCBF2_9CE4_8422_2325)
+        StreamDigest(FNV_OFFSET_BASIS)
     }
 
-    /// Folds one value into the digest.
+    /// Folds one value (its little-endian bytes) into the digest.
     pub fn update(&mut self, value: u64) {
-        for byte in value.to_le_bytes() {
-            self.0 ^= byte as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        self.0 = fnv1a_fold(self.0, &value.to_le_bytes());
     }
 
     /// Returns the digest value.
@@ -233,6 +258,21 @@ mod tests {
     fn zero_seed_is_remapped() {
         let mut rng = Rng::new(0);
         assert_ne!(rng.next_u64(), 0);
+    }
+
+    #[test]
+    fn hashes_match_their_reference_vectors() {
+        // FNV-1a 64 (Fowler, Noll and Vo's published vectors).
+        assert_eq!(fnv1a(b""), 0xCBF2_9CE4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xAF63_DC4C_8601_EC8C);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_F739_67E8);
+        // SplitMix64's first two outputs from seed 0.
+        assert_eq!(splitmix64(0), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(splitmix64(0x9E37_79B9_7F4A_7C15), 0x6E78_9E6A_A1B9_65F4);
+        // A digest of one value is the FNV-1a of its little-endian bytes.
+        let mut digest = StreamDigest::new();
+        digest.update(0x0123_4567_89AB_CDEF);
+        assert_eq!(digest.finish(), fnv1a(&0x0123_4567_89AB_CDEFu64.to_le_bytes()));
     }
 
     #[test]

@@ -47,9 +47,10 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::RangeInclusive;
 
+use platform::rng::splitmix64;
 use platform::sync::{CachePadded, Mutex, MutexGuard};
 
-use crate::slots::{SlotTable, ThreadSlot};
+use crate::slots::{self, SlotTable, ThreadSlot};
 
 /// Size of a CPU cache line in bytes.
 pub const CACHE_LINE_SIZE: u64 = 64;
@@ -136,7 +137,7 @@ impl CacheModel {
     pub(crate) fn new() -> CacheModel {
         CacheModel {
             shards: (0..SHARDS).map(|_| CachePadded::new(Mutex::new(Shard::default()))).collect(),
-            domains: SlotTable::new(),
+            domains: slots::slot_table(),
         }
     }
 
@@ -192,7 +193,7 @@ impl CacheModel {
     /// earlier holder of `me.id` is emptied first: a reused id never
     /// inherits a dead thread's flushes.
     pub(crate) fn domain(&self, me: ThreadSlot) -> FenceDomain<'_> {
-        let mut domain = self.domains.get(me.id).lock();
+        let mut domain = self.domains.get_or_init(me.id).lock();
         if domain.owner != me.token {
             domain.owner = me.token;
             domain.pending.clear();
@@ -242,7 +243,7 @@ impl CacheModel {
     /// lines to their media image via `write_media`, according to `mode`,
     /// then forgets all tracking state.
     pub(crate) fn crash(&self, mode: CrashMode, seed: u64, write_media: impl Fn(u64, &[u8])) {
-        for domain in self.domains.iter() {
+        for (_, domain) in self.domains.iter() {
             domain.lock().pending.clear();
         }
         for shard in self.shards.iter() {
@@ -299,15 +300,6 @@ impl FenceDomain<'_> {
             }
         }
     }
-}
-
-/// SplitMix64 — a tiny, high-quality mixing function for deterministic
-/// per-line crash decisions and poison-injection line selection.
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]
@@ -522,7 +514,7 @@ mod tests {
         // flushes issued before the crash must not commit them.
         store(&media, &cache, 0, &[1; 8]);
         store(&media, &cache, 64, &[2; 8]);
-        assert!(cache.domains.iter().all(|d| d.lock().pending.is_empty()));
+        assert!(cache.domains.iter().all(|(_, d)| d.lock().pending.is_empty()));
         cache.domain(A).sfence();
         cache.domain(B).sfence();
         assert_eq!(cache.unpersisted_lines(), 2);

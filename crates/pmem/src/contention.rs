@@ -16,21 +16,25 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use platform::sync::{Mutex, MutexGuard};
 use platform::thread::cpu_time_ns;
 
-/// Counters of a transient cache layer sitting in front of one lock.
-///
-/// A resource that serves most requests from a lock-free DRAM cache only
-/// serialises on its *misses*; these counters, reported next to the
-/// lock's own numbers, make that visible through the same profile API.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Requests served entirely from the cache (no lock, no fence).
-    pub hits: u64,
-    /// Requests that fell through to the locked slow path.
-    pub misses: u64,
-    /// Batch refills of the cache from the backing resource.
-    pub refills: u64,
-    /// Batch drains of the cache back to the backing resource.
-    pub drains: u64,
+platform::counter_struct! {
+    /// Counters of a transient cache layer sitting in front of one lock.
+    ///
+    /// A resource that serves most requests from a lock-free DRAM cache
+    /// only serialises on its *misses*; these counters, reported next to
+    /// the lock's own numbers, make that visible through the same profile
+    /// API. A cache keeps them in `platform`'s striped rows, so counting a
+    /// hit writes no cache line another thread counts on.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct CacheStats {
+        /// Requests served entirely from the cache (no lock, no fence).
+        pub hits: u64,
+        /// Requests that fell through to the locked slow path.
+        pub misses: u64,
+        /// Batch refills of the cache from the backing resource.
+        pub refills: u64,
+        /// Batch drains of the cache back to the backing resource.
+        pub drains: u64,
+    }
 }
 
 impl CacheStats {

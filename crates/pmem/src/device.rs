@@ -5,9 +5,10 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 
 use mpk::{AccessKind, MpkDomain, ProtectionKey};
+use platform::lazy::LazyArray;
 
 use crate::batch::FlushBatch;
-use crate::cache::{splitmix64, CacheModel, CrashMode, FenceDomain, CACHE_LINE_SIZE};
+use crate::cache::{CacheModel, CrashMode, FenceDomain, CACHE_LINE_SIZE};
 use crate::error::PmemError;
 use crate::numa::{current_cpu, NumaTopology};
 use crate::pod::Pod;
@@ -112,8 +113,8 @@ pub struct PmemDevice {
     capacity: AtomicU64,
     pub(crate) store: ChunkStore,
     cache: Option<CacheModel>,
-    page_keys: PageMap,
-    page_nodes: PageMap,
+    page_keys: PageAttrs,
+    page_nodes: PageAttrs,
     domain: Arc<MpkDomain>,
     pub(crate) stats: DeviceStats,
     crashed: AtomicBool,
@@ -147,42 +148,30 @@ impl std::fmt::Debug for PmemDevice {
 }
 
 /// Per-page byte attributes (protection key, NUMA node) over the device's
-/// growth ceiling, stored as a two-level radix whose leaves materialise on
-/// first non-default store: pages of untouched leaves read as 0. This keeps
-/// a TB-scale `max_capacity` from eagerly allocating gigabyte-order
-/// attribute arrays.
-struct PageMap {
-    leaves: Box<[std::sync::OnceLock<Box<[AtomicU8]>>]>,
-}
+/// growth ceiling, in lazily materialised leaves of [`PAGES_PER_LEAF`]
+/// pages: a page of an absent leaf reads as 0, and storing 0 there
+/// materialises nothing. A TB-scale `max_capacity` thus never allocates
+/// gigabyte-order attribute arrays.
+type PageAttrs = LazyArray<AtomicU8, PAGES_PER_LEAF>;
 
-/// Pages covered by one [`PageMap`] leaf (128 MiB of device).
+/// Pages per [`PageAttrs`] leaf (128 MiB of device).
 const PAGES_PER_LEAF: usize = 1 << 15;
 
-impl PageMap {
-    fn new(max_capacity: u64) -> PageMap {
-        let pages = max_capacity.div_ceil(PAGE_SIZE) as usize;
-        let leaves = pages.div_ceil(PAGES_PER_LEAF).max(1);
-        PageMap { leaves: (0..leaves).map(|_| std::sync::OnceLock::new()).collect() }
-    }
+/// The attribute of `page`.
+#[inline]
+fn page_attr(attrs: &PageAttrs, page: u64) -> u8 {
+    attrs.get(page as usize).map_or(0, |attr| attr.load(Ordering::Relaxed))
+}
 
-    #[inline]
-    fn get(&self, page: u64) -> u8 {
-        let page = page as usize;
-        match self.leaves[page / PAGES_PER_LEAF].get() {
-            Some(leaf) => leaf[page % PAGES_PER_LEAF].load(Ordering::Relaxed),
-            None => 0,
+/// Sets the attribute of every page covering the non-empty
+/// `[offset, offset + len)` to `value`.
+fn set_page_attrs(attrs: &PageAttrs, offset: u64, len: u64, value: u8) {
+    for page in (offset / PAGE_SIZE) as usize..=((offset + len - 1) / PAGE_SIZE) as usize {
+        match attrs.get(page) {
+            Some(attr) => attr.store(value, Ordering::Relaxed),
+            None if value != 0 => attrs.get_or_init(page).store(value, Ordering::Relaxed),
+            None => {}
         }
-    }
-
-    #[inline]
-    fn set(&self, page: u64, value: u8) {
-        let page = page as usize;
-        let slot = &self.leaves[page / PAGES_PER_LEAF];
-        if value == 0 && slot.get().is_none() {
-            return; // the default needs no leaf
-        }
-        let leaf = slot.get_or_init(|| (0..PAGES_PER_LEAF).map(|_| AtomicU8::new(0)).collect());
-        leaf[page % PAGES_PER_LEAF].store(value, Ordering::Relaxed);
     }
 }
 
@@ -194,8 +183,8 @@ impl PmemDevice {
             capacity: AtomicU64::new(config.capacity),
             store: ChunkStore::new(config.max_capacity),
             cache: config.crash_tracking.then(CacheModel::new),
-            page_keys: PageMap::new(config.max_capacity),
-            page_nodes: PageMap::new(config.max_capacity),
+            page_keys: LazyArray::new(config.max_capacity.div_ceil(PAGE_SIZE) as usize),
+            page_nodes: LazyArray::new(config.max_capacity.div_ceil(PAGE_SIZE) as usize),
             domain: Arc::new(MpkDomain::new()),
             stats: DeviceStats::new(),
             crashed: AtomicBool::new(false),
@@ -325,7 +314,7 @@ impl PmemDevice {
             return Ok(());
         }
         (offset / PAGE_SIZE..=(offset + len - 1) / PAGE_SIZE)
-            .try_for_each(|page| self.check_key(page, self.page_keys.get(page), kind))
+            .try_for_each(|page| self.check_key(page, page_attr(&self.page_keys, page), kind))
     }
 
     /// Protection check over a whole region, memoizing ranges that carry
@@ -344,10 +333,10 @@ impl PmemDevice {
         }
         let epoch = self.prot_epoch.load(Ordering::Acquire);
         let (first, last) = (offset / PAGE_SIZE, (offset + len - 1) / PAGE_SIZE);
-        let key = self.page_keys.get(first);
+        let key = page_attr(&self.page_keys, first);
         let mut uniform = true;
         for page in first..=last {
-            let page_key = self.page_keys.get(page);
+            let page_key = page_attr(&self.page_keys, page);
             self.check_key(page, page_key, kind)?;
             uniform &= page_key == key;
         }
@@ -367,7 +356,7 @@ impl PmemDevice {
 
     #[inline]
     pub(crate) fn is_remote(&self, offset: u64) -> bool {
-        let node = self.page_nodes.get(offset / PAGE_SIZE) as usize;
+        let node = page_attr(&self.page_nodes, offset / PAGE_SIZE) as usize;
         self.config.topology.node_of_cpu(current_cpu()) != node
     }
 
@@ -419,7 +408,8 @@ impl PmemDevice {
             return;
         }
         let first = offset / CACHE_LINE_SIZE;
-        let line = first + splitmix64(self.poison_seed.load(Ordering::Relaxed)) % Self::lines(offset, len);
+        let line = first
+            + platform::rng::splitmix64(self.poison_seed.load(Ordering::Relaxed)) % Self::lines(offset, len);
         let added = self.poison.add(line * CACHE_LINE_SIZE, CACHE_LINE_SIZE);
         self.stats.add([(counter!(lines_poisoned), added)]);
     }
@@ -558,11 +548,7 @@ impl PmemDevice {
         if len == 0 {
             return Ok(());
         }
-        let first = offset / PAGE_SIZE;
-        let last = (offset + len - 1) / PAGE_SIZE;
-        for page in first..=last {
-            self.page_keys.set(page, key.index());
-        }
+        set_page_attrs(&self.page_keys, offset, len, key.index());
         self.prot_epoch.fetch_add(1, Ordering::Release);
         self.prot_memo.lock().unwrap().clear();
         Ok(())
@@ -575,7 +561,7 @@ impl PmemDevice {
     /// [`PmemError::OutOfBounds`].
     pub fn page_key(&self, offset: u64) -> Result<ProtectionKey, PmemError> {
         self.check_range(offset, 1)?;
-        let key = self.page_keys.get(offset / PAGE_SIZE);
+        let key = page_attr(&self.page_keys, offset / PAGE_SIZE);
         Ok(ProtectionKey::from_index(key).expect("stored keys are valid"))
     }
 
@@ -590,11 +576,7 @@ impl PmemDevice {
         if len == 0 {
             return Ok(());
         }
-        let first = offset / PAGE_SIZE;
-        let last = (offset + len - 1) / PAGE_SIZE;
-        for page in first..=last {
-            self.page_nodes.set(page, node);
-        }
+        set_page_attrs(&self.page_nodes, offset, len, node);
         Ok(())
     }
 

@@ -23,7 +23,8 @@
 //! * **NUMA and traffic accounting** — pages have a home NUMA node,
 //!   threads have a current CPU ([`numa::set_current_cpu`]), and the
 //!   device counts local/remote traffic plus flushes and fences
-//!   ([`StatsSnapshot`]).
+//!   ([`StatsSnapshot`]) in `platform`'s striped rows, one per thread
+//!   stripe, so counting never shares a cache line between threads.
 //! * **One access path** — every access runs one body in [`MetaView`]:
 //!   the device's accessors through an unmapped view that checks each
 //!   access in full, sessions through a [mapped](PmemDevice::map_meta)
@@ -31,6 +32,9 @@
 //! * **Sparse capacity and hole punching** — backing memory materialises on
 //!   first write and can be returned with [`PmemDevice::punch_hole`]
 //!   (the `fallocate` analogue Poseidon uses to shrink unused metadata).
+//!   The chunk directory and the per-page key and node maps are
+//!   `platform`'s lazily materialised array, so a TB-scale ceiling costs
+//!   only what is touched.
 //!   A crash-tracked store locks only the shard of its 64 KiB granule,
 //!   and a flush or fence only the calling thread's own fence domain.
 //! * **Crash-point injection** — [`PmemDevice::arm_crash_after`] makes the

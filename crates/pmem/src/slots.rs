@@ -10,15 +10,24 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
+use platform::lazy::LazyArray;
 use platform::sync::Mutex;
 
-/// Slots per lazily allocated [`SlotTable`] segment.
+/// Slots per lazily materialised segment of a [`SlotTable`].
 const SEGMENT: usize = 64;
-/// Segments per [`SlotTable`]: at most `SEGMENT * SEGMENTS` threads use
-/// devices at once.
-const SEGMENTS: usize = 64;
+/// At most this many threads use devices at once: the length of a
+/// [`SlotTable`].
+const MAX_THREADS: usize = 64 * SEGMENT;
+
+/// Per-thread state indexed by [`ThreadSlot::id`], its segments
+/// materialised on first use.
+pub(crate) type SlotTable<T> = LazyArray<T, SEGMENT>;
+
+/// An empty [`SlotTable`] with room for every slot id.
+pub(crate) fn slot_table<T: Default>() -> SlotTable<T> {
+    LazyArray::new(MAX_THREADS)
+}
 
 /// The calling thread's identity on the persistent path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,7 +50,7 @@ fn claim() -> ThreadSlot {
         lowest.map(|at| free.swap_remove(at))
     };
     let id = reused.unwrap_or_else(|| NEXT_ID.fetch_add(1, Ordering::Relaxed));
-    assert!(id < SEGMENT * SEGMENTS, "more than {} threads use pmem devices at once", SEGMENT * SEGMENTS);
+    assert!(id < MAX_THREADS, "more than {MAX_THREADS} threads use pmem devices at once");
     ThreadSlot { id, token }
 }
 
@@ -78,31 +87,6 @@ pub(crate) fn current() -> ThreadSlot {
     // then nothing returns the id.
     let _ = RELEASE.try_with(|_| ());
     slot
-}
-
-/// Per-thread state indexed by [`ThreadSlot::id`]: a directory of
-/// segments that materialise on first use.
-pub(crate) struct SlotTable<T> {
-    segments: [OnceLock<Box<[T]>>; SEGMENTS],
-}
-
-impl<T: Default> SlotTable<T> {
-    pub(crate) const fn new() -> SlotTable<T> {
-        SlotTable { segments: [const { OnceLock::new() }; SEGMENTS] }
-    }
-
-    /// The entry of slot `id`.
-    #[inline]
-    pub(crate) fn get(&self, id: usize) -> &T {
-        let segment =
-            self.segments[id / SEGMENT].get_or_init(|| (0..SEGMENT).map(|_| T::default()).collect());
-        &segment[id % SEGMENT]
-    }
-
-    /// Every materialised entry.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
-        self.segments.iter().filter_map(OnceLock::get).flat_map(|segment| segment.iter())
-    }
 }
 
 #[cfg(test)]
@@ -152,15 +136,5 @@ mod tests {
         assert_ne!(first.token, own.token, "the destructor ran after the release");
         assert_eq!(first, second, "one slot for the rest of the thread");
         assert!(!FREE_IDS.lock().contains(&first.id), "its id is never returned");
-    }
-
-    #[test]
-    fn slot_table_materialises_segments_on_demand() {
-        let table: SlotTable<AtomicU64> = SlotTable::new();
-        assert_eq!(table.iter().count(), 0);
-        table.get(3).store(7, Ordering::Relaxed);
-        table.get(SEGMENT + 1).store(9, Ordering::Relaxed);
-        assert_eq!(table.iter().count(), 2 * SEGMENT);
-        assert_eq!(table.iter().map(|v| v.load(Ordering::Relaxed)).sum::<u64>(), 16);
     }
 }

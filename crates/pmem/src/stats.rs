@@ -1,21 +1,14 @@
-//! Striped traffic counters.
+//! The device's traffic counters.
 //!
 //! The counters are declared once, as the fields of [`StatsSnapshot`],
 //! and addressed by field: `counter!(read_ops)` is the index of
-//! `read_ops` among them. Counters are updated on every device access,
-//! so a single set of shared atomics would itself become a scalability
-//! bottleneck and distort the very experiments this workspace exists to
-//! run. Counts are therefore striped over cache-line-padded rows of one
-//! atomic per counter, indexed by a per-thread stripe id, and summed on
-//! [`DeviceStats::snapshot`].
+//! `read_ops` among them. Every device access counts, so the device
+//! keeps them in `platform`'s striped rows ([`DeviceStats`]): a thread
+//! adds to its own cache-padded row, and [`PmemDevice::stats`] sums them.
+//!
+//! [`PmemDevice::stats`]: crate::PmemDevice::stats
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use platform::sync::CachePadded;
-
-use crate::pod::Pod;
-
-const STRIPES: usize = 64;
+use platform::counters::StripedCounters;
 
 /// Number of counters: the `u64` fields of [`StatsSnapshot`].
 const COUNTERS: usize = std::mem::size_of::<StatsSnapshot>() / 8;
@@ -23,7 +16,7 @@ const COUNTERS: usize = std::mem::size_of::<StatsSnapshot>() / 8;
 /// The index of [`StatsSnapshot`] field `$field` among the counters.
 macro_rules! counter {
     ($field:ident) => {
-        std::mem::offset_of!($crate::StatsSnapshot, $field) / 8
+        platform::counter!($crate::StatsSnapshot, $field)
     };
 }
 pub(crate) use counter;
@@ -33,63 +26,14 @@ pub(crate) use counter;
 /// [`MetaView`](crate::MetaView) keeps these in plain cells.
 pub(crate) const TRAFFIC: usize = counter!(sfence_count) + 1;
 
-/// Concurrent device counters; cheap to update from many threads.
-#[derive(Debug)]
-pub(crate) struct DeviceStats {
-    stripes: Box<[CachePadded<[AtomicU64; COUNTERS]>]>,
-}
+/// The device's counters, striped per thread.
+pub(crate) type DeviceStats = StripedCounters<StatsSnapshot, COUNTERS>;
 
-thread_local! {
-    static STRIPE_ID: usize = {
-        use std::hash::{Hash, Hasher};
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        std::thread::current().id().hash(&mut hasher);
-        (hasher.finish() as usize) % STRIPES
-    };
-}
-
-impl DeviceStats {
-    pub(crate) fn new() -> DeviceStats {
-        DeviceStats { stripes: (0..STRIPES).map(|_| CachePadded::new(Default::default())).collect() }
-    }
-
-    /// Adds each `(counter, by)` to the calling thread's stripe.
-    #[inline]
-    pub(crate) fn add(&self, counts: impl IntoIterator<Item = (usize, u64)>) {
-        STRIPE_ID.with(|&id| {
-            let stripe = &self.stripes[id];
-            for (counter, by) in counts {
-                if by != 0 {
-                    stripe[counter].fetch_add(by, Ordering::Relaxed);
-                }
-            }
-        });
-    }
-
-    /// Sums all stripes into a consistent-enough snapshot (individual
-    /// counters are relaxed; totals may be skewed by in-flight updates).
-    pub(crate) fn snapshot(&self) -> StatsSnapshot {
-        let mut sum = [0u64; COUNTERS];
-        for stripe in self.stripes.iter() {
-            for (total, count) in sum.iter_mut().zip(stripe.iter()) {
-                *total += count.load(Ordering::Relaxed);
-            }
-        }
-        StatsSnapshot::from_bytes(sum.as_bytes())
-    }
-
-    /// Resets every counter to zero.
-    pub(crate) fn reset(&self) {
-        for count in self.stripes.iter().flat_map(|stripe| stripe.iter()) {
-            count.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
-crate::pod_struct! {
+platform::counter_struct! {
     /// A point-in-time summary of device traffic. Its fields are the
     /// declaration of the device's counters: each is a `u64`, and the
     /// traffic an access counts comes first.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
     pub struct StatsSnapshot {
         /// Number of read calls.
         pub read_ops: u64,

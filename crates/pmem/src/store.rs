@@ -6,8 +6,11 @@
 //! of `fallocate(FALLOC_FL_PUNCH_HOLE)` on a DAX file, which Poseidon uses
 //! to keep unused hash-table levels free (§5.6).
 //!
-//! Each chunk slot is a `OnceLock` plus a resident flag, so a read or a
-//! store finds its chunk with one acquire load and takes no lock. A chunk
+//! Each chunk slot is a `OnceLock` plus a resident flag, and the slots
+//! sit in a [`LazyArray`] whose 512-slot groups (1 GiB of device each)
+//! materialise on first store, so an untouched gigabyte of a TB-scale
+//! virtual capacity costs one directory entry. A read or a store finds
+//! its chunk with acquire loads and takes no lock. A chunk
 //! materialises once and stays with its slot until the device drops:
 //! punching a fully covered chunk zeroes it in place and clears its flag,
 //! and the next store sets the flag again without allocating. The flag is
@@ -29,16 +32,15 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 
+use platform::lazy::LazyArray;
+
 /// Materialisation granularity of the sparse store (2 MiB).
 pub const CHUNK_SIZE: u64 = 1 << 21;
 
 const WORDS_PER_CHUNK: usize = (CHUNK_SIZE / 8) as usize;
 
-/// Chunk-slot directory granularity: slots themselves are host metadata
-/// (a few words per 2 MiB of device), so for TB-scale virtual capacities
-/// they are grouped and each group's slot array materialises lazily — an
-/// untouched group costs one pointer.
-const CHUNKS_PER_GROUP: usize = 512; // 1 GiB of device per group
+/// Chunk slots per materialised group of the directory (1 GiB of device).
+const CHUNKS_PER_GROUP: usize = 512;
 
 /// One chunk's payload.
 type Chunk = [AtomicU64; WORDS_PER_CHUNK];
@@ -65,36 +67,27 @@ struct ChunkSlot {
 
 /// The sparse chunked backing store of a device.
 pub(crate) struct ChunkStore {
-    groups: Box<[OnceLock<Box<[ChunkSlot]>>]>,
+    slots: LazyArray<ChunkSlot, CHUNKS_PER_GROUP>,
     resident_bytes: AtomicU64,
 }
 
 impl ChunkStore {
     pub(crate) fn new(capacity: u64) -> ChunkStore {
         let chunks = capacity.div_ceil(CHUNK_SIZE) as usize;
-        let n = chunks.div_ceil(CHUNKS_PER_GROUP);
-        ChunkStore { groups: (0..n).map(|_| OnceLock::new()).collect(), resident_bytes: AtomicU64::new(0) }
-    }
-
-    /// The slot for `chunk_index` if its group is materialised.
-    #[inline]
-    fn slot(&self, chunk_index: usize) -> Option<&ChunkSlot> {
-        self.groups[chunk_index / CHUNKS_PER_GROUP].get().map(|g| &g[chunk_index % CHUNKS_PER_GROUP])
+        ChunkStore { slots: LazyArray::new(chunks), resident_bytes: AtomicU64::new(0) }
     }
 
     /// The chunk for `chunk_index` if it was ever materialised.
     #[inline]
     fn chunk(&self, chunk_index: usize) -> Option<&Chunk> {
-        self.slot(chunk_index)?.chunk.get().map(|c| &**c)
+        self.slots.get(chunk_index)?.chunk.get().map(|c| &**c)
     }
 
     /// The chunk for `chunk_index`, materialised and marked resident: the
     /// chunk a store lands in.
     #[inline]
     fn chunk_for_store(&self, chunk_index: usize) -> &Chunk {
-        let group = self.groups[chunk_index / CHUNKS_PER_GROUP]
-            .get_or_init(|| (0..CHUNKS_PER_GROUP).map(|_| ChunkSlot::default()).collect());
-        let slot = &group[chunk_index % CHUNKS_PER_GROUP];
+        let slot = self.slots.get_or_init(chunk_index);
         let chunk = slot.chunk.get_or_init(new_chunk);
         if !slot.resident.load(Ordering::Relaxed) && !slot.resident.swap(true, Ordering::Relaxed) {
             self.resident_bytes.fetch_add(CHUNK_SIZE, Ordering::Relaxed);
@@ -108,15 +101,13 @@ impl ChunkStore {
 
     #[cfg(test)]
     pub(crate) fn is_resident(&self, chunk_index: usize) -> bool {
-        chunk_index / CHUNKS_PER_GROUP < self.groups.len()
-            && self.slot(chunk_index).is_some_and(|s| s.resident.load(Ordering::Relaxed))
+        self.slots.get(chunk_index).is_some_and(|s| s.resident.load(Ordering::Relaxed))
     }
 
     /// Chunks ever materialised: the host memory the store holds.
     #[cfg(test)]
     pub(crate) fn materialised_chunks(&self) -> usize {
-        let groups = self.groups.iter().filter_map(OnceLock::get);
-        groups.map(|g| g.iter().filter(|s| s.chunk.get().is_some()).count()).sum()
+        self.slots.iter().filter(|(_, s)| s.chunk.get().is_some()).count()
     }
 
     /// Copies `buf.len()` bytes starting at `offset` into `buf`.
@@ -157,7 +148,7 @@ impl ChunkStore {
     pub(crate) fn punch(&self, offset: u64, len: u64) -> u64 {
         let mut released = 0;
         self.for_each_segment_len(offset, len as usize, |chunk_index, in_chunk, range| {
-            let Some(slot) = self.slot(chunk_index) else { return };
+            let Some(slot) = self.slots.get(chunk_index) else { return };
             let Some(chunk) = slot.chunk.get() else { return };
             if range.len() < CHUNK_SIZE as usize {
                 chunk_zero(chunk, in_chunk, range.len());
@@ -177,16 +168,13 @@ impl ChunkStore {
     /// chunk's current contents copied into a scratch buffer.
     pub(crate) fn for_each_resident(&self, mut f: impl FnMut(usize, &[u8])) {
         let mut scratch = vec![0u8; CHUNK_SIZE as usize];
-        for (group_index, group) in self.groups.iter().enumerate() {
-            let Some(group) = group.get() else { continue };
-            for (slot_index, slot) in group.iter().enumerate() {
-                if !slot.resident.load(Ordering::Relaxed) {
-                    continue;
-                }
-                if let Some(chunk) = slot.chunk.get() {
-                    chunk_read(chunk, 0, &mut scratch);
-                    f(group_index * CHUNKS_PER_GROUP + slot_index, &scratch);
-                }
+        for (chunk_index, slot) in self.slots.iter() {
+            if !slot.resident.load(Ordering::Relaxed) {
+                continue;
+            }
+            if let Some(chunk) = slot.chunk.get() {
+                chunk_read(chunk, 0, &mut scratch);
+                f(chunk_index, &scratch);
             }
         }
     }

@@ -79,7 +79,6 @@ impl PoseidonHeap {
             result => result?,
         };
         drop(op);
-        self.ops.allocs.fetch_add(1, Ordering::Relaxed);
         Ok(NvmPtr::new(self.heap_id, sub, offset))
     }
 
@@ -124,23 +123,12 @@ impl PoseidonHeap {
                 return Err(e);
             }
         };
-        self.ops.allocs.fetch_add(1, Ordering::Relaxed);
         Ok(NvmPtr::new(self.heap_id, HUGE_SUBHEAP, offset))
     }
 
     /// Frees a huge-region extent.
     pub(crate) fn free_huge(&self, ptr: NvmPtr) -> Result<()> {
-        match hugeregion::free(&self.begin_huge()?, ptr.offset()) {
-            Ok(_) => {
-                self.note_free();
-                Ok(())
-            }
-            Err(e @ (PoseidonError::InvalidFree { .. } | PoseidonError::DoubleFree { .. })) => {
-                self.note_rejected_free();
-                Err(e)
-            }
-            Err(e) => Err(e),
-        }
+        hugeregion::free(&self.begin_huge()?, ptr.offset()).map(drop)
     }
 
     /// Frees a buddy block through the full persistent path: one
@@ -174,12 +162,7 @@ impl PoseidonHeap {
                     // never revisits it: it is no longer FREE).
                     self.health.blocks_quarantined.fetch_add(quarantined, Ordering::Relaxed);
                 }
-                self.note_free();
                 Ok(())
-            }
-            Err(e @ (PoseidonError::InvalidFree { .. } | PoseidonError::DoubleFree { .. })) => {
-                self.note_rejected_free();
-                Err(e)
             }
             Err(e) => Err(e),
         }

@@ -19,9 +19,9 @@
 //! blocks to `ALLOC` in one batch) evaporates across a crash, exactly
 //! like a DRAM `malloc`.
 //!
-//! Block ownership is tracked by a per-sub-heap **residency map**: a
-//! lazily chunked array of one atomic byte per 32-byte granule of user
-//! space (`0` = not cache-managed, `0x80|class` = resident/free,
+//! Block ownership is tracked by a per-sub-heap **residency map**: one
+//! atomic byte per 32-byte granule of user space in `platform`'s lazily
+//! materialised array (`0` = not cache-managed, `0x80|class` = resident/free,
 //! `0x40|class` = checked out to the application). The cached free is a
 //! single CAS on that byte — which also gives the fast path the same
 //! double-free protection the table gives the slow path.
@@ -37,9 +37,12 @@
 //! ([`PoseidonHeap::drain_resident`]: overflow, the last-resort eviction,
 //! close, scrub) and one publish (`settle_cache`: `set_root`, close).
 
-use std::sync::atomic::{fence, AtomicPtr, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{fence, AtomicU8, Ordering};
 use std::sync::OnceLock;
 
+use platform::counter;
+use platform::counters::StripedCounters;
+use platform::lazy::LazyArray;
 use platform::lockfree::SlotPool;
 use platform::percpu::PerCpuSlots;
 use pmem::contention::CacheStats;
@@ -66,32 +69,26 @@ pub(crate) const MAX_CACHED_PER_CLASS: usize = 128;
 /// dominates. Larger blocks always take the slow path.
 pub(crate) const CACHEABLE_CLASSES: usize = 8;
 
-/// User space covered by one lazily allocated residency-map chunk.
-const CHUNK_BYTES: u64 = 2 << 20;
-const CHUNK_GRANULES: usize = (CHUNK_BYTES / MIN_BLOCK) as usize;
+/// Residency-map granules per lazily materialised segment: 2 MiB of user
+/// space.
+const CHUNK_GRANULES: usize = ((2 << 20) / MIN_BLOCK) as usize;
 
 const RESIDENT: u8 = 0x80;
 const CHECKED_OUT: u8 = 0x40;
 const KIND_MASK: u8 = 0xC0;
 const CLASS_MASK: u8 = 0x3F;
 
-/// One residency-map chunk: a byte per 32-byte granule.
-struct Chunk([AtomicU8; CHUNK_GRANULES]);
-
-/// Per-sub-heap residency map: chunk directory with CAS-installed, leaked
-/// chunks (freed in [`Drop`]). Only the head granule of a block carries
-/// its byte, so interior pointers never match.
-struct ResidencyMap {
-    chunks: Box<[AtomicPtr<Chunk>]>,
-}
+/// Per-sub-heap residency map: a byte per 32-byte granule of user space,
+/// in segments of the one lazily materialised array. Only the head
+/// granule of a block carries its byte, so interior pointers never match.
+struct ResidencyMap(LazyArray<AtomicU8, CHUNK_GRANULES>);
 
 impl ResidencyMap {
     fn new(user_size: u64) -> ResidencyMap {
-        let n = user_size.div_ceil(CHUNK_BYTES) as usize;
-        ResidencyMap { chunks: (0..n).map(|_| AtomicPtr::new(std::ptr::null_mut())).collect() }
+        ResidencyMap(LazyArray::new(user_size.div_ceil(MIN_BLOCK) as usize))
     }
 
-    /// The byte for `offset`, if its chunk exists (read paths; offsets
+    /// The byte for `offset`, if its segment exists (read paths; offsets
     /// out of range — e.g. from an invalid pointer — return `None`).
     /// Misaligned offsets also return `None`: a forged interior pointer
     /// like `head + 8` must not divide down to the head's byte — the slow
@@ -100,65 +97,21 @@ impl ResidencyMap {
         if !offset.is_multiple_of(MIN_BLOCK) {
             return None;
         }
-        let g = (offset / MIN_BLOCK) as usize;
-        let p = self.chunks.get(g / CHUNK_GRANULES)?.load(Ordering::Acquire);
-        if p.is_null() {
-            return None;
-        }
-        // SAFETY: a non-null chunk pointer was CAS-installed from
-        // `Box::into_raw` and is only freed in `Drop`, which requires
-        // `&mut self` — no outstanding shared borrow can coexist with it.
-        Some(unsafe { &(*p).0[g % CHUNK_GRANULES] })
+        self.0.get((offset / MIN_BLOCK) as usize)
     }
 
-    /// The byte for `offset`, installing its chunk first if needed (used
-    /// on refill, where offsets come from the allocator and are in
+    /// The byte for `offset`, materialising its segment first if needed
+    /// (used on refill, where offsets come from the allocator and are in
     /// bounds).
     fn granule_or_install(&self, offset: u64) -> &AtomicU8 {
-        let g = (offset / MIN_BLOCK) as usize;
-        let slot = &self.chunks[g / CHUNK_GRANULES];
-        let mut p = slot.load(Ordering::Acquire);
-        if p.is_null() {
-            let fresh = Box::into_raw(Box::new(Chunk(std::array::from_fn(|_| AtomicU8::new(0)))));
-            match slot.compare_exchange(std::ptr::null_mut(), fresh, Ordering::AcqRel, Ordering::Acquire) {
-                Ok(_) => p = fresh,
-                Err(winner) => {
-                    // SAFETY: `fresh` was never published; we still own it.
-                    drop(unsafe { Box::from_raw(fresh) });
-                    p = winner;
-                }
-            }
-        }
-        // SAFETY: as in `granule`.
-        unsafe { &(*p).0[g % CHUNK_GRANULES] }
+        self.0.get_or_init((offset / MIN_BLOCK) as usize)
     }
 
-    /// Visits every byte of every installed chunk with its user-region
-    /// offset.
+    /// Visits every byte of every materialised segment with its
+    /// user-region offset.
     fn for_each(&self, mut f: impl FnMut(u64, &AtomicU8)) {
-        for (ci, slot) in self.chunks.iter().enumerate() {
-            let p = slot.load(Ordering::Acquire);
-            if p.is_null() {
-                continue;
-            }
-            // SAFETY: as in `granule`.
-            let chunk = unsafe { &*p };
-            for (i, byte) in chunk.0.iter().enumerate() {
-                f((ci * CHUNK_GRANULES + i) as u64 * MIN_BLOCK, byte);
-            }
-        }
-    }
-}
-
-impl Drop for ResidencyMap {
-    fn drop(&mut self) {
-        for slot in self.chunks.iter() {
-            let p = slot.swap(std::ptr::null_mut(), Ordering::AcqRel);
-            if !p.is_null() {
-                // SAFETY: the pointer came from `Box::into_raw` and is
-                // dropped exactly once (swapped out above).
-                drop(unsafe { Box::from_raw(p) });
-            }
+        for (granule, byte) in self.0.iter() {
+            f(granule as u64 * MIN_BLOCK, byte);
         }
     }
 }
@@ -187,10 +140,9 @@ struct SubCache {
     /// One lock-free transfer pool per cacheable class: overflow from
     /// magazines and the landing zone for cross-CPU frees.
     pools: Box<[SlotPool]>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    refills: AtomicU64,
-    drains: AtomicU64,
+    /// Its [`CacheStats`], striped per thread: counting a hit writes only
+    /// the calling thread's row.
+    stats: StripedCounters<CacheStats, 4>,
 }
 
 impl SubCache {
@@ -198,10 +150,7 @@ impl SubCache {
         SubCache {
             map: ResidencyMap::new(user_size),
             pools: (0..CACHEABLE_CLASSES).map(|_| SlotPool::new(MAX_CACHED_PER_CLASS)).collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            refills: AtomicU64::new(0),
-            drains: AtomicU64::new(0),
+            stats: StripedCounters::new(),
         }
     }
 }
@@ -319,7 +268,7 @@ impl HeapCache {
         let byte = sc.map.granule(offset)?;
         byte.compare_exchange(RESIDENT | class, CHECKED_OUT | class, Ordering::AcqRel, Ordering::Relaxed)
             .ok()?;
-        sc.hits.fetch_add(1, Ordering::Relaxed);
+        sc.stats.add([(counter!(CacheStats, hits), 1)]);
         Some(offset)
     }
 
@@ -342,7 +291,7 @@ impl HeapCache {
                         Ordering::Acquire,
                     ) {
                         Ok(_) => {
-                            sc.hits.fetch_add(1, Ordering::Relaxed);
+                            sc.stats.add([(counter!(CacheStats, hits), 1)]);
                             return self.park(cpu, sub, home, class, offset);
                         }
                         Err(now) => cur = now,
@@ -429,7 +378,7 @@ impl HeapCache {
     /// Forgets a drained batch and counts the drain.
     fn drained(&self, sub: u16, offsets: &[u64]) {
         self.forget(sub, offsets);
-        self.sub_cache(sub).drains.fetch_add(1, Ordering::Relaxed);
+        self.sub_cache(sub).stats.add([(counter!(CacheStats, drains), 1)]);
     }
 
     /// Pops every resident block of `sub` the caller can reach (its pools
@@ -560,29 +509,20 @@ impl HeapCache {
     }
 
     pub(crate) fn stats(&self, sub: u16) -> CacheStats {
-        let Some(sc) = self.existing(sub) else { return CacheStats::default() };
-        CacheStats {
-            hits: sc.hits.load(Ordering::Relaxed),
-            misses: sc.misses.load(Ordering::Relaxed),
-            refills: sc.refills.load(Ordering::Relaxed),
-            drains: sc.drains.load(Ordering::Relaxed),
-        }
+        self.existing(sub).map_or_else(CacheStats::default, |sc| sc.stats.snapshot())
     }
 
     pub(crate) fn note_miss(&self, sub: u16) {
-        self.sub_cache(sub).misses.fetch_add(1, Ordering::Relaxed);
+        self.sub_cache(sub).stats.add([(counter!(CacheStats, misses), 1)]);
     }
 
     pub(crate) fn note_refill(&self, sub: u16) {
-        self.sub_cache(sub).refills.fetch_add(1, Ordering::Relaxed);
+        self.sub_cache(sub).stats.add([(counter!(CacheStats, refills), 1)]);
     }
 
     pub(crate) fn reset_stats(&self) {
         for sc in self.subs.iter().filter_map(OnceLock::get) {
-            sc.hits.store(0, Ordering::Relaxed);
-            sc.misses.store(0, Ordering::Relaxed);
-            sc.refills.store(0, Ordering::Relaxed);
-            sc.drains.store(0, Ordering::Relaxed);
+            sc.stats.reset();
         }
     }
 }
@@ -612,7 +552,6 @@ impl PoseidonHeap {
         let home = self.layout().subheap_for_cpu(cpu);
         let Ok(sub) = self.healthy_sub(home) else { return Ok(None) };
         if let Some(offset) = cache.try_alloc(cpu, sub, sub == home, class) {
-            self.note_alloc();
             return Ok(Some(NvmPtr::new(self.heap_id(), sub, offset)));
         }
         self.cached_alloc_miss(cache, cpu, home, sub, class)
@@ -639,7 +578,6 @@ impl PoseidonHeap {
         };
         if target != sub {
             if let Some(offset) = cache.try_alloc(cpu, target, false, class) {
-                self.note_alloc();
                 return Ok(Some(NvmPtr::new(self.heap_id(), target, offset)));
             }
         }
@@ -666,7 +604,6 @@ impl PoseidonHeap {
         let overflow = cache.stash(cpu, target, target == home, class, &offsets[1..]);
         self.drain_resident(&op, cache, &overflow)?;
         drop(op);
-        self.note_alloc();
         Ok(Some(NvmPtr::new(self.heap_id(), target, offsets[0])))
     }
 
@@ -680,17 +617,10 @@ impl PoseidonHeap {
         let home = self.layout().subheap_for_cpu(cpu) == sub;
         match cache.try_free(cpu, sub, home, ptr.offset()) {
             CachedFree::Miss => Ok(false),
-            CachedFree::DoubleFree => {
-                self.note_rejected_free();
-                Err(PoseidonError::DoubleFree { offset: ptr.offset() })
-            }
-            CachedFree::Hit => {
-                self.note_free();
-                Ok(true)
-            }
+            CachedFree::DoubleFree => Err(PoseidonError::DoubleFree { offset: ptr.offset() }),
+            CachedFree::Hit => Ok(true),
             CachedFree::Drain(batch) => {
                 self.drain_resident(&self.begin_op(sub)?, cache, &batch)?;
-                self.note_free();
                 Ok(true)
             }
         }

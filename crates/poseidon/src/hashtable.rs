@@ -25,6 +25,7 @@
 use std::cell::{RefCell, RefMut};
 use std::collections::{BTreeMap, HashMap};
 
+use platform::rng::splitmix64;
 use pmem::Pod;
 
 use crate::error::{PoseidonError, Result};
@@ -32,14 +33,6 @@ use crate::layout::{ENTRY_SIZE, MAX_LEVELS, PROBE_WINDOW};
 use crate::persist::{state, HashEntry};
 use crate::session::OpSession;
 use crate::undo::UndoScope;
-
-/// SplitMix64 mixing for slot hashing.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// Digest of a record key as folded into its level's identity checksum.
 ///
@@ -52,13 +45,13 @@ fn mix(mut x: u64) -> u64 {
 /// one whose records (or live count) were destroyed: both look the same
 /// through the zeroed count alone.
 pub(crate) fn key_digest(key: u64) -> u64 {
-    mix(key)
+    splitmix64(key)
 }
 
 /// Home slot of `key` in `level` (level capacities are powers of two).
 #[inline]
 fn home_slot(key: u64, level: usize, capacity: u64) -> u64 {
-    mix(key ^ (level as u64).wrapping_mul(0xA24B_AED4_963E_E407)) & (capacity - 1)
+    splitmix64(key ^ (level as u64).wrapping_mul(0xA24B_AED4_963E_E407)) & (capacity - 1)
 }
 
 /// Whether a record in state `st` is live: every state but EMPTY and

@@ -139,30 +139,6 @@ pub struct GrowReport {
     pub huge_bytes_added: u64,
 }
 
-/// Cumulative operation counters of a heap (volatile; reset on open).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct HeapOpStats {
-    /// Successful allocations (including transactional ones).
-    pub allocs: u64,
-    /// Successful frees.
-    pub frees: u64,
-    /// Frees rejected as invalid or double (§4.7 protection working).
-    pub rejected_frees: u64,
-    /// Committed transactions.
-    pub tx_commits: u64,
-    /// Explicitly aborted transactions.
-    pub tx_aborts: u64,
-}
-
-#[derive(Debug, Default)]
-pub(crate) struct OpCounters {
-    pub(crate) allocs: std::sync::atomic::AtomicU64,
-    pub(crate) frees: std::sync::atomic::AtomicU64,
-    pub(crate) rejected_frees: std::sync::atomic::AtomicU64,
-    pub(crate) tx_commits: std::sync::atomic::AtomicU64,
-    pub(crate) tx_aborts: std::sync::atomic::AtomicU64,
-}
-
 /// A Poseidon persistent heap: per-CPU sub-heaps, fully segregated
 /// MPK-protected metadata, undo/micro logging, and hash-table block
 /// tracking.
@@ -208,7 +184,6 @@ pub struct PoseidonHeap {
     /// operation is refused until `pfsck --repair` rebuilds it.
     pub(crate) huge_quarantined: AtomicBool,
     recovery: RecoveryReport,
-    pub(crate) ops: OpCounters,
     /// Self-healing counters and the scrubber cursor ([`crate::selfheal`]).
     pub(crate) health: HealthCounters,
     /// The transient caching layer ([`crate::frontend`]); `None` when
@@ -381,7 +356,6 @@ impl PoseidonHeap {
             huge_lock: TrackedMutex::new(()),
             huge_quarantined: AtomicBool::new(false),
             recovery,
-            ops: OpCounters::default(),
             health: HealthCounters::default(),
             cache,
         }
@@ -439,18 +413,6 @@ impl PoseidonHeap {
     pub(crate) fn sub_usable(&self, sub: u16) -> bool {
         let slot = &self.slots[sub as usize];
         slot.created.load(Ordering::Acquire) && !slot.quarantined.load(Ordering::Acquire)
-    }
-
-    pub(crate) fn note_alloc(&self) {
-        self.ops.allocs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_free(&self) {
-        self.ops.frees.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_rejected_free(&self) {
-        self.ops.rejected_frees.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Grants the calling thread metadata write access for the duration of
@@ -690,7 +652,6 @@ impl PoseidonHeap {
             let op = self.begin_op(sub)?;
             crate::microlog::truncate(&op, slot)?;
             drop(op);
-            self.ops.tx_commits.fetch_add(1, Ordering::Relaxed);
             TX_SUBHEAP.with(|tx| tx.borrow_mut().remove(&self.heap_id));
             self.release_tx_slot(sub, slot);
         } else if fresh {
@@ -729,7 +690,6 @@ impl PoseidonHeap {
         };
         crate::microlog::truncate(&op, slot)?;
         drop(op);
-        self.ops.tx_commits.fetch_add(1, Ordering::Relaxed);
         self.release_tx_slot(sub, slot);
         Ok(())
     }
@@ -774,7 +734,6 @@ impl PoseidonHeap {
         self.health.blocks_quarantined.fetch_add(reverted.blocks_quarantined, Ordering::Relaxed);
         self.slots[sub as usize].clear_full();
         result?;
-        self.ops.tx_aborts.fetch_add(1, Ordering::Relaxed);
         drop(op);
         self.release_tx_slot(sub, slot);
         Ok(())
@@ -1169,17 +1128,6 @@ impl PoseidonHeap {
         })
     }
 
-    /// Snapshot of this heap's operation counters.
-    pub fn op_stats(&self) -> HeapOpStats {
-        HeapOpStats {
-            allocs: self.ops.allocs.load(Ordering::Relaxed),
-            frees: self.ops.frees.load(Ordering::Relaxed),
-            rejected_frees: self.ops.rejected_frees.load(Ordering::Relaxed),
-            tx_commits: self.ops.tx_commits.load(Ordering::Relaxed),
-            tx_aborts: self.ops.tx_aborts.load(Ordering::Relaxed),
-        }
-    }
-
     /// Deinitialises the heap — the paper's `poseidon_finish`. Releases
     /// the MPK key and removes the page tags (the heap data itself stays
     /// on the device, ready to be loaded again).
@@ -1378,7 +1326,6 @@ mod tests {
         h.free(b).unwrap();
         // Idempotent without an open transaction.
         h.tx_commit().unwrap();
-        assert_eq!(h.op_stats().tx_commits, 1);
     }
 
     #[test]

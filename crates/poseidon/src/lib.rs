@@ -7,7 +7,11 @@
 //!
 //! * **Per-CPU sub-heaps** (§4.1) — each CPU allocates from its own
 //!   sub-heap with its own lock, logs, buddy lists and block table, placed
-//!   on the CPU's NUMA node. No global structures on the hot path.
+//!   on the CPU's NUMA node. No global structures on the hot path: a
+//!   cached alloc or free hit writes no atomic another thread shares but
+//!   the block's residency byte, the CPU's magazine claim flag and, past
+//!   the magazine, its sub-heap's transfer pool (its hit count goes to the
+//!   calling thread's row of `platform`'s striped counters).
 //! * **Fully segregated, MPK-protected metadata** (§4.2–§4.3) — metadata
 //!   lives in its own page-aligned region, tagged with an Intel MPK
 //!   protection key and writable only between the `wrpkru` pair that
@@ -48,7 +52,8 @@
 //! This implementation runs on the [`pmem`] simulated-NVMM substrate and
 //! the [`mpk`] simulated protection keys (see those crates and `DESIGN.md`
 //! for the substitution rationale); the allocator logic itself is exactly
-//! the paper's design.
+//! the paper's design. The crate is safe Rust throughout: its lazily
+//! materialised DRAM index is `platform`'s `LazyArray`.
 //!
 //! # Quickstart
 //!
@@ -105,7 +110,7 @@ mod superblock;
 mod undo;
 
 pub use error::{OpKind, PoseidonError, Result};
-pub use heap::{GrowReport, HeapConfig, HeapOpStats, PoseidonHeap};
+pub use heap::{GrowReport, HeapConfig, PoseidonHeap};
 pub use hugeregion::HugeAudit;
 pub use layout::{
     class_for_size, class_size, Epoch, HeapLayout, Region, MAX_EPOCHS, MAX_SUBHEAPS, MIN_BLOCK, NUM_CLASSES,

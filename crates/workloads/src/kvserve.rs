@@ -67,6 +67,12 @@ const ZIPF_REFRESH: u64 = 64;
 /// Bounded retries for transient per-op failures before declaring the
 /// service dead.
 const RETRY_LIMIT: u64 = 20_000;
+/// Sub-heaps of the service heap.
+const SUBHEAPS: u16 = 8;
+/// Committed value blocks poisoned by each poison event.
+const POISON_KEYS: u64 = 4;
+/// Units examined per coordinator scrub tick.
+const SCRUB_BUDGET: usize = 4;
 
 /// One class of client operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,21 +183,11 @@ pub struct KvServeConfig {
     /// Online-growth ceiling in bytes (equal to `capacity` = not
     /// growable).
     pub max_capacity: u64,
-    /// Sub-heaps of the service heap.
-    pub subheaps: u16,
     /// Events to inject, fired in order at evenly spaced progress
     /// thresholds.
     pub events: Vec<SoakEvent>,
     /// Latency-interval snapshots to take over the run.
     pub intervals: u64,
-    /// Crash persistency mode used by kill events.
-    pub crash_mode: CrashMode,
-    /// Acknowledged keys verified after each kill (`0` = every one).
-    pub verify_sample: u64,
-    /// Committed value blocks poisoned by each poison event.
-    pub poison_keys: u64,
-    /// Units examined per coordinator scrub tick.
-    pub scrub_budget: usize,
     /// Work units per coordinator maintenance tick (`0` disables the
     /// maintenance engine for the run — the comparison baseline).
     pub maint_budget: usize,
@@ -221,13 +217,8 @@ impl KvServeConfig {
             seed: 0x5EA5_0A4B,
             capacity: 128 << 20,
             max_capacity: 512 << 20,
-            subheaps: 8,
             events: vec![SoakEvent::Kill, SoakEvent::Poison, SoakEvent::Grow],
             intervals: 8,
-            crash_mode: CrashMode::Strict,
-            verify_sample: 0,
-            poison_keys: 4,
-            scrub_budget: 4,
             maint_budget: 4,
             huge_headroom: 0,
         }
@@ -312,10 +303,9 @@ pub enum EventReport {
         /// Time from crash to the service accepting traffic again
         /// (recovery load + shard reopen, excluding verification).
         reopen: Duration,
-        /// Keys live (acknowledged) at the crash.
+        /// Keys live (acknowledged) at the crash, every one re-read and
+        /// checksum-verified after reopen.
         population: u64,
-        /// Acknowledged keys re-read and checksum-verified after reopen.
-        verified: u64,
     },
     /// A live poison injection.
     Poison {
@@ -486,7 +476,7 @@ impl Soak {
     fn heap_config(&self) -> HeapConfig {
         // Service contract: no DRAM cache, so every returning op is
         // already durable (see the module docs).
-        HeapConfig::new().with_subheaps(self.config.subheaps).without_cache()
+        HeapConfig::new().with_subheaps(SUBHEAPS).without_cache()
     }
 
     fn shard_of(&self, key: u64) -> usize {
@@ -770,7 +760,7 @@ impl Soak {
         let mut guard = self.state.write();
         let st = guard.take().expect("service state missing");
         drop(st); // Shards then heap: no close() — this is the crash.
-        self.dev.simulate_crash(self.config.crash_mode, self.config.seed ^ at_op);
+        self.dev.simulate_crash(CrashMode::Strict, self.config.seed ^ at_op);
 
         let reopen_start = Instant::now();
         let heap = Arc::new(PoseidonHeap::load(self.dev.clone(), self.heap_config()).expect("recovery load"));
@@ -778,30 +768,25 @@ impl Soak {
         let reopen = reopen_start.elapsed();
 
         let st = ServiceState { heap, shards };
-        let (population, verified) = self.verify_acknowledged(&st);
+        let population = self.verify_acknowledged(&st);
         *guard = Some(st);
-        EventReport::Kill { at_op, reopen, population, verified }
+        EventReport::Kill { at_op, reopen, population }
     }
 
-    /// Checks acknowledged keys (all loaded keys plus every insert a
-    /// worker published) survived with intact payloads. Damaged-but-
-    /// present payloads are healed, not counted lost. Returns
-    /// `(population, keys verified)`.
-    fn verify_acknowledged(&self, st: &ServiceState) -> (u64, u64) {
+    /// Checks every acknowledged key (all loaded keys plus every insert a
+    /// worker published) survived with an intact payload. Damaged-but-
+    /// present payloads are healed, not counted lost. Returns how many
+    /// keys it checked.
+    fn verify_acknowledged(&self, st: &ServiceState) -> u64 {
         let mut acked: Vec<u64> = (0..self.config.load_keys).collect();
         for worker in 0..self.config.threads {
             let n = self.completed[worker].load(Ordering::Acquire);
             acked.extend((0..n).map(|i| self.stripe_base(worker) + i));
         }
-        let population = acked.len() as u64;
-        let step = population.checked_div(self.config.verify_sample).unwrap_or(1).max(1) as usize;
-        let mut verified = 0u64;
-        for &id in acked.iter().step_by(step) {
-            let key = fnv(id);
-            self.do_read(st, key);
-            verified += 1;
+        for &id in &acked {
+            self.do_read(st, fnv(id));
         }
-        (population, verified)
+        acked.len() as u64
     }
 
     /// Poisons the value blocks of the hottest committed keys while the
@@ -811,7 +796,7 @@ impl Soak {
         let guard = self.state.read();
         let st = guard.as_ref().expect("service state missing");
         let mut keys = 0;
-        for id in 0..self.config.poison_keys.min(self.config.load_keys) {
+        for id in 0..POISON_KEYS.min(self.config.load_keys) {
             let key = fnv(id);
             if let Some(offset) = st.shards[self.shard_of(key)].get(key) {
                 self.dev.poison(offset, PAYLOAD_BYTES).expect("poison value");
@@ -942,7 +927,7 @@ impl Soak {
             if poison_live {
                 let guard = self.state.read();
                 if let Some(st) = guard.as_ref() {
-                    let _ = st.heap.scrub_step(self.config.scrub_budget);
+                    let _ = st.heap.scrub_step(SCRUB_BUDGET);
                 }
             }
             if self.config.maint_budget > 0 {
@@ -1177,11 +1162,10 @@ mod tests {
         let config = small(vec![SoakEvent::Kill]);
         let report = run_soak(&config);
         assert_eq!(report.events.len(), 1);
-        let EventReport::Kill { population, verified, reopen, .. } = report.events[0] else {
+        let EventReport::Kill { population, reopen, .. } = report.events[0] else {
             panic!("expected a kill report, got {:?}", report.events[0]);
         };
         assert!(population >= 400, "kill fired before load finished?");
-        assert_eq!(verified, population, "verify_sample=0 must check every key");
         assert!(reopen > Duration::ZERO);
     }
 
@@ -1196,7 +1180,7 @@ mod tests {
         let EventReport::Poison { keys, .. } = report.events[0] else {
             panic!("expected a poison report, got {:?}", report.events[0]);
         };
-        assert_eq!(keys, config.poison_keys);
+        assert_eq!(keys, POISON_KEYS);
         // run_soak's final pass re-read every poisoned key; accounting
         // must show the damage was noticed somewhere.
         assert!(

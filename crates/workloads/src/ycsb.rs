@@ -36,7 +36,10 @@ impl YcsbConfig {
     }
 }
 
-/// FNV-1a, spreading sequential ids over the key space.
+/// FNV-1a-style hashing that spreads sequential ids over the key space.
+/// Its multiplier is `0x1000_0000_01B3`, not FNV's prime
+/// `0x100_0000_01B3`, so it is not `platform::rng::fnv1a`; every YCSB and
+/// kvserve key depends on it.
 pub(crate) fn fnv(x: u64) -> u64 {
     let mut hash = 0xCBF2_9CE4_8422_2325u64;
     for byte in x.to_le_bytes() {

@@ -54,6 +54,15 @@ cargo test --release -q -p poseidon every_cut
 echo "== cargo test --release -p pmem (substrate)"
 cargo test --release -q -p pmem
 
+# The building blocks under every device access and every cached
+# operation, optimised as the benchmark builds them: the lazily
+# materialised array (racing first touch, absent and past-the-end reads,
+# iteration), the striped counter rows (exact sums across threads,
+# reset), the shared hash functions against their reference vectors, and
+# the rest of the platform layer.
+echo "== cargo test --release -p platform (building blocks)"
+cargo test --release -q -p platform
+
 # Fuzzers gate merges too, with fixed seeds for determinism: every case
 # injects a crash at a random mutation event anywhere in its workload
 # (or, under --poison-live, poison while the heap serves) and must end in

@@ -400,23 +400,3 @@ fn online_fifty_live_faults_heal_under_load() {
     let p = heap.alloc(64).expect("allocation after recovery");
     heap.free(p).unwrap();
 }
-
-#[test]
-fn op_stats_track_activity() {
-    let dev = Arc::new(PmemDevice::new(DeviceConfig::new(64 << 20)));
-    let heap = PoseidonHeap::create(dev, HeapConfig::new().with_subheaps(1)).unwrap();
-    let a = heap.alloc(64).unwrap();
-    let b = heap.alloc(64).unwrap();
-    heap.free(a).unwrap();
-    let _ = heap.free(a); // double free, rejected
-    let _ = heap.tx_alloc(32, true).unwrap();
-    let _ = heap.tx_alloc(32, false).unwrap();
-    heap.tx_abort().unwrap();
-    let stats = heap.op_stats();
-    assert_eq!(stats.allocs, 4);
-    assert_eq!(stats.frees, 1);
-    assert_eq!(stats.rejected_frees, 1);
-    assert_eq!(stats.tx_commits, 1);
-    assert_eq!(stats.tx_aborts, 1);
-    heap.free(b).unwrap();
-}
